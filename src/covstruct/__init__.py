@@ -23,7 +23,6 @@ from .estimators import (
     Dataset,
     DegenerateSteeringError,
     EstimateSet,
-    estimate_all,
     estimate_alpha,
     estimate_covariance,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "classify_batch",
     "confusion_histogram",
     "dumps_dataset",
-    "estimate_all",
     "estimate_alpha",
     "estimate_covariance",
     "fim_pair",

@@ -20,168 +20,27 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .criteria import DEFAULT_CRITERIA, classify, parse_criterion
+from .criteria import classify, parse_criterion
 from .datafmt import DataFormatError, read_dataset
 from .estimators import Approach
-from .montecarlo import DEFAULT_K_GRID, CampaignConfig, PccReport, run_campaign
+from .montecarlo import CampaignConfig, PccReport, run_campaign
 from .reporting import (
+    ConfigError,
+    _parse_truth,
     config_sha256,
+    parse_experiment,
     read_results_csv,
     write_results_csv,
     write_results_json,
 )
-from .scenario import ScenarioConfig, SourceParams, table_case
+from .scenario import table_case  # noqa: F401  (perfbench reads cli.table_case)
 from .structures import Hypothesis
 from .svgplot import render_pcc_svg
 
 __all__ = ["main"]
 
 
-class ConfigError(ValueError):
-    """Bad experiment file or flag combination."""
-
-
-# ---------------------------------------------------------------- experiment files
-
-_SCENARIO_KEYS = {
-    "n",
-    "sources",
-    "sigma_d",
-    "sigma_n2",
-    "snr_db",
-    "f_v",
-    "seed",
-    "freeze_channel_errors",
-    "case_id",
-}
-_TOP_KEYS = {
-    "schema_version",
-    "case",
-    "scenario",
-    "k_grid",
-    "trials",
-    "criteria",
-    "approaches",
-    "truths",
-    "seed",
-    "workers",
-    "output",
-}
-_OUTPUT_KEYS = {"dir", "csv", "json", "plots"}
-_SOURCE_KEYS = {"cnr_db", "rho", "doppler"}
-
-
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
-    """Build a campaign config plus output options from an experiment tree.
-
-    Unknown keys are rejected by name. ``case`` selects the Table-defaults
-    scenario (1 or 2); an explicit ``scenario`` tree overrides field by field.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError("experiment file must hold a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "experiment file")
-    schema = data.get("schema_version", 1)
-    if schema != 1:
-        raise ConfigError(f"unsupported schema_version {schema!r}")
-
-    case = data.get("case", 1)
-    if case not in (1, 2):
-        raise ConfigError(f"case must be 1 or 2, got {case!r}")
-    scenario = table_case(case)
-
-    sc_data = data.get("scenario", {})
-    if not isinstance(sc_data, dict):
-        raise ConfigError("'scenario' must be an object")
-    _reject_unknown(sc_data, _SCENARIO_KEYS, "'scenario'")
-    sc_kwargs = dict(sc_data)
-    if "sources" in sc_kwargs:
-        sources = []
-        for idx, entry in enumerate(sc_kwargs["sources"]):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"source #{idx} must be an object")
-            _reject_unknown(entry, _SOURCE_KEYS, f"source #{idx}")
-            try:
-                sources.append(SourceParams(**entry))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"source #{idx}: {exc}") from None
-        sc_kwargs["sources"] = tuple(sources)
-        sc_kwargs.setdefault("case_id", None)
-    if sc_kwargs:
-        try:
-            scenario = dataclasses.replace(scenario, **sc_kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"scenario: {exc}") from None
-
-    try:
-        criteria = tuple(
-            parse_criterion(c) for c in data.get("criteria", [c.key for c in DEFAULT_CRITERIA])
-        )
-        approaches = tuple(Approach.parse(a) for a in data.get("approaches", ["A", "B"]))
-        truths = tuple(_parse_truth(t) for t in data.get("truths", ["H1", "H2", "H3", "H4"]))
-        config = CampaignConfig(
-            scenario=scenario,
-            k_grid=tuple(data.get("k_grid", DEFAULT_K_GRID)),
-            trials=data.get("trials", 1000),
-            criteria=criteria,
-            approaches=approaches,
-            truths=truths,
-            master_seed=data.get("seed", 1),
-            workers=data.get("workers"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    output = dict(data.get("output", {}))
-    _reject_unknown(output, _OUTPUT_KEYS, "'output'")
-    return config, output
-
-
-def dump_experiment(config: CampaignConfig, output: dict | None = None) -> dict:
-    """Experiment tree that re-parses to an identical config."""
-    sc = config.scenario
-    tree = {
-        "schema_version": 1,
-        "scenario": {
-            "n": sc.n,
-            "sources": [dataclasses.asdict(s) for s in sc.sources],
-            "sigma_d": sc.sigma_d,
-            "sigma_n2": sc.sigma_n2,
-            "snr_db": sc.snr_db,
-            "f_v": sc.f_v,
-            "seed": sc.seed,
-            "freeze_channel_errors": sc.freeze_channel_errors,
-            "case_id": sc.case_id,
-        },
-        "k_grid": list(config.k_grid),
-        "trials": config.trials,
-        "criteria": [c.key for c in config.criteria],
-        "approaches": [a.value for a in config.approaches],
-        "truths": [f"H{int(t)}" for t in config.truths],
-        "seed": config.master_seed,
-        "workers": config.workers,
-    }
-    if output:
-        tree["output"] = dict(output)
-    return tree
-
-
-def _parse_truth(text) -> Hypothesis:
-    if isinstance(text, Hypothesis):
-        return text
-    raw = str(text).strip().upper()
-    if raw.startswith("H"):
-        raw = raw[1:]
-    try:
-        return Hypothesis(int(raw))
-    except ValueError:
-        raise ValueError(f"bad hypothesis {text!r}; expected H1..H4") from None
-
+# ---------------------------------------------------------------- run
 
 def _parse_list(text: str, what: str) -> list[str]:
     items = [part.strip() for part in text.split(",") if part.strip()]
@@ -189,8 +48,6 @@ def _parse_list(text: str, what: str) -> list[str]:
         raise ConfigError(f"empty {what} list")
     return items
 
-
-# ---------------------------------------------------------------- run
 
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run a Monte Carlo classification campaign")
@@ -305,7 +162,7 @@ def cmd_run(args) -> int:
     write_results_json(report, json_path, __version__)
     written = [str(csv_path), str(json_path)]
     if plots:
-        written += _write_plots(report, out_dir)
+        written += _write_plots(read_results_csv(csv_path), out_dir / "plots")
 
     print(f"config sha256 {config_sha256(config)} seed {config.master_seed}")
     _print_summary(report)
@@ -333,44 +190,40 @@ def _print_summary(report: PccReport) -> None:
         print(f"{len(report.failures)} hypothesis failures logged (see JSON mirror)")
 
 
-def _series_for(rows: list[dict], criterion_keys: list[str], truth: str, approach: str):
-    series = []
-    for ckey in criterion_keys:
-        points = sorted(
-            (row["K"], row["p_cc"])
-            for row in rows
-            if row["criterion"] == ckey
-            and row["truth"] == truth
-            and row["approach"] == approach
-        )
-        if points:
-            series.append((ckey, points))
-        else:
-            print(
-                f"warning: no cells for criterion {ckey}, truth {truth}, "
-                f"approach {approach}; polyline omitted",
-                file=sys.stderr,
-            )
-    return series
+def _write_plots(rows: list[dict], out_dir: Path) -> list[str]:
+    """One SVG per (truth, approach) from results-CSV rows; returns the paths.
 
+    Criteria, truths and approaches keep their order of first appearance in
+    the rows, so colors follow the campaign's criterion order; each polyline
+    runs K-ascending.
+    """
+    def first_seen(column: str) -> list[str]:
+        return list(dict.fromkeys(row[column] for row in rows))
 
-def _write_plots(report: PccReport, out_dir: Path) -> list[str]:
-    plot_dir = out_dir / "plots"
-    plot_dir.mkdir(parents=True, exist_ok=True)
+    points_by_key: dict[tuple[str, str, str], list] = {}
+    for row in rows:
+        key = (row["criterion"], row["truth"], row["approach"])
+        points_by_key.setdefault(key, []).append((row["K"], row["p_cc"]))
+    criterion_keys = first_seen("criterion")
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for truth in report.config.truths:
-        for approach in report.config.approaches:
+    for truth in first_seen("truth"):
+        for approach in first_seen("approach"):
             series = []
-            for criterion in report.config.criteria:
-                points = [
-                    (k, report.p_cc(criterion, approach, truth, k))
-                    for k in report.config.k_grid
-                ]
-                series.append((criterion.key, points))
-            svg = render_pcc_svg(
-                series, f"P_cc vs K, truth H{int(truth)}, approach {approach.value}"
-            )
-            path = plot_dir / f"pcc_h{int(truth)}_{approach.value.lower()}.svg"
+            for ckey in criterion_keys:
+                points = sorted(points_by_key.get((ckey, truth, approach), ()))
+                if points:
+                    series.append((ckey, points))
+                else:
+                    print(
+                        f"warning: no cells for criterion {ckey}, truth {truth}, "
+                        f"approach {approach}; polyline omitted",
+                        file=sys.stderr,
+                    )
+            if not series:
+                continue
+            svg = render_pcc_svg(series, f"P_cc vs K, truth {truth}, approach {approach}")
+            path = out_dir / f"pcc_{truth.lower()}_{approach.lower()}.svg"
             path.write_text(svg, encoding="utf-8")
             written.append(str(path))
     return written
@@ -464,22 +317,7 @@ def cmd_plot(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    criterion_keys = sorted({row["criterion"] for row in rows})
-    truths = sorted({row["truth"] for row in rows})
-    approaches = sorted({row["approach"] for row in rows})
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for truth in truths:
-        for approach in approaches:
-            series = _series_for(rows, criterion_keys, truth, approach)
-            if not series:
-                continue
-            svg = render_pcc_svg(
-                series, f"P_cc vs K, truth {truth}, approach {approach}"
-            )
-            path = args.out_dir / f"pcc_{truth.lower()}_{approach.lower()}.svg"
-            path.write_text(svg, encoding="utf-8")
-            written.append(str(path))
+    written = _write_plots(rows, args.out_dir)
     print("wrote " + " ".join(written))
     return 0
 

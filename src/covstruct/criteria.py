@@ -430,7 +430,10 @@ def _evaluate(
 def estimate_all_single(
     dataset: Dataset, approach: Approach, hypothesis: Hypothesis
 ) -> EstimateSet:
-    """One hypothesis worth of :func:`covstruct.estimators.estimate_all`."""
+    """Plug-in estimates for one hypothesis; one Cholesky gives X and log det.
+
+    Under approach A a degenerate steering energy is kept in ``alpha_failure``.
+    """
     m_hat = estimate_covariance(hypothesis, dataset.secondary)
     low = cholesky_pd(m_hat)
     x_hat = inverse_from_cholesky(low)

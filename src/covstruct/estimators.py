@@ -30,7 +30,6 @@ __all__ = [
     "DegenerateSteeringError",
     "estimate_covariance",
     "estimate_alpha",
-    "estimate_all",
 ]
 
 # Steering-energy denominators at or below this are refused outright.
@@ -222,28 +221,3 @@ def _check_steering(denom: float) -> None:
             f"steering energy through the ICM inverse is {denom!r} "
             f"(at or below {_STEERING_FLOOR:g})"
         )
-
-
-def estimate_all(dataset: Dataset, approach: Approach) -> dict[Hypothesis, EstimateSet]:
-    """Plug-in estimates for all four hypotheses on one dataset.
-
-    One covariance estimate, one Cholesky, and (under approach A) one
-    amplitude estimate per hypothesis. The inverse and log-determinant reuse
-    the same factorization.
-    """
-    approach = Approach.parse(approach)
-    if approach is Approach.A:
-        cut, steering = dataset.require_cut()
-    out: dict[Hypothesis, EstimateSet] = {}
-    for h in Hypothesis:
-        m_hat = estimate_covariance(h, dataset.secondary)
-        low = cholesky_pd(m_hat)
-        x_hat = inverse_from_cholesky(low)
-        logdet = 2.0 * float(np.sum(np.log(low.diagonal().real)))
-        alpha = None
-        if approach is Approach.A:
-            alpha = estimate_alpha(h, m_hat, cut, steering, x_hat=x_hat)
-        out[h] = EstimateSet(
-            hypothesis=h, m_hat=m_hat, x_hat=x_hat, logdet=logdet, alpha_hat=alpha
-        )
-    return out

@@ -73,6 +73,16 @@ class CampaignConfig:
         object.__setattr__(
             self, "truths", tuple(Hypothesis(t) for t in self.truths)
         )
+        if self.workers is not None:
+            object.__setattr__(self, "workers", int(self.workers))
+            if self.workers < 1:
+                raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.scenario.n % 2 == 0:
+            raise ValueError(
+                f"N must be odd, got N={self.scenario.n}: every campaign draws its "
+                "cell under test on the symmetric steering vector, which is defined "
+                "for odd N only"
+            )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.k_grid:
@@ -88,11 +98,17 @@ class CampaignConfig:
             raise ValueError("need at least one approach")
         if not self.truths:
             raise ValueError("need at least one truth hypothesis")
-        seen = set()
-        for c in self.criteria:
-            if c.key in seen:
-                raise ValueError(f"duplicate criterion {c.key!r}")
-            seen.add(c.key)
+        for what, keys in (
+            ("K", self.k_grid),
+            ("criterion", [c.key for c in self.criteria]),
+            ("approach", [a.value for a in self.approaches]),
+            ("truth", [f"H{int(t)}" for t in self.truths]),
+        ):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"duplicate {what} {key!r}")
+                seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -165,7 +181,7 @@ def _cell_key(criterion, approach, truth, k: int) -> tuple[str, str, int, int]:
 
 def _resolve_workers(config: CampaignConfig) -> int:
     if config.workers is not None:
-        return max(1, int(config.workers))
+        return config.workers
     env = os.environ.get(WORKERS_ENV, "").strip()
     if env:
         return max(1, int(env))
@@ -241,24 +257,27 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
 def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
     """Run every cell of the campaign and tally the outcome.
 
-    ``progress`` (optional) receives a line of text as each cell finishes.
+    ``progress`` (optional) receives a line of text once all chunks of a
+    cell are in, naming the chunk count and the summed worker seconds.
     Deterministic for a fixed master seed: results do not depend on the
     worker count or on execution order.
     """
     workers = _resolve_workers(config)
     started = time.perf_counter()
 
-    tasks = []
-    for truth in config.truths:
-        for k in config.k_grid:
-            chunk = _chunk_size(config.trials, workers)
-            for lo in range(0, config.trials, chunk):
-                tasks.append((config, int(truth), k, lo, min(lo + chunk, config.trials)))
+    chunk = _chunk_size(config.trials, workers)
+    starts = range(0, config.trials, chunk)
+    tasks = [
+        (config, int(truth), k, lo, min(lo + chunk, config.trials))
+        for truth in config.truths
+        for k in config.k_grid
+        for lo in starts
+    ]
 
     sums: dict[tuple[str, str, int, int], np.ndarray] = {}
     seconds: dict[tuple[int, int], float] = {}
+    absorbed: dict[tuple[int, int], int] = {}
     failures: list[FailureRecord] = []
-    done_cells: set[tuple[int, int]] = set()
 
     def _absorb(result):
         counts, fails, elapsed, cell = result
@@ -270,10 +289,13 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
                 sums[key] = tally.copy()
         failures.extend(fails)
         seconds[cell] = seconds.get(cell, 0.0) + elapsed
-        if progress is not None and cell not in done_cells:
-            done_cells.add(cell)
+        absorbed[cell] = absorbed.get(cell, 0) + 1
+        if progress is not None and absorbed[cell] == len(starts):
             truth, k = cell
-            progress(f"cell H{truth} K={k} done in {elapsed:.1f}s")
+            progress(
+                f"cell H{truth} K={k} done: {len(starts)} chunk(s), "
+                f"{seconds[cell]:.1f}s worker time"
+            )
 
     if workers == 1:
         for task in tasks:

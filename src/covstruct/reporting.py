@@ -1,4 +1,8 @@
-"""Campaign result serialization: deterministic CSV plus a JSON mirror.
+"""Campaign configuration and result serialization.
+
+An experiment file is the one serialized form of a campaign config:
+``parse_experiment`` reads it, ``dump_experiment`` writes it, the JSON
+mirror echoes it and ``config_sha256`` hashes it.
 
 The CSV is the stable machine-readable artifact: fixed versioned column set,
 one row per (criterion, approach, truth, K) cell, floats via ``repr``, no
@@ -13,21 +17,22 @@ import dataclasses
 import hashlib
 import json
 
-from .criteria import Criterion, parse_criterion
+from .criteria import DEFAULT_CRITERIA, parse_criterion
 from .estimators import Approach
-from .montecarlo import CampaignConfig, PccReport
-from .scenario import ScenarioConfig, SourceParams
+from .montecarlo import DEFAULT_K_GRID, CampaignConfig, PccReport
+from .scenario import SourceParams, table_case
 from .structures import Hypothesis
 
 __all__ = [
     "CSV_SCHEMA_VERSION",
     "CSV_COLUMNS",
+    "ConfigError",
+    "parse_experiment",
+    "dump_experiment",
     "write_results_csv",
     "render_results_csv",
     "read_results_csv",
     "write_results_json",
-    "config_to_dict",
-    "config_from_dict",
     "config_sha256",
 ]
 
@@ -49,6 +54,154 @@ CSV_COLUMNS = (
     "std_err",
 )
 
+
+class ConfigError(ValueError):
+    """Bad experiment file or flag combination."""
+
+
+# ---------------------------------------------------------------- experiment files
+
+_SCENARIO_KEYS = {
+    "n",
+    "sources",
+    "sigma_d",
+    "sigma_n2",
+    "snr_db",
+    "f_v",
+    "seed",
+    "freeze_channel_errors",
+    "case_id",
+}
+_TOP_KEYS = {
+    "schema_version",
+    "case",
+    "scenario",
+    "k_grid",
+    "trials",
+    "criteria",
+    "approaches",
+    "truths",
+    "seed",
+    "workers",
+    "output",
+}
+_OUTPUT_KEYS = {"dir", "csv", "json", "plots"}
+_SOURCE_KEYS = {"cnr_db", "rho", "doppler"}
+
+
+def _reject_unknown(data: dict, allowed: set, where: str) -> None:
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
+    """Build a campaign config plus output options from an experiment tree.
+
+    Unknown keys are rejected by name. ``case`` selects the Table-defaults
+    scenario (1 or 2); an explicit ``scenario`` tree overrides field by field.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError("experiment file must hold a JSON object")
+    _reject_unknown(data, _TOP_KEYS, "experiment file")
+    schema = data.get("schema_version", 1)
+    if schema != 1:
+        raise ConfigError(f"unsupported schema_version {schema!r}")
+
+    case = data.get("case", 1)
+    if case not in (1, 2):
+        raise ConfigError(f"case must be 1 or 2, got {case!r}")
+    scenario = table_case(case)
+
+    sc_data = data.get("scenario", {})
+    if not isinstance(sc_data, dict):
+        raise ConfigError("'scenario' must be an object")
+    _reject_unknown(sc_data, _SCENARIO_KEYS, "'scenario'")
+    sc_kwargs = dict(sc_data)
+    if "sources" in sc_kwargs:
+        sources = []
+        for idx, entry in enumerate(sc_kwargs["sources"]):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"source #{idx} must be an object")
+            _reject_unknown(entry, _SOURCE_KEYS, f"source #{idx}")
+            try:
+                sources.append(SourceParams(**entry))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"source #{idx}: {exc}") from None
+        sc_kwargs["sources"] = tuple(sources)
+        sc_kwargs.setdefault("case_id", None)
+    if sc_kwargs:
+        try:
+            scenario = dataclasses.replace(scenario, **sc_kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario: {exc}") from None
+
+    try:
+        criteria = tuple(
+            parse_criterion(c) for c in data.get("criteria", [c.key for c in DEFAULT_CRITERIA])
+        )
+        approaches = tuple(Approach.parse(a) for a in data.get("approaches", ["A", "B"]))
+        truths = tuple(_parse_truth(t) for t in data.get("truths", ["H1", "H2", "H3", "H4"]))
+        config = CampaignConfig(
+            scenario=scenario,
+            k_grid=tuple(data.get("k_grid", DEFAULT_K_GRID)),
+            trials=data.get("trials", 1000),
+            criteria=criteria,
+            approaches=approaches,
+            truths=truths,
+            master_seed=data.get("seed", 1),
+            workers=data.get("workers"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+    output = dict(data.get("output", {}))
+    _reject_unknown(output, _OUTPUT_KEYS, "'output'")
+    return config, output
+
+
+def dump_experiment(config: CampaignConfig, output: dict | None = None) -> dict:
+    """Experiment tree that re-parses to an identical config."""
+    sc = config.scenario
+    tree = {
+        "schema_version": 1,
+        "scenario": {
+            "n": sc.n,
+            "sources": [dataclasses.asdict(s) for s in sc.sources],
+            "sigma_d": sc.sigma_d,
+            "sigma_n2": sc.sigma_n2,
+            "snr_db": sc.snr_db,
+            "f_v": sc.f_v,
+            "seed": sc.seed,
+            "freeze_channel_errors": sc.freeze_channel_errors,
+            "case_id": sc.case_id,
+        },
+        "k_grid": list(config.k_grid),
+        "trials": config.trials,
+        "criteria": [c.key for c in config.criteria],
+        "approaches": [a.value for a in config.approaches],
+        "truths": [f"H{int(t)}" for t in config.truths],
+        "seed": config.master_seed,
+        "workers": config.workers,
+    }
+    if output:
+        tree["output"] = dict(output)
+    return tree
+
+
+def _parse_truth(text) -> Hypothesis:
+    if isinstance(text, Hypothesis):
+        return text
+    raw = str(text).strip().upper()
+    if raw.startswith("H"):
+        raw = raw[1:]
+    try:
+        return Hypothesis(int(raw))
+    except ValueError:
+        raise ValueError(f"bad hypothesis {text!r}; expected H1..H4") from None
+
+
+# ---------------------------------------------------------------- results
 
 def render_results_csv(report: PccReport) -> str:
     """The campaign CSV as a string, rows in deterministic cell order."""
@@ -127,60 +280,9 @@ def read_results_csv(path) -> list[dict]:
     return rows
 
 
-def config_to_dict(config: CampaignConfig) -> dict:
-    """JSON-ready echo of a campaign config (round-trips via config_from_dict)."""
-    sc = config.scenario
-    return {
-        "scenario": {
-            "n": sc.n,
-            "sources": [dataclasses.asdict(s) for s in sc.sources],
-            "sigma_d": sc.sigma_d,
-            "sigma_n2": sc.sigma_n2,
-            "snr_db": sc.snr_db,
-            "f_v": sc.f_v,
-            "seed": sc.seed,
-            "freeze_channel_errors": sc.freeze_channel_errors,
-            "case_id": sc.case_id,
-        },
-        "k_grid": list(config.k_grid),
-        "trials": config.trials,
-        "criteria": [c.key for c in config.criteria],
-        "approaches": [a.value for a in config.approaches],
-        "truths": [f"H{int(t)}" for t in config.truths],
-        "master_seed": config.master_seed,
-        "workers": config.workers,
-    }
-
-
-def config_from_dict(data: dict) -> CampaignConfig:
-    """Inverse of config_to_dict."""
-    sc = data["scenario"]
-    scenario = ScenarioConfig(
-        n=sc["n"],
-        sources=tuple(SourceParams(**s) for s in sc["sources"]),
-        sigma_d=sc["sigma_d"],
-        sigma_n2=sc["sigma_n2"],
-        snr_db=sc["snr_db"],
-        f_v=sc["f_v"],
-        seed=sc["seed"],
-        freeze_channel_errors=sc["freeze_channel_errors"],
-        case_id=sc["case_id"],
-    )
-    return CampaignConfig(
-        scenario=scenario,
-        k_grid=tuple(data["k_grid"]),
-        trials=data["trials"],
-        criteria=tuple(parse_criterion(c) for c in data["criteria"]),
-        approaches=tuple(Approach.parse(a) for a in data["approaches"]),
-        truths=tuple(Hypothesis(int(t.lstrip("H"))) for t in data["truths"]),
-        master_seed=data["master_seed"],
-        workers=data.get("workers"),
-    )
-
-
 def config_sha256(config: CampaignConfig) -> str:
-    """Hash of the canonical config JSON; stable across runs and machines."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    """Hash of the canonical experiment tree; stable across runs and machines."""
+    canonical = json.dumps(dump_experiment(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -207,7 +309,7 @@ def write_results_json(report: PccReport, path, package_version: str) -> None:
     payload = {
         "schema": CSV_SCHEMA_VERSION,
         "package_version": package_version,
-        "config": config_to_dict(report.config),
+        "config": dump_experiment(report.config),
         "config_sha256": config_sha256(report.config),
         "master_seed": report.config.master_seed,
         "elapsed_seconds": report.elapsed_seconds,

@@ -6,12 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from covstruct.cli import ConfigError, dump_experiment, main, parse_experiment
-from covstruct.criteria import parse_criterion
+from covstruct.cli import main
 from covstruct.datafmt import write_dataset
-from covstruct.estimators import Approach, Dataset
-from covstruct.montecarlo import CampaignConfig
-from covstruct.reporting import CSV_COLUMNS
+from covstruct.estimators import Dataset
+from covstruct.reporting import CSV_COLUMNS, config_sha256, parse_experiment
 from covstruct.scenario import sample_dataset, table_case, truth_instance
 from covstruct.structures import Hypothesis
 
@@ -34,7 +32,7 @@ def test_run_writes_expected_csv_shape(tmp_path, capsys):
             "run",
             "--case", "1",
             "--approach", "B",
-            "--criteria", "asymptotic-bic",
+            "--criteria", "asymptotic-bic,aic",
             "--K", "26,39",
             "--trials", "50",
             "--seed", "7",
@@ -45,14 +43,21 @@ def test_run_writes_expected_csv_shape(tmp_path, capsys):
     assert code == 0
     lines = read_lines(out / "results.csv")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + 2 * 4  # two K values x four truths
+    assert len(lines) == 1 + 2 * 2 * 4  # two criteria x two K values x four truths
     captured = capsys.readouterr()
     assert "config sha256" in captured.out
     assert "seed 7" in captured.out
     assert "P_cc at K=39" in captured.out
     assert (out / "results.json").exists()
+    # `plot` on run's CSV renders the same figures, colors in criterion order.
+    replot = tmp_path / "replot"
+    assert run_cli(["plot", "--results", out / "results.csv", "--out-dir", replot]) == 0
     for truth in (1, 2, 3, 4):
-        assert (out / "plots" / f"pcc_h{truth}_b.svg").exists()
+        name = f"pcc_h{truth}_b.svg"
+        assert (out / "plots" / name).read_bytes() == (replot / name).read_bytes()
+    assert sorted(p.name for p in replot.iterdir()) == sorted(
+        p.name for p in (out / "plots").iterdir()
+    )
 
 
 def test_run_reruns_byte_identical(tmp_path):
@@ -113,13 +118,20 @@ def test_run_config_file_with_unknown_key_fails(tmp_path, capsys):
 
 
 def test_run_rejects_bad_flag_values(tmp_path, capsys):
-    base = ["run", "--trials", "1", "--workers", "1", "--no-plots", "--out-dir", tmp_path]
-    assert run_cli(base + ["--K", "5"]) == 1
-    assert "exceed N" in capsys.readouterr().err
-    assert run_cli(base + ["--criteria", "mdl"]) == 1
-    assert "unknown criterion" in capsys.readouterr().err
-    assert run_cli(base + ["--truths", "H9"]) == 1
-    assert "bad hypothesis" in capsys.readouterr().err
+    out = tmp_path / "never"
+    base = ["run", "--trials", "1", "--workers", "1", "--no-plots", "--out-dir", out]
+    for flags, message in (
+        (["--K", "5"], "exceed N"),
+        (["--criteria", "mdl"], "unknown criterion"),
+        (["--truths", "H9"], "bad hypothesis"),
+        (["--n", "12", "--approach", "B"], "N must be odd"),
+        (["--K", "26,26"], "duplicate K 26"),
+        (["--truths", "H1,H1"], "duplicate truth 'H1'"),
+        (["--workers", "0"], "workers must be >= 1"),
+    ):
+        assert run_cli(base + flags) == 1, flags
+        assert message in capsys.readouterr().err, flags
+        assert not out.exists(), flags
 
 
 def test_run_scenario_tree_overrides(tmp_path):
@@ -149,22 +161,22 @@ def test_run_scenario_tree_overrides(tmp_path):
     assert payload["config"]["scenario"]["sigma_d"] == 0.15
 
 
-def test_experiment_round_trip():
-    config = CampaignConfig(
-        scenario=table_case(2, n=9, seed=4),
-        k_grid=(12, 20),
-        trials=77,
-        criteria=(parse_criterion("gic:2"), parse_criterion("tic")),
-        approaches=(Approach.B,),
-        truths=(Hypothesis.H2, Hypothesis.H4),
-        master_seed=21,
-        workers=2,
-    )
-    reparsed, output = parse_experiment(dump_experiment(config))
-    assert reparsed == config
+def test_experiment_round_trip(tmp_path, capsys):
+    first = tmp_path / "first"
+    flags = ["run", "--case", "2", "--n", "9", "--approach", "AB", "--criteria", "gic:2,aic",
+             "--K", "12,20", "--trials", "3", "--truths", "H2,H4", "--seed", "21",
+             "--workers", "1", "--no-plots"]
+    assert run_cli(flags + ["--out-dir", first]) == 0
+    payload = json.loads((first / "results.json").read_text(encoding="utf-8"))
+    config, output = parse_experiment(payload["config"])
     assert output == {}
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_experiment({"bogus": 1})
+    assert payload["config_sha256"] == config_sha256(config)
+    assert f"config sha256 {config_sha256(config)} seed 21" in capsys.readouterr().out
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(payload["config"]), encoding="utf-8")
+    again = tmp_path / "again"
+    assert run_cli(["run", "--config", echo, "--no-plots", "--out-dir", again]) == 0
+    assert (again / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- classify

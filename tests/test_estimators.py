@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from covstruct.criteria import prepare_estimates
 from covstruct.estimators import (
     Approach,
     Dataset,
     DegenerateSteeringError,
-    estimate_all,
     estimate_alpha,
     estimate_covariance,
 )
@@ -165,14 +165,14 @@ def test_degenerate_steering_raises():
 
 def test_estimate_all_shapes(rng):
     ds = random_dataset(rng, 5, 14)
-    full = estimate_all(ds, Approach.A)
+    full = prepare_estimates(ds, Approach.A)
     assert set(full) == set(Hypothesis)
     for h, est in full.items():
         assert est.hypothesis is h
         assert est.m_hat.shape == (5, 5)
         assert est.alpha_hat is not None
         assert np.isfinite(est.logdet)
-    b_only = estimate_all(Dataset(secondary=ds.secondary), Approach.B)
+    b_only = prepare_estimates(Dataset(secondary=ds.secondary), Approach.B)
     for h, est in b_only.items():
         assert est.alpha_hat is None
 

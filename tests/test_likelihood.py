@@ -7,7 +7,8 @@ itself as the oracle, with per-coordinate steps h = 1e-5 * max(1, |p|).
 import numpy as np
 import pytest
 
-from covstruct.estimators import Approach, Dataset, estimate_all
+from covstruct.criteria import prepare_estimates
+from covstruct.estimators import Approach, Dataset
 from covstruct.likelihood import (
     fim_pair,
     grad_alpha,
@@ -124,7 +125,7 @@ def test_grad_alpha_matches_fd(rng):
 
 def test_grad_alpha_zero_at_h1_alpha_hat(rng):
     ds = random_dataset(rng, 5, 17)
-    estimates = estimate_all(ds, Approach.A)
+    estimates = prepare_estimates(ds, Approach.A)
     est = estimates[Hypothesis.H1]
     g = grad_alpha(est.x_hat, est.alpha_hat, ds.cut, ds.steering)
     assert np.abs(g).max() <= 1e-8
@@ -166,13 +167,13 @@ def test_hessian_blocks_match_fd(rng, hypothesis):
 
 def test_observed_fim_symmetry_and_size(rng):
     ds = random_dataset(rng, 5, 14)
-    estimates = estimate_all(ds, Approach.A)
+    estimates = prepare_estimates(ds, Approach.A)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = observed_fim(model, estimates[h], ds, Approach.A)
         assert fim.shape == (model.m + 2, model.m + 2)
         assert np.abs(fim - fim.T).max() <= 1e-8 * max(1.0, np.abs(fim).max())
-    b_estimates = estimate_all(Dataset(secondary=ds.secondary), Approach.B)
+    b_estimates = prepare_estimates(Dataset(secondary=ds.secondary), Approach.B)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = observed_fim(model, b_estimates[h], ds, Approach.B)
@@ -184,7 +185,7 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
     # the two-branch formula; at the secondary-only MLE the result also
     # reduces to K C'(X* (x) X)C because X S X = K X there.
     ds = random_dataset(rng, 4, 12, with_cut=False)
-    estimates = estimate_all(ds, Approach.B)
+    estimates = prepare_estimates(ds, Approach.B)
     s = ds.secondary @ ds.secondary.conj().T
     s = 0.5 * (s + s.conj().T)
     for h in Hypothesis:
@@ -210,7 +211,7 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
 
 def test_sample_fim_psd_and_rank(rng):
     ds = random_dataset(rng, 4, 11)
-    estimates = estimate_all(ds, Approach.A)
+    estimates = prepare_estimates(ds, Approach.A)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = sample_fim(model, estimates[h], ds, Approach.A)
@@ -224,7 +225,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
     secondary = complex_normal(rng, (3, 7))
     ds = Dataset(secondary=secondary)
     model = structure_model(Hypothesis.H1, 3)
-    estimates = estimate_all(ds, Approach.B)
+    estimates = prepare_estimates(ds, Approach.B)
     est = estimates[Hypothesis.H1]
     one_col = SimpleNamespace(secondary=secondary[:, :1], cut=None, steering=None)
     fim = sample_fim(model, est, one_col, Approach.B)
@@ -233,7 +234,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
 
 def test_fim_pair_consistency(rng):
     ds = random_dataset(rng, 4, 13)
-    estimates = estimate_all(ds, Approach.A)
+    estimates = prepare_estimates(ds, Approach.A)
     model = structure_model(Hypothesis.H2, 4)
     pair = fim_pair(model, estimates[Hypothesis.H2], ds, Approach.A)
     np.testing.assert_array_equal(

@@ -1,5 +1,7 @@
 """Campaign tallies: determinism, confusion accounting, and trend checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,18 @@ def test_campaign_config_validation():
         small_config(approaches=())
     with pytest.raises(ValueError, match="truth"):
         small_config(truths=())
+    with pytest.raises(ValueError, match="duplicate K 11"):
+        small_config(k_grid=(11, 12, 11))
+    with pytest.raises(ValueError, match="duplicate truth 'H1'"):
+        small_config(truths=(Hypothesis.H1, Hypothesis.H2, Hypothesis.H1))
+    with pytest.raises(ValueError, match="duplicate approach 'B'"):
+        small_config(approaches=(Approach.B, Approach.B))
+    for approaches in ((Approach.A,), (Approach.B,)):
+        with pytest.raises(ValueError, match="N must be odd.*steering"):
+            small_config(scenario=ScenarioConfig(n=6), approaches=approaches)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            small_config(workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +113,17 @@ def test_same_seed_reproduces_report():
 
 
 def test_worker_count_does_not_change_tallies():
-    serial = run_campaign(small_config(trials=6, truths=(Hypothesis.H3,)))
-    pooled = run_campaign(small_config(trials=6, truths=(Hypothesis.H3,), workers=2))
+    config = small_config(trials=6, truths=(Hypothesis.H3,), k_grid=(11, 12))
+    serial_lines, pooled_lines = [], []
+    serial = run_campaign(config, progress=serial_lines.append)
+    pooled = run_campaign(replace(config, workers=2), progress=pooled_lines.append)
     assert statistical_content(serial) == statistical_content(pooled)
+    # One progress line per (truth, K) cell, sent once all its chunks are in:
+    # 6 trials over 2 workers make chunks of one trial.
+    for lines, chunks in ((serial_lines, 1), (pooled_lines, 6)):
+        assert len(lines) == 2
+        for line, k in zip(lines, (11, 12)):
+            assert line.startswith(f"cell H3 K={k} done: {chunks} chunk(s), ")
 
 
 def test_worker_resolution_order(monkeypatch):

@@ -1,8 +1,12 @@
 """Result serialization: deterministic CSV, JSON mirror, config round trip."""
 
+import importlib
 import json
+import pkgutil
 
 import pytest
+
+import covstruct
 
 from covstruct.criteria import parse_criterion
 from covstruct.estimators import Approach
@@ -10,9 +14,10 @@ from covstruct.montecarlo import CampaignConfig, run_campaign
 from covstruct.reporting import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
-    config_from_dict,
+    ConfigError,
     config_sha256,
-    config_to_dict,
+    dump_experiment,
+    parse_experiment,
     read_results_csv,
     render_results_csv,
     write_results_csv,
@@ -126,10 +131,12 @@ def test_config_round_trip():
         master_seed=99,
         workers=3,
     )
-    data = config_to_dict(config)
-    json.dumps(data)  # must be JSON-serializable as-is
-    assert config_from_dict(data) == config
-    assert config_from_dict(json.loads(json.dumps(data))) == config
+    data = dump_experiment(config, {"dir": "out"})
+    for tree in (data, json.loads(json.dumps(data))):  # JSON-serializable as-is
+        assert parse_experiment(tree) == (config, {"dir": "out"})
+    assert parse_experiment(dump_experiment(config)) == (config, {})
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_experiment({"bogus": 1})
 
 
 def test_config_sha_is_stable_and_sensitive():
@@ -137,7 +144,8 @@ def test_config_sha_is_stable_and_sensitive():
     sha = config_sha256(base)
     assert len(sha) == 64 and int(sha, 16) >= 0
     assert config_sha256(golden_config()) == sha
-    assert config_sha256(config_from_dict(config_to_dict(base))) == sha
+    reparsed, _ = parse_experiment(json.loads(json.dumps(dump_experiment(base))))
+    assert config_sha256(reparsed) == sha
     bumped = CampaignConfig(
         scenario=base.scenario,
         k_grid=base.k_grid,
@@ -149,6 +157,7 @@ def test_config_sha_is_stable_and_sensitive():
         workers=base.workers,
     )
     assert config_sha256(bumped) != sha
+    assert config_sha256(parse_experiment(dump_experiment(bumped))[0]) != sha
 
 
 def test_json_mirror_carries_provenance(tmp_path, golden_report):
@@ -159,10 +168,24 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
     assert payload["package_version"] == "0.1.0"
     assert payload["master_seed"] == 7
     assert payload["config_sha256"] == config_sha256(golden_report.config)
-    assert config_from_dict(payload["config"]) == golden_report.config
+    assert parse_experiment(payload["config"]) == (golden_report.config, {})
     assert len(payload["cells"]) == len(golden_report.cells)
     first = payload["cells"][0]
     assert first["criterion"] == "aic" and first["approach"] == "A"
     assert first["chosen_counts"] == [1, 3, 0, 0]
     assert "cell_seconds" in first and "elapsed_seconds" in payload
     assert payload["failures"] == []
+
+
+def test_public_names_resolve():
+    """Every name in ``__all__`` of the package and each of its modules exists."""
+    names = ["covstruct"] + [
+        f"covstruct.{info.name}" for info in pkgutil.iter_modules(covstruct.__path__)
+    ]
+    assert "covstruct.reporting" in names
+    for name in names:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        missing = [attr for attr in exported if not hasattr(module, attr)]
+        assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+        assert len(set(exported)) == len(exported), name
