@@ -7,8 +7,8 @@ Subcommands::
     covstruct plot      re-render P_cc-vs-K SVGs from a results CSV
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
-The worker count resolves as: --workers flag, else the COVSTRUCT_WORKERS
-environment variable, else the machine CPU count.
+The worker count is the --workers flag, else the experiment file's
+``workers`` key, else the machine CPU count.
 """
 
 from __future__ import annotations

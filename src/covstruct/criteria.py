@@ -43,9 +43,8 @@ from .estimators import (
 from .likelihood import FimPair, fim_pair
 from .linalg import (
     NotPositiveDefiniteError,
-    cholesky_pd,
     hermitian_part,
-    inverse_from_cholesky,
+    inverse_and_logdet,
     logdet_pd,
 )
 from .structures import Hypothesis, param_count, structure_model
@@ -123,7 +122,7 @@ class Criterion:
 
 def parse_criterion(text: str) -> Criterion:
     """Parse 'aic', 'gic:2', 'tic', 'aicc', 'bic', 'asymptotic-bic'."""
-    raw = text.strip().lower()
+    raw = str(text).strip().lower()
     if raw.startswith("gic"):
         rest = raw[3:].lstrip(":")
         if not rest:
@@ -269,19 +268,16 @@ _HYPOTHESIS_FAILURES = (
 def _fit_term(estimate: EstimateSet, dataset: Dataset, approach: Approach) -> float:
     """-2 times the governing log-likelihood at the plug-in estimates."""
     n, k = dataset.n, dataset.k
-    x = estimate.x_hat
-    s = dataset.secondary @ dataset.secondary.conj().T
-    trace_s = float(np.real(np.einsum("ij,ji->", x, s)))
+    # Tr(X_hat S) = N K: each class is closed under inversion and M_hat is the
+    # projection of S/K onto it (Szatrowski 1980, Ann. Statist. 8(4)).
     if approach is Approach.B:
-        s_val = -k * (n * _LOG_PI + estimate.logdet) - trace_s
-        return -2.0 * s_val
+        return 2.0 * (k * (n * _LOG_PI + estimate.logdet) + n * k)
     cut, steering = dataset.require_cut()
     if estimate.alpha_hat is None:
         raise ValueError("approach A fit needs alpha_hat; prepare estimates under A")
     resid = cut - estimate.alpha_hat * steering
-    quad = float(np.real(resid.conj() @ x @ resid))
-    s_val = -(k + 1) * (n * _LOG_PI + estimate.logdet) - trace_s - quad
-    return -2.0 * s_val
+    quad = float(np.real(resid.conj() @ estimate.x_hat @ resid))
+    return 2.0 * ((k + 1) * (n * _LOG_PI + estimate.logdet) + n * k + quad)
 
 
 def _argmin_hypothesis(
@@ -432,18 +428,18 @@ def estimate_all_single(
 ) -> EstimateSet:
     """Plug-in estimates for one hypothesis; one Cholesky gives X and log det.
 
-    Under approach A a degenerate steering energy is kept in ``alpha_failure``.
+    That Cholesky is the one positive-definiteness check: a rank-deficient
+    scatter matrix raises NotPositiveDefiniteError here. Under approach A a
+    degenerate steering energy is kept in ``alpha_failure``.
     """
-    m_hat = estimate_covariance(hypothesis, dataset.secondary)
-    low = cholesky_pd(m_hat)
-    x_hat = inverse_from_cholesky(low)
-    logdet = 2.0 * float(np.sum(np.log(low.diagonal().real)))
+    m_hat = estimate_covariance(hypothesis, dataset)
+    x_hat, logdet = inverse_and_logdet(m_hat)
     alpha = None
     alpha_failure = None
     if approach is Approach.A:
         cut, steering = dataset.require_cut()
         try:
-            alpha = estimate_alpha(hypothesis, m_hat, cut, steering, x_hat=x_hat)
+            alpha = estimate_alpha(hypothesis, x_hat, cut, steering)
         except DegenerateSteeringError as exc:
             # The covariance estimates stay valid for the secondary-only
             # likelihood; only the joint-likelihood rules lose this hypothesis.

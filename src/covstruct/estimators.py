@@ -1,10 +1,10 @@
 """Closed-form plug-in estimators for each hypothesis.
 
 The interference covariance is estimated from secondary snapshots only. With
-``S = Z Z^H`` the unstructured estimate is ``S / K``; the structured variants
-are its exact projections onto each hypothesis, so the nesting relations hold
-bit-for-bit (e.g. the centrosymmetric estimate equals the real part of the
-centrohermitian one).
+``S = Z Z^H`` (``Dataset.scatter``, formed once per dataset) the unstructured
+estimate is ``S / K``; the structured variants are its exact projections onto
+each hypothesis, so the nesting relations hold bit-for-bit (e.g. the
+centrosymmetric estimate equals the real part of the centrohermitian one).
 
 The signal amplitude ``alpha`` is estimated from the cell under test with the
 ICM estimate plugged in. Under the flip-symmetric hypotheses the cell under
@@ -16,11 +16,12 @@ real and imaginary amplitude components separately.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cholesky_pd, inverse_from_cholesky
+from .linalg import hermitian_part
 from .structures import Hypothesis, project
 
 __all__ = [
@@ -109,6 +110,11 @@ class Dataset:
     def k(self) -> int:
         return self.secondary.shape[1]
 
+    @functools.cached_property
+    def scatter(self) -> np.ndarray:
+        """Hermitian part of ``S = Z Z^H``, formed on first use and kept."""
+        return hermitian_part(self.secondary @ self.secondary.conj().T)
+
     def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
         """CUT and steering, or a clear error naming what approach A misses."""
         if self.cut is None:
@@ -137,81 +143,44 @@ class EstimateSet:
     alpha_failure: str | None = None
 
 
-def estimate_covariance(hypothesis: Hypothesis, secondary: np.ndarray) -> np.ndarray:
-    """Structured ML estimate of the ICM from secondary snapshots.
+def estimate_covariance(hypothesis: Hypothesis, dataset: Dataset) -> np.ndarray:
+    """Structured ML estimate of the ICM from the secondary snapshots.
 
     H1: S/K. H2: Re(S)/K. H3: (S/K + J conj(S/K) J)/2. H4: real part of H3.
-    All are exact projections of S/K, hence positive definite whenever S is;
-    a rank-deficient S raises NotPositiveDefiniteError.
+    All are exact projections of S/K, hence positive definite whenever S is.
+    The caller's Cholesky of the result is the positive-definiteness check.
     """
-    z = np.asarray(secondary, dtype=complex)
-    if z.ndim != 2:
-        raise ValueError(f"secondary must be an N x K matrix, got shape {z.shape}")
-    k = z.shape[1]
-    s = z @ z.conj().T
-    s = 0.5 * (s + s.conj().T)
-    m1 = s / k
-    m_hat = project(hypothesis, m1)
-    cholesky_pd(m_hat)  # PD gate; K > N makes failure pathological, not routine
-    return m_hat
+    return project(hypothesis, dataset.scatter / dataset.k)
 
 
 def estimate_alpha(
     hypothesis: Hypothesis,
-    m_hat: np.ndarray,
+    x_hat: np.ndarray,
     cut: np.ndarray,
     steering: np.ndarray,
-    x_hat: np.ndarray | None = None,
 ) -> complex:
     """Plug-in amplitude estimate of the CUT signal under one hypothesis.
 
-    Pass ``x_hat`` when the inverse of ``m_hat`` is already available; it is
-    recomputed otherwise. Raises DegenerateSteeringError when the steering
-    energy through the inverse falls at or below 1e-14.
+    ``x_hat`` is the inverse of the hypothesis's ICM estimate. H1 and H2 give
+    ``v^H X z / v^H X v``; a real X makes this the H2 estimate over the
+    stacked real and imaginary parts. H3 and H4 split the CUT into its
+    conjugate-even and conjugate-odd parts, which carry the real and the
+    imaginary amplitude components. Raises DegenerateSteeringError when the
+    steering energy through ``x_hat`` falls at or below 1e-14.
     """
     h = Hypothesis(hypothesis)
     z = np.asarray(cut, dtype=complex)
     v = np.asarray(steering, dtype=complex)
-    x = inverse_from_cholesky(cholesky_pd(m_hat)) if x_hat is None else x_hat
-
-    if h is Hypothesis.H1:
-        denom = (v.conj() @ x @ v).real
-        _check_steering(denom)
-        return complex((v.conj() @ x @ z) / denom)
-
-    if h is Hypothesis.H2:
-        xr = x.real if np.iscomplexobj(x) else x
-        vr, vi = v.real, v.imag
-        zr, zi = z.real, z.imag
-        denom = float(vr @ xr @ vr + vi @ xr @ vi)
-        _check_steering(denom)
-        a_re = float(vr @ xr @ zr + vi @ xr @ zi) / denom
-        a_im = float(vr @ xr @ zi - vi @ xr @ zr) / denom
-        return complex(a_re, a_im)
-
-    # Flip-symmetric branches: split the CUT into conjugate-even/odd parts.
-    z_flip = z[::-1].conj()
-    z_even = 0.5 * (z + z_flip)
-    z_odd = 0.5 * (z - z_flip)
-
-    if h is Hypothesis.H3:
-        denom = (v.conj() @ x @ v).real
-        _check_steering(denom)
-        a_re = (v.conj() @ x @ z_even).real / denom
-        a_im = (-1j * (v.conj() @ x @ z_odd)).real / denom
-        return complex(a_re, a_im)
-
-    # H4: real trace form over the stacked real/imaginary columns.
-    xr = x.real if np.iscomplexobj(x) else x
-    vmat = np.column_stack([v.real, v.imag])
-    e_mat = np.column_stack([z_even.real, z_even.imag])
-    # -1j * z_odd folds the odd part onto the real axis before stacking.
-    o_rot = -1j * z_odd
-    o_mat = np.column_stack([o_rot.real, o_rot.imag])
-    denom = float(np.trace(vmat.T @ xr @ vmat))
+    vx = v.conj() @ x_hat
+    denom = float((vx @ v).real)
     _check_steering(denom)
-    a_re = float(np.trace(vmat.T @ xr @ e_mat)) / denom
-    a_im = float(np.trace(vmat.T @ xr @ o_mat)) / denom
+
+    if h in (Hypothesis.H1, Hypothesis.H2):
+        return complex((vx @ z) / denom)
+
+    z_flip = z[::-1].conj()
+    a_re = (vx @ (0.5 * (z + z_flip))).real / denom
+    a_im = (-1j * (vx @ (0.5 * (z - z_flip)))).real / denom
     return complex(a_re, a_im)
 
 

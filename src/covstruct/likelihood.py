@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Approach, Dataset, EstimateSet
-from .linalg import cholesky_pd, inverse_from_cholesky, kron, vec
+from .linalg import inverse_and_logdet, kron, vec
 from .structures import StructureModel
 
 __all__ = [
@@ -85,13 +85,6 @@ def _trace_product(x: np.ndarray, s: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", x, s)))
 
 
-def _decode_and_invert(model: StructureModel, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    m = model.decode(theta)
-    low = cholesky_pd(m)
-    logdet = 2.0 * float(np.sum(np.log(low.diagonal().real)))
-    return inverse_from_cholesky(low), logdet
-
-
 def loglik_cut(
     model: StructureModel,
     theta: np.ndarray,
@@ -100,7 +93,7 @@ def loglik_cut(
     steering: np.ndarray,
 ) -> float:
     """Log-likelihood of the CUT alone at (theta, alpha)."""
-    x, logdet = _decode_and_invert(model, theta)
+    x, logdet = inverse_and_logdet(model.decode(theta))
     alpha = complex(alpha)
     r = np.asarray(cut, dtype=complex) - alpha * np.asarray(steering, dtype=complex)
     return -model.n * _LOG_PI - logdet - _quad_form(x, r)
@@ -110,7 +103,7 @@ def loglik_secondary(model: StructureModel, theta: np.ndarray, secondary: np.nda
     """Log-likelihood of the secondary snapshots at theta."""
     z = np.asarray(secondary, dtype=complex)
     k = z.shape[1]
-    x, logdet = _decode_and_invert(model, theta)
+    x, logdet = inverse_and_logdet(model.decode(theta))
     s = z @ z.conj().T
     return -k * (model.n * _LOG_PI + logdet) - _trace_product(x, s)
 
@@ -259,9 +252,7 @@ def observed_fim(
     """
     approach = Approach.parse(approach)
     x = estimate.x_hat
-    z_mat = dataset.secondary
-    s = z_mat @ z_mat.conj().T
-    s = 0.5 * (s + s.conj().T)
+    s = dataset.scatter
 
     if approach is Approach.B:
         h_tt = hessian_theta_theta(model, x, s, float(dataset.k))

@@ -25,6 +25,7 @@ __all__ = [
     "logdet_pd",
     "invert_pd",
     "inverse_from_cholesky",
+    "inverse_and_logdet",
 ]
 
 # Relative pivot floor: a Cholesky pivot at or below this fraction of the
@@ -120,3 +121,10 @@ def inverse_from_cholesky(low: np.ndarray, dtype=None) -> np.ndarray:
     eye = np.eye(low.shape[0], dtype=dtype if dtype is not None else low.dtype)
     inv = scipy.linalg.cho_solve((low, True), eye)
     return hermitian_part(inv)
+
+
+def inverse_and_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitian inverse and log-determinant of a Hermitian PD matrix, from
+    one Cholesky factorization (which raises NotPositiveDefiniteError)."""
+    low = cholesky_pd(m)
+    return inverse_from_cholesky(low), 2.0 * float(np.sum(np.log(low.diagonal().real)))

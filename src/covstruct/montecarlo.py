@@ -40,8 +40,6 @@ __all__ = [
 
 DEFAULT_K_GRID: tuple[int, ...] = (20, 25, 30, 35, 40, 45)
 
-WORKERS_ENV = "COVSTRUCT_WORKERS"
-
 # Sub-stream tags keeping per-trial draws and frozen channel-error draws apart.
 _TRIAL_STREAM = 1
 _FROZEN_STREAM = 2
@@ -85,6 +83,8 @@ class CampaignConfig:
             )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
         if not self.k_grid:
             raise ValueError("k_grid must not be empty")
         for k in self.k_grid:
@@ -182,9 +182,6 @@ def _cell_key(criterion, approach, truth, k: int) -> tuple[str, str, int, int]:
 def _resolve_workers(config: CampaignConfig) -> int:
     if config.workers is not None:
         return config.workers
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 

@@ -68,7 +68,6 @@ _SCENARIO_KEYS = {
     "sigma_n2",
     "snr_db",
     "f_v",
-    "seed",
     "freeze_channel_errors",
     "case_id",
 }
@@ -85,6 +84,10 @@ _TOP_KEYS = {
     "workers",
     "output",
 }
+# Top-level values and the JSON type each must have (a bool is no integer).
+_TOP_TYPES = {"scenario": dict, "output": dict, "k_grid": list, "criteria": list,
+              "approaches": list, "truths": list, "trials": int, "seed": int}
+_TYPE_NAMES = {dict: "an object", list: "an array", int: "an integer"}
 _OUTPUT_KEYS = {"dir", "csv", "json", "plots"}
 _SOURCE_KEYS = {"cnr_db", "rho", "doppler"}
 
@@ -104,6 +107,10 @@ def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
     if not isinstance(data, dict):
         raise ConfigError("experiment file must hold a JSON object")
     _reject_unknown(data, _TOP_KEYS, "experiment file")
+    for key, kind in _TOP_TYPES.items():
+        value = data.get(key, kind())
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     schema = data.get("schema_version", 1)
     if schema != 1:
         raise ConfigError(f"unsupported schema_version {schema!r}")
@@ -113,12 +120,11 @@ def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
         raise ConfigError(f"case must be 1 or 2, got {case!r}")
     scenario = table_case(case)
 
-    sc_data = data.get("scenario", {})
-    if not isinstance(sc_data, dict):
-        raise ConfigError("'scenario' must be an object")
-    _reject_unknown(sc_data, _SCENARIO_KEYS, "'scenario'")
-    sc_kwargs = dict(sc_data)
+    sc_kwargs = dict(data.get("scenario", {}))
+    _reject_unknown(sc_kwargs, _SCENARIO_KEYS, "'scenario'")
     if "sources" in sc_kwargs:
+        if not isinstance(sc_kwargs["sources"], list):
+            raise ConfigError("'sources' in 'scenario' must be an array")
         sources = []
         for idx, entry in enumerate(sc_kwargs["sources"]):
             if not isinstance(entry, dict):
@@ -152,7 +158,7 @@ def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
             master_seed=data.get("seed", 1),
             workers=data.get("workers"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
     output = dict(data.get("output", {}))
@@ -172,7 +178,6 @@ def dump_experiment(config: CampaignConfig, output: dict | None = None) -> dict:
             "sigma_n2": sc.sigma_n2,
             "snr_db": sc.snr_db,
             "f_v": sc.f_v,
-            "seed": sc.seed,
             "freeze_channel_errors": sc.freeze_channel_errors,
             "case_id": sc.case_id,
         },

@@ -97,7 +97,6 @@ class ScenarioConfig:
     sigma_n2: float = 1.0
     snr_db: float = 10.0
     f_v: float = 0.01
-    seed: int = 0
     freeze_channel_errors: bool = False
     case_id: int | None = 1
 
@@ -177,7 +176,7 @@ def steering_vector(n: int, f_v: float) -> np.ndarray:
 def truth_instance(
     hypothesis: Hypothesis,
     config: ScenarioConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> TruthInstance:
     """Draw one ground-truth covariance for a hypothesis.
 
@@ -187,8 +186,6 @@ def truth_instance(
     floating-point noise but makes the structure checks exact.
     """
     h = Hypothesis(hypothesis)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n = config.n
     zero_doppler = h in (Hypothesis.H2, Hypothesis.H4)
     r = clutter_covariance(config.sources, n, zero_doppler=zero_doppler)

@@ -153,7 +153,7 @@ def test_acceptance_2_structured_estimates_and_parameter_counts():
     structure_ok = True
     for n in (4, 5, 8, 13):
         for h in Hypothesis:
-            m_hat = estimate_covariance(h, complex_normal(rng, (n, 3 * n)))
+            m_hat = estimate_covariance(h, Dataset(complex_normal(rng, (n, 3 * n))))
             structure_ok = structure_ok and satisfies_structure(h, m_hat)
             residual_max = max(residual_max, structure_residual(h, m_hat))
     counts_ok = all(

@@ -128,10 +128,22 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         (["--K", "26,26"], "duplicate K 26"),
         (["--truths", "H1,H1"], "duplicate truth 'H1'"),
         (["--workers", "0"], "workers must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ):
         assert run_cli(base + flags) == 1, flags
         assert message in capsys.readouterr().err, flags
         assert not out.exists(), flags
+    config = tmp_path / "exp.json"
+    for tree, message in (
+        ({"trials": "5"}, "'trials' must be an integer, got '5'"),
+        ({"k_grid": 26}, "'k_grid' must be an array, got 26"),
+        ({"scenario": {"seed": 0}}, "unknown key 'seed' in 'scenario'"),
+        ({"scenario": {"sources": 5}}, "'sources' in 'scenario' must be an array"),
+    ):
+        config.write_text(json.dumps(tree), encoding="utf-8")
+        assert run_cli(["run", "--config", config, "--out-dir", out]) == 1, tree
+        assert message in capsys.readouterr().err, tree
+        assert not out.exists(), tree
 
 
 def test_run_scenario_tree_overrides(tmp_path):

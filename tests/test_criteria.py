@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covstruct.criteria as criteria_module
 from covstruct.criteria import (
@@ -164,8 +166,15 @@ def test_bic_rejects_non_pd_observed():
 # Scorecards
 
 
-def test_scorecard_totals_and_fit_cross_check(rng):
-    ds = random_dataset(rng, 5, 12)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scorecard_totals_and_fit_cross_check(data):
+    # The fit term uses Tr(X_hat S) = N K; the likelihood reference forms the
+    # trace, so the two agree only if the identity holds for every class.
+    n = data.draw(st.integers(3, 9), label="N")
+    k = data.draw(st.integers(n + 1, 3 * n), label="K")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ds = random_dataset(np.random.default_rng(seed), n, k)
     for approach in Approach:
         card = classify(ds, approach, AIC)
         assert isinstance(card, Scorecard)
@@ -203,6 +212,13 @@ def test_classify_records_failures_and_survivors(rng):
     # The same data classify fine under approach B, which never touches alpha.
     card_b = classify(ds, Approach.B, AIC)
     assert not card_b.all_failed
+    # Identical snapshot columns leave every class's estimate singular; the
+    # Cholesky in estimate_all_single records it for each hypothesis.
+    singular = Dataset(secondary=np.outer(complex_normal(rng, (5,)), np.ones(9)))
+    card_s = classify(singular, Approach.B, AIC)
+    assert card_s.all_failed
+    for score in card_s.scores.values():
+        assert score.failure.startswith("NotPositiveDefiniteError: Cholesky")
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +278,9 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
     real_estimate = criteria_module.estimate_covariance
     real_fim = criteria_module.fim_pair
 
-    def counting_estimate(hypothesis, secondary):
+    def counting_estimate(hypothesis, dataset):
         estimate_calls.append(hypothesis)
-        return real_estimate(hypothesis, secondary)
+        return real_estimate(hypothesis, dataset)
 
     def counting_fim(model, estimate, dataset, approach):
         fim_calls.append(estimate.hypothesis)

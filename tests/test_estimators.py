@@ -45,36 +45,36 @@ def test_require_cut_names_missing_pieces(rng):
 
 def test_h1_estimate_is_sample_covariance(rng):
     ds = random_dataset(rng, 5, 12)
-    m1 = estimate_covariance(Hypothesis.H1, ds.secondary)
+    m1 = estimate_covariance(Hypothesis.H1, ds)
     s = ds.secondary @ ds.secondary.conj().T
     np.testing.assert_allclose(m1, 0.5 * (s + s.conj().T) / ds.k, rtol=0, atol=1e-14)
 
 
 def test_trace_identity_at_h1_mle(rng):
-    # Tr{X S} = K N exactly at the unstructured ML estimate.
-    ds = random_dataset(rng, 6, 20)
-    m1 = estimate_covariance(Hypothesis.H1, ds.secondary)
-    x = invert_pd(m1)
-    s = ds.secondary @ ds.secondary.conj().T
-    value = np.trace(x @ s).real
-    assert abs(value - ds.k * ds.n) <= 1e-8 * ds.k * ds.n
+    # Tr{X S} = K N at the plug-in estimate of every class: each class is
+    # closed under inversion and its estimate is the projection of S/K onto
+    # it. The fit term relies on this instead of forming the trace.
+    for n, k in ((6, 20), (5, 7)):
+        ds = random_dataset(rng, n, k)
+        s = ds.secondary @ ds.secondary.conj().T
+        for h in Hypothesis:
+            x = invert_pd(estimate_covariance(h, ds))
+            value = np.trace(x @ s).real
+            assert abs(value - k * n) <= 1e-10 * k * n, h
 
 
 def test_estimates_satisfy_exact_structure(rng):
     for n in (4, 5):
         ds = random_dataset(rng, n, 3 * n)
         for h in Hypothesis:
-            m = estimate_covariance(h, ds.secondary)
+            m = estimate_covariance(h, ds)
             assert satisfies_structure(h, m)
 
 
 def test_estimate_nesting_identities(rng):
     # Restricted estimates are exact projections of the unstructured one.
     ds = random_dataset(rng, 5, 15)
-    m1 = estimate_covariance(Hypothesis.H1, ds.secondary)
-    m2 = estimate_covariance(Hypothesis.H2, ds.secondary)
-    m3 = estimate_covariance(Hypothesis.H3, ds.secondary)
-    m4 = estimate_covariance(Hypothesis.H4, ds.secondary)
+    m1, m2, m3, m4 = (estimate_covariance(h, ds) for h in Hypothesis)
     j = exchange(5)
     np.testing.assert_array_equal(m2, m1.real)
     np.testing.assert_array_equal(m3, 0.5 * (m1 + j @ m1.conj() @ j))
@@ -110,15 +110,18 @@ def alpha_ls_oracle(hypothesis, z, v):
 
 def test_alpha_estimates_match_ls_oracle_at_identity(rng):
     n = 7
-    v = steering_vector(n, 0.01)
-    m_eye = np.eye(n, dtype=complex)
-    for h in Hypothesis:
-        m = m_eye.real if h.is_real else m_eye
-        for _ in range(5):
-            z = complex_normal(rng, (n,))
-            a_hat = estimate_alpha(h, m, z, v)
-            a_orc = alpha_ls_oracle(h, z, v)
-            assert abs(a_hat - a_orc) <= 1e-10 * max(1.0, abs(a_orc))
+    # The symmetric campaign steering, and a random non-symmetric unit vector
+    # as a dataset file may carry.
+    v_random = complex_normal(rng, (n,))
+    x_eye = np.eye(n, dtype=complex)
+    for v in (steering_vector(n, 0.01), v_random / np.linalg.norm(v_random)):
+        for h in Hypothesis:
+            x = x_eye.real if h.is_real else x_eye
+            for _ in range(5):
+                z = complex_normal(rng, (n,))
+                a_hat = estimate_alpha(h, x, z, v)
+                a_orc = alpha_ls_oracle(h, z, v)
+                assert abs(a_hat - a_orc) <= 1e-10 * max(1.0, abs(a_orc))
 
 
 def test_alpha_recovers_clean_target(rng):
@@ -128,39 +131,38 @@ def test_alpha_recovers_clean_target(rng):
     alpha = 2.3 - 1.7j
     z = alpha * v
     for h in Hypothesis:
-        m = np.eye(n) if h.is_real else np.eye(n, dtype=complex)
-        a_hat = estimate_alpha(h, m, z, v)
+        x = np.eye(n) if h.is_real else np.eye(n, dtype=complex)
+        a_hat = estimate_alpha(h, x, z, v)
         assert abs(a_hat - alpha) <= 1e-10
 
 
 def test_alpha_h1_formula(rng):
     ds = random_dataset(rng, 5, 16)
-    m1 = estimate_covariance(Hypothesis.H1, ds.secondary)
-    x = invert_pd(m1)
+    x = invert_pd(estimate_covariance(Hypothesis.H1, ds))
     expected = np.vdot(ds.steering, x @ ds.cut) / np.vdot(ds.steering, x @ ds.steering)
-    got = estimate_alpha(Hypothesis.H1, m1, ds.cut, ds.steering)
+    got = estimate_alpha(Hypothesis.H1, x, ds.cut, ds.steering)
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_alpha_steering_phase_consistency(rng):
     # Rotating z by a unit phase rotates the H1 estimate by the same phase.
     ds = random_dataset(rng, 5, 16)
-    m1 = estimate_covariance(Hypothesis.H1, ds.secondary)
+    x = invert_pd(estimate_covariance(Hypothesis.H1, ds))
     phase = np.exp(1j * 0.73)
-    a0 = estimate_alpha(Hypothesis.H1, m1, ds.cut, ds.steering)
-    a1 = estimate_alpha(Hypothesis.H1, m1, phase * ds.cut, ds.steering)
+    a0 = estimate_alpha(Hypothesis.H1, x, ds.cut, ds.steering)
+    a1 = estimate_alpha(Hypothesis.H1, x, phase * ds.cut, ds.steering)
     assert abs(a1 - phase * a0) <= 1e-10 * max(1.0, abs(a0))
 
 
 def test_degenerate_steering_raises():
     n = 5
-    m = np.eye(n, dtype=complex)
+    x = np.eye(n, dtype=complex)
     z = np.ones(n, dtype=complex)
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
-    # An enormous covariance drives v'Xv below the degeneracy floor.
+    # An enormous covariance (a tiny inverse) drives v'Xv below the floor.
     with pytest.raises(DegenerateSteeringError):
-        estimate_alpha(Hypothesis.H1, 1e16 * m, z, v)
+        estimate_alpha(Hypothesis.H1, 1e-16 * x, z, v)
 
 
 def test_estimate_all_shapes(rng):

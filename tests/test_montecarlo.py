@@ -1,5 +1,6 @@
 """Campaign tallies: determinism, confusion accounting, and trend checks."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from covstruct.criteria import Criterion, CriterionKind, parse_criterion
 from covstruct.estimators import Approach
 from covstruct.montecarlo import (
-    WORKERS_ENV,
     CampaignConfig,
     CellStats,
     MissingCellError,
@@ -127,11 +127,11 @@ def test_worker_count_does_not_change_tallies():
 
 
 def test_worker_resolution_order(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _resolve_workers(small_config(workers=None)) == 3
+    # The configured count wins; unset means the CPU count, whatever the
+    # environment holds (no variable overrides or clamps it).
+    monkeypatch.setenv("COVSTRUCT_WORKERS", "3")
     assert _resolve_workers(small_config(workers=2)) == 2
-    monkeypatch.delenv(WORKERS_ENV)
-    assert _resolve_workers(small_config(workers=None)) >= 1
+    assert _resolve_workers(small_config(workers=None)) == (os.cpu_count() or 1)
 
 
 def test_missing_cell_error():

@@ -122,7 +122,7 @@ def test_csv_reader_rejects_malformed_input(tmp_path, golden_report):
 
 def test_config_round_trip():
     config = CampaignConfig(
-        scenario=table_case(2, n=9, snr_db=7.5, f_v=0.02, seed=42),
+        scenario=table_case(2, n=9, snr_db=7.5, f_v=0.02),
         k_grid=(12, 20),
         trials=250,
         criteria=tuple(parse_criterion(c) for c in ("gic:2", "tic", "bic")),

@@ -256,7 +256,7 @@ def test_cut_amplitude_magnitude(rng):
 
 def test_sample_dataset_is_deterministic():
     config = table_case(1)
-    truth = truth_instance(Hypothesis.H3, config)
+    truth = truth_instance(Hypothesis.H3, config, np.random.default_rng(3))
     first = sample_dataset(truth, config, 26, np.random.default_rng(99))
     second = sample_dataset(truth, config, 26, np.random.default_rng(99))
     assert np.array_equal(first.cut, second.cut)
