@@ -273,8 +273,6 @@ def _fit_term(estimate: EstimateSet, dataset: Dataset, approach: Approach) -> fl
     if approach is Approach.B:
         return 2.0 * (k * (n * _LOG_PI + estimate.logdet) + n * k)
     cut, steering = dataset.require_cut()
-    if estimate.alpha_hat is None:
-        raise ValueError("approach A fit needs alpha_hat; prepare estimates under A")
     resid = cut - estimate.alpha_hat * steering
     quad = float(np.real(resid.conj() @ estimate.x_hat @ resid))
     return 2.0 * ((k + 1) * (n * _LOG_PI + estimate.logdet) + n * k + quad)
@@ -295,13 +293,7 @@ def _argmin_hypothesis(
 def prepare_estimates(
     dataset: Dataset, approach: Approach
 ) -> dict[Hypothesis, "EstimateSet | str"]:
-    """Per-hypothesis estimate sets, with failures kept as message strings.
-
-    The returned map can be fed to :func:`classify_batch` to reuse one set of
-    factorizations across criteria and approaches. Estimates prepared under
-    approach A (which carry alpha) also serve approach B; the reverse does
-    not hold.
-    """
+    """Per-hypothesis estimate sets, with failures kept as message strings."""
     approach = Approach.parse(approach)
     out: dict[Hypothesis, EstimateSet | str] = {}
     for h in Hypothesis:
@@ -319,43 +311,35 @@ def classify(
 ) -> Scorecard:
     """Classify one dataset with one rule. See :func:`classify_batch`."""
     approach = Approach.parse(approach)
-    result = _evaluate(dataset, approach, (criterion,), None)
-    return result[criterion]
+    return classify_batch(dataset, (approach,), (criterion,))[approach][criterion]
 
 
 def classify_batch(
-    datasets,
-    approach: Approach,
-    criteria,
-    prepared_seq=None,
-) -> list[dict[Criterion, Scorecard]]:
-    """Classify several datasets, sharing estimates and FIMs across criteria.
+    dataset: Dataset, approaches, criteria
+) -> dict[Approach, dict[Criterion, Scorecard]]:
+    """Classify one dataset under every approach and rule, sharing the work.
 
-    Per dataset: the four plug-in estimate sets and fit terms are computed
-    once; the information-matrix pair is computed once if any rule needs it.
-    Results are identical to per-call :func:`classify`. ``prepared_seq``
-    optionally supplies :func:`prepare_estimates` output per dataset.
+    The four plug-in estimate sets are prepared once, under approach A when
+    A is asked for: estimates that carry alpha also serve approach B, the
+    reverse does not hold. Per approach the fit terms are computed once and
+    the information-matrix pair once if any rule needs it. Results are
+    identical to per-call :func:`classify`.
     """
-    approach = Approach.parse(approach)
+    approaches = tuple(Approach.parse(a) for a in approaches)
     criteria = tuple(criteria)
-    out = []
-    for idx, dataset in enumerate(datasets):
-        shared = prepared_seq[idx] if prepared_seq is not None else None
-        out.append(_evaluate(dataset, approach, criteria, shared))
-    return out
+    prep = Approach.A if Approach.A in approaches else approaches[0]
+    prepared = prepare_estimates(dataset, prep)
+    return {a: _evaluate(dataset, a, criteria, prepared) for a in approaches}
 
 
 def _evaluate(
     dataset: Dataset,
     approach: Approach,
     criteria: tuple[Criterion, ...],
-    prepared: dict[Hypothesis, "EstimateSet | str"] | None,
+    prepared: dict[Hypothesis, "EstimateSet | str"],
 ) -> dict[Criterion, Scorecard]:
     n, k = dataset.n, dataset.k
     need_fim = any(c.needs_fim for c in criteria)
-
-    if prepared is None:
-        prepared = prepare_estimates(dataset, approach)
 
     fits: dict[Hypothesis, float] = {}
     fims: dict[Hypothesis, FimPair] = {}

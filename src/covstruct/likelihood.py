@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Approach, Dataset, EstimateSet
-from .linalg import inverse_and_logdet, kron, vec
+from .linalg import inverse_and_logdet, vec
 from .structures import StructureModel
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "loglik_cut",
     "loglik_secondary",
     "loglik_full",
-    "grad_theta",
+    "snapshot_scores",
     "grad_alpha",
     "hessian_theta_theta",
     "hessian_alpha_theta",
@@ -122,32 +122,26 @@ def loglik_full(
     )
 
 
-def _grad_theta_core(
-    model: StructureModel, x: np.ndarray, g: np.ndarray, count: float
+def snapshot_scores(
+    model: StructureModel, x: np.ndarray, snapshots: np.ndarray
 ) -> np.ndarray:
-    """d/d theta of ``-count log det M - Tr{X G}`` at M = M(theta).
+    """Per-snapshot theta scores, evaluated through X = M^{-1}; shape (m, cols).
 
-    Hermitian branch:  -count (vec X)^H C + (C^H [conj(X) kron X] vec G)^T
-    Symmetric branch:  same with plain transposes and X real.
-    Both reduce to adjoint products against vec(X G X - count^-1 ... X), and
-    the Kronecker action collapses to X G X because X is Hermitian.
+    Column k is d/d theta of ``-log det M - z_k^H X z_k`` at M = M(theta):
+
+    Hermitian branch:  C^H vec(X z_k z_k^H X) - conj(C^H vec X)
+    Symmetric branch:  C^T [vec(X z_k z_k^H X) - vec X], X real.
     """
     c = model.constraint
-    xgx = x @ g @ x
+    w = x @ snapshots  # N x cols
+    n, k = w.shape
+    # Column k of `outer` is vec((X z_k)(X z_k)^H) in column-stacked order.
+    outer = (w.conj()[:, None, :] * w[None, :, :]).reshape(n * n, k)
     if model.hypothesis.is_real:
-        out = c.T @ (vec(xgx) - count * vec(x))
+        term = c.T @ (outer - vec(x)[:, None])
     else:
-        out = c.conj().T @ vec(xgx) - count * np.conj(c.conj().T @ vec(x))
-    return _real_checked(out, f"theta gradient ({model.hypothesis.name})")
-
-
-def grad_theta(model: StructureModel, x: np.ndarray, sample_matrix: np.ndarray) -> np.ndarray:
-    """Score of one snapshot term w.r.t. theta, evaluated through X = M^{-1}.
-
-    ``sample_matrix`` is the rank-one outer product of the snapshot (the
-    centered CUT or one secondary column). The result is real with shape (m,).
-    """
-    return _grad_theta_core(model, x, sample_matrix, 1.0)
+        term = c.conj().T @ outer - np.conj(c.conj().T @ vec(x))[:, None]
+    return _real_checked(term, f"snapshot scores ({model.hypothesis.name})")
 
 
 def grad_alpha(
@@ -180,10 +174,10 @@ def hessian_theta_theta(
     xgx = x @ g @ x
     inner = count * x - xgx
     if model.hypothesis.is_real:
-        block = kron(x, inner) - kron(x @ g.conj() @ x, x)
+        block = np.kron(x, inner) - np.kron(x @ g.conj() @ x, x)
         out = c.T @ block @ c
     else:
-        block = kron(x.conj(), inner) - kron(xgx.conj(), x)
+        block = np.kron(x.conj(), inner) - np.kron(xgx.conj(), x)
         out = c.conj().T @ block @ c
     return _real_checked(out, f"theta-theta Hessian ({model.hypothesis.name})")
 
@@ -276,20 +270,6 @@ def observed_fim(
     return -full
 
 
-def _secondary_scores(model: StructureModel, x: np.ndarray, z_mat: np.ndarray) -> np.ndarray:
-    """Per-snapshot theta scores as an (m, K) matrix, vectorized over K."""
-    c = model.constraint
-    w = x @ z_mat  # N x K
-    n, k = w.shape
-    # Column k of `outer` is vec((X z_k)(X z_k)^H) in column-stacked order.
-    outer = (w.conj()[:, None, :] * w[None, :, :]).reshape(n * n, k)
-    if model.hypothesis.is_real:
-        term = c.T @ (outer - vec(x)[:, None])
-    else:
-        term = c.conj().T @ outer - np.conj(c.conj().T @ vec(x))[:, None]
-    return _real_checked(term, f"secondary scores ({model.hypothesis.name})")
-
-
 def sample_fim(
     model: StructureModel,
     estimate: EstimateSet,
@@ -298,31 +278,27 @@ def sample_fim(
 ) -> np.ndarray:
     """Sum of per-snapshot score outer products at the plug-in estimates.
 
-    Secondary snapshots contribute theta scores only; under approach A the
-    CUT adds a score whose amplitude block is the alpha gradient.
+    This is ``G G^T`` with one score column per snapshot. Secondary snapshots
+    contribute theta scores only; under approach A the CUT adds the column of
+    ``z - alpha v`` whose amplitude rows hold the alpha gradient, so G is
+    (m+2) x (K+1).
     """
     approach = Approach.parse(approach)
     x = estimate.x_hat
-    scores = _secondary_scores(model, x, dataset.secondary)
-    j_tt = scores @ scores.T
-
     if approach is Approach.B:
-        return j_tt
+        g = snapshot_scores(model, x, dataset.secondary)
+        return g @ g.T
 
     cut, steering = dataset.require_cut()
     alpha = estimate.alpha_hat
     if alpha is None:
         raise ValueError("approach A needs alpha_hat on the estimate set")
     resid = cut - alpha * steering
-    s_a = np.outer(resid, resid.conj())
-    g_theta = grad_theta(model, x, s_a)
-    g_alpha = grad_alpha(x, alpha, cut, steering)
-    g_cut = np.concatenate([g_theta, g_alpha])
-    m = model.m
-    out = np.zeros((m + 2, m + 2))
-    out[:m, :m] = j_tt
-    out += np.outer(g_cut, g_cut)
-    return out
+    m, k = model.m, dataset.k
+    g = np.zeros((m + 2, k + 1))
+    g[:m] = snapshot_scores(model, x, np.column_stack([dataset.secondary, resid]))
+    g[m:, k] = grad_alpha(x, alpha, cut, steering)
+    return g @ g.T
 
 
 def fim_pair(

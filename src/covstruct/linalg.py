@@ -18,7 +18,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "vec",
     "unvec",
-    "kron",
     "exchange",
     "hermitian_part",
     "cholesky_pd",
@@ -46,11 +45,6 @@ def vec(a: np.ndarray) -> np.ndarray:
 def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec`: reshape a vector back into a rows-by-cols matrix."""
     return np.asarray(x).reshape((rows, cols), order="F")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, ``(a ⊗ b)``."""
-    return np.kron(a, b)
 
 
 def exchange(n: int) -> np.ndarray:

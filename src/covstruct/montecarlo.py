@@ -15,6 +15,7 @@ single trial can be replayed.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import DEFAULT_CRITERIA, Criterion, Scorecard, classify_batch, prepare_estimates
+from .criteria import DEFAULT_CRITERIA, Criterion, Scorecard, classify_batch
 from .estimators import Approach
 from .scenario import ScenarioConfig, sample_dataset, truth_instance
 from .structures import Hypothesis
@@ -63,7 +64,7 @@ class CampaignConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
+        object.__setattr__(self, "k_grid", tuple(operator.index(k) for k in self.k_grid))
         object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(
             self, "approaches", tuple(Approach.parse(a) for a in self.approaches)
@@ -72,7 +73,7 @@ class CampaignConfig:
             self, "truths", tuple(Hypothesis(t) for t in self.truths)
         )
         if self.workers is not None:
-            object.__setattr__(self, "workers", int(self.workers))
+            object.__setattr__(self, "workers", operator.index(self.workers))
             if self.workers < 1:
                 raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.scenario.n % 2 == 0:
@@ -208,9 +209,6 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
             truth, scenario, _frozen_truth_rng(config.master_seed, truth)
         )
 
-    prep_approach = (
-        Approach.A if Approach.A in config.approaches else config.approaches[0]
-    )
     counts: dict[tuple[str, str], np.ndarray] = {
         (c.key, a.value): np.zeros(5, dtype=np.int64)
         for c in config.criteria
@@ -222,11 +220,9 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
         rng = _trial_rng(config.master_seed, truth, k, trial)
         instance = frozen if frozen is not None else truth_instance(truth, scenario, rng)
         dataset = sample_dataset(instance, scenario, k, rng)
-        prepared = prepare_estimates(dataset, prep_approach)
-        for approach in config.approaches:
-            cards = classify_batch(
-                [dataset], approach, config.criteria, prepared_seq=[prepared]
-            )[0]
+        for approach, cards in classify_batch(
+            dataset, config.approaches, config.criteria
+        ).items():
             seen_failures: set[tuple[int, str]] = set()
             for criterion in config.criteria:
                 card: Scorecard = cards[criterion]

@@ -61,41 +61,33 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- experiment files
 
-_SCENARIO_KEYS = {
-    "n",
-    "sources",
-    "sigma_d",
-    "sigma_n2",
-    "snr_db",
-    "f_v",
-    "freeze_channel_errors",
-    "case_id",
-}
-_TOP_KEYS = {
-    "schema_version",
-    "case",
-    "scenario",
-    "k_grid",
-    "trials",
-    "criteria",
-    "approaches",
-    "truths",
-    "seed",
-    "workers",
-    "output",
-}
-# Top-level values and the JSON type each must have (a bool is no integer).
-_TOP_TYPES = {"scenario": dict, "output": dict, "k_grid": list, "criteria": list,
-              "approaches": list, "truths": list, "trials": int, "seed": int}
-_TYPE_NAMES = {dict: "an object", list: "an array", int: "an integer"}
-_OUTPUT_KEYS = {"dir", "csv", "json", "plots"}
-_SOURCE_KEYS = {"cnr_db", "rho", "doppler"}
+# The value type of each key (a bool is no number); absent keys keep defaults.
+_NUMBER = (int, float)
+_OPTIONAL_INT = (int, type(None))
+_TOP_TYPES = {"schema_version": int, "case": int, "scenario": dict, "output": dict,
+              "k_grid": list, "criteria": list, "approaches": list, "truths": list,
+              "trials": int, "seed": int, "workers": _OPTIONAL_INT}
+_SCENARIO_TYPES = {"n": int, "sources": list, "sigma_d": _NUMBER, "sigma_n2": _NUMBER,
+                   "snr_db": _NUMBER, "f_v": _NUMBER, "freeze_channel_errors": bool,
+                   "case_id": _OPTIONAL_INT}
+_SOURCE_TYPES = dict.fromkeys(("cnr_db", "rho", "doppler"), _NUMBER)
+_OUTPUT_TYPES = {"dir": str, "csv": str, "json": str, "plots": bool}
+_TYPE_NAMES = {dict: "an object", list: "an array", int: "an integer", _NUMBER: "a number",
+               bool: "true or false", _OPTIONAL_INT: "an integer or null", str: "a string"}
 
 
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+def _check_keys(data: dict, types: dict, where: str | None = None) -> None:
+    """Reject unknown keys by name and values of the wrong type.
+
+    ``where`` names the nested tree; None is the top level of the file.
+    """
+    inside = f" in {where}" if where else ""
+    for key, value in data.items():
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r}{inside or ' in experiment file'}")
+        kind = types[key]
+        if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+            raise ConfigError(f"{key!r}{inside} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
@@ -106,11 +98,7 @@ def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
     """
     if not isinstance(data, dict):
         raise ConfigError("experiment file must hold a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "experiment file")
-    for key, kind in _TOP_TYPES.items():
-        value = data.get(key, kind())
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    _check_keys(data, _TOP_TYPES)
     schema = data.get("schema_version", 1)
     if schema != 1:
         raise ConfigError(f"unsupported schema_version {schema!r}")
@@ -121,15 +109,13 @@ def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
     scenario = table_case(case)
 
     sc_kwargs = dict(data.get("scenario", {}))
-    _reject_unknown(sc_kwargs, _SCENARIO_KEYS, "'scenario'")
+    _check_keys(sc_kwargs, _SCENARIO_TYPES, "'scenario'")
     if "sources" in sc_kwargs:
-        if not isinstance(sc_kwargs["sources"], list):
-            raise ConfigError("'sources' in 'scenario' must be an array")
         sources = []
         for idx, entry in enumerate(sc_kwargs["sources"]):
             if not isinstance(entry, dict):
                 raise ConfigError(f"source #{idx} must be an object")
-            _reject_unknown(entry, _SOURCE_KEYS, f"source #{idx}")
+            _check_keys(entry, _SOURCE_TYPES, f"source #{idx}")
             try:
                 sources.append(SourceParams(**entry))
             except (TypeError, ValueError) as exc:
@@ -162,7 +148,7 @@ def parse_experiment(data: dict) -> tuple[CampaignConfig, dict]:
         raise ConfigError(str(exc)) from None
 
     output = dict(data.get("output", {}))
-    _reject_unknown(output, _OUTPUT_KEYS, "'output'")
+    _check_keys(output, _OUTPUT_TYPES, "'output'")
     return config, output
 
 

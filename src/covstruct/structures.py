@@ -147,16 +147,11 @@ class StructureModel:
         Matrix size.
     constraint : ndarray, complex, shape (n*n, m)
         The basis matrix C. Entries are 0, +-1, or +-1j.
-    slots : tuple of (kind, i, j)
-        One descriptor per theta entry, in order. ``kind`` is "re" or "im"
-        and (i, j) is the 0-based representative position in the lower
-        triangle whose real or imaginary part the slot carries.
     """
 
     hypothesis: Hypothesis
     n: int
     constraint: np.ndarray = field(repr=False)
-    slots: tuple[tuple[str, int, int], ...] = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -202,10 +197,6 @@ class StructureModel:
             object.__setattr__(self, "_norms_cache", cached)
         return cached
 
-    def describe_slots(self) -> list[str]:
-        """Human-readable slot listing, e.g. ``['Re M[0,0]', 'Im M[1,0]', ...]``."""
-        return [f"{'Re' if k == 're' else 'Im'} M[{i},{j}]" for k, i, j in self.slots]
-
 
 _MODEL_CACHE: dict[tuple[Hypothesis, int], StructureModel] = {}
 
@@ -228,7 +219,6 @@ def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
     complex_classes = not h.is_real
     seen: set[tuple[int, int]] = set()
     columns: list[np.ndarray] = []
-    slots: list[tuple[str, int, int]] = []
 
     for j in range(n):
         for i in range(j, n):
@@ -240,13 +230,11 @@ def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
             for (p, q), _parity in orbit.items():
                 re_col[q * n + p] = 1.0
             columns.append(re_col)
-            slots.append(("re", i, j))
             if complex_classes and not forced_real:
                 im_col = np.zeros(n * n, dtype=complex)
                 for (p, q), parity in orbit.items():
                     im_col[q * n + p] = -1j if parity else 1j
                 columns.append(im_col)
-                slots.append(("im", i, j))
 
     constraint = np.column_stack(columns)
     expected = param_count(h, n)
@@ -255,7 +243,7 @@ def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
             f"orbit enumeration built {constraint.shape[1]} slots for "
             f"{h.name} at n={n}, expected {expected}"
         )
-    model = StructureModel(hypothesis=h, n=n, constraint=constraint, slots=tuple(slots))
+    model = StructureModel(hypothesis=h, n=n, constraint=constraint)
     _MODEL_CACHE[key] = model
     return model
 

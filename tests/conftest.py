@@ -30,18 +30,22 @@ def fd_gradient(f, p0):
 
 
 def fd_hessian(f, p0):
-    """Central four-point second-difference Hessian."""
+    """Central four-point second-difference Hessian.
+
+    The stencil is symmetric in (i, j), so only j >= i is evaluated and the
+    upper triangle is mirrored.
+    """
     n = p0.size
     hess = np.zeros((n, n))
     steps = [FD_HESS_STEP * max(1.0, abs(p0[i])) for i in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             hi, hj = steps[i], steps[j]
             pp = p0.copy(); pp[i] += hi; pp[j] += hj
             pm = p0.copy(); pm[i] += hi; pm[j] -= hj
             mp = p0.copy(); mp[i] -= hi; mp[j] += hj
             mm = p0.copy(); mm[i] -= hi; mm[j] -= hj
-            hess[i, j] = (f(pp) - f(pm) - f(mp) + f(mm)) / (4 * hi * hj)
+            hess[i, j] = hess[j, i] = (f(pp) - f(pm) - f(mp) + f(mm)) / (4 * hi * hj)
     return hess
 
 

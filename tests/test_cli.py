@@ -139,6 +139,19 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         ({"k_grid": 26}, "'k_grid' must be an array, got 26"),
         ({"scenario": {"seed": 0}}, "unknown key 'seed' in 'scenario'"),
         ({"scenario": {"sources": 5}}, "'sources' in 'scenario' must be an array"),
+        ({"scenario": {"snr_db": "x"}}, "'snr_db' in 'scenario' must be a number, got 'x'"),
+        ({"scenario": {"n": 13.0}}, "'n' in 'scenario' must be an integer, got 13.0"),
+        ({"scenario": {"sigma_d": True}}, "'sigma_d' in 'scenario' must be a number"),
+        ({"scenario": {"freeze_channel_errors": 1}},
+         "'freeze_channel_errors' in 'scenario' must be true or false, got 1"),
+        ({"scenario": {"sources": [{"cnr_db": "30", "rho": 0.9, "doppler": 0.1}]}},
+         "'cnr_db' in source #0 must be a number, got '30'"),
+        ({"workers": 2.5}, "'workers' must be an integer or null, got 2.5"),
+        ({"workers": True}, "'workers' must be an integer or null, got True"),
+        ({"k_grid": [26.5]}, "cannot be interpreted as an integer"),
+        ({"case": True}, "'case' must be an integer, got True"),
+        ({"scenario": {"case_id": "x"}}, "'case_id' in 'scenario' must be an integer or null"),
+        ({"output": {"plots": "no"}}, "'plots' in 'output' must be true or false, got 'no'"),
     ):
         config.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli(["run", "--config", config, "--out-dir", out]) == 1, tree

@@ -253,16 +253,16 @@ def test_aic_equals_gic_rho_one_bitwise(rng):
         with_cut = trial % 5 == 0
         ds = random_dataset(rng, 4, 9, with_cut=with_cut)
         approach = Approach.A if with_cut else Approach.B
-        cards = classify_batch([ds], approach, (AIC, gic1))[0]
+        cards = classify_batch(ds, (approach,), (AIC, gic1))[approach]
         assert cards[AIC].chosen is cards[gic1].chosen
         for h in Hypothesis:
             assert cards[AIC].scores[h].total == cards[gic1].scores[h].total
 
 
 def test_batch_matches_single_calls(rng):
-    datasets = [random_dataset(rng, 4, 9) for _ in range(50)]
-    batch = classify_batch(datasets, Approach.B, DEFAULT_CRITERIA)
-    for ds, cards in zip(datasets, batch):
+    for _ in range(50):
+        ds = random_dataset(rng, 4, 9)
+        cards = classify_batch(ds, (Approach.B,), DEFAULT_CRITERIA)[Approach.B]
         for crit in DEFAULT_CRITERIA:
             single = classify(ds, Approach.B, crit)
             assert cards[crit].chosen is single.chosen
@@ -289,22 +289,28 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
     monkeypatch.setattr(criteria_module, "estimate_covariance", counting_estimate)
     monkeypatch.setattr(criteria_module, "fim_pair", counting_fim)
     ds = random_dataset(rng, 4, 9)
-    classify_batch([ds], Approach.B, DEFAULT_CRITERIA)
-    # Seven rules, four hypotheses: one estimate and one FIM pair per
-    # hypothesis, shared by every rule that needs them.
+    classify_batch(ds, (Approach.A, Approach.B), DEFAULT_CRITERIA)
+    # Seven rules, two approaches, four hypotheses: one estimate per
+    # hypothesis shared by both approaches, and one FIM pair per hypothesis
+    # and approach shared by every rule that needs it.
     assert sorted(estimate_calls, key=int) == list(Hypothesis)
-    assert sorted(fim_calls, key=int) == list(Hypothesis)
+    assert sorted(fim_calls, key=int) == sorted(2 * list(Hypothesis), key=int)
 
 
 def test_prepared_estimates_feed_batch(rng):
-    datasets = [random_dataset(rng, 4, 9) for _ in range(5)]
-    prepared = [criteria_module.prepare_estimates(ds, Approach.A) for ds in datasets]
-    for approach in Approach:
-        batch = classify_batch(datasets, approach, (AIC,), prepared_seq=prepared)
-        for ds, cards in zip(datasets, batch):
-            single = classify(ds, approach, AIC)
-            for h in Hypothesis:
-                assert cards[AIC].scores[h].total == single.scores[h].total
+    # One AB batch prepares its estimates under A; approach B reuses them and
+    # must score exactly as a B-only classify that prepared its own.
+    for _ in range(5):
+        ds = random_dataset(rng, 4, 9)
+        batch = classify_batch(ds, (Approach.A, Approach.B), DEFAULT_CRITERIA)
+        for approach in Approach:
+            for crit in DEFAULT_CRITERIA:
+                single = classify(ds, approach, crit)
+                assert batch[approach][crit].chosen is single.chosen
+                for h in Hypothesis:
+                    got, want = batch[approach][crit].scores[h], single.scores[h]
+                    assert got.total == want.total
+                    assert got.failure == want.failure
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from covstruct.estimators import Approach, Dataset
 from covstruct.likelihood import (
     fim_pair,
     grad_alpha,
-    grad_theta,
     hessian_alpha_alpha,
     hessian_alpha_theta,
     hessian_theta_theta,
@@ -21,6 +20,7 @@ from covstruct.likelihood import (
     loglik_secondary,
     observed_fim,
     sample_fim,
+    snapshot_scores,
 )
 from covstruct.linalg import invert_pd, logdet_pd
 from covstruct.scenario import complex_normal, steering_vector
@@ -89,18 +89,17 @@ def test_loglik_identity_covariance_reduction(rng):
 
 @pytest.mark.parametrize("hypothesis", list(Hypothesis))
 def test_grad_theta_matches_fd(rng, hypothesis):
-    # grad_theta is the single-snapshot score; the oracle differentiates a
-    # one-column secondary likelihood.
+    # A one-column snapshot_scores is the single-snapshot theta score; the
+    # oracle differentiates a one-column secondary likelihood.
     n = 4
     model, theta0 = structured_point(rng, hypothesis, n)
     z = complex_normal(rng, (n,))
-    s1 = np.outer(z, z.conj())
 
     def f(theta):
         return loglik_secondary(model, theta, z[:, None])
 
     x0 = invert_pd(model.decode(theta0))
-    analytic = grad_theta(model, x0, s1)
+    analytic = snapshot_scores(model, x0, z[:, None])[:, 0]
     numeric = fd_gradient(f, theta0)
     scale = max(1.0, float(np.abs(numeric).max()))
     assert np.abs(analytic - numeric).max() / scale <= 1e-5
@@ -247,14 +246,13 @@ def test_fim_pair_consistency(rng):
 
 
 def test_wrong_branch_detection(rng):
-    # A non-Hermitian sample matrix breaks the cancellation that keeps the
-    # real-branch gradient real; the residue must raise, not get truncated.
+    # A non-Hermitian X breaks the cancellation that keeps the real-branch
+    # score real; the residue must raise, not get truncated.
     n = 4
-    model, theta0 = structured_point(rng, Hypothesis.H2, n)
-    x0 = invert_pd(model.decode(theta0))
-    s = complex_normal(rng, (n, n))
+    model = structure_model(Hypothesis.H2, n)
+    x = complex_normal(rng, (n, n))
     with pytest.raises(ValueError, match="imaginary"):
-        grad_theta(model, x0, s)
+        snapshot_scores(model, x, complex_normal(rng, (n, 3)))
 
 
 def test_loglik_rejects_non_pd_theta(rng):
