@@ -26,7 +26,14 @@ from .estimators import (
     estimate_alpha,
     estimate_covariance,
 )
-from .likelihood import fim_pair, loglik_full, loglik_secondary, observed_fim, sample_fim
+from .likelihood import (
+    fim_pair,
+    information_terms,
+    loglik_full,
+    loglik_secondary,
+    observed_fim,
+    sample_fim,
+)
 from .linalg import NotPositiveDefiniteError
 from .montecarlo import (
     CampaignConfig,
@@ -85,6 +92,7 @@ __all__ = [
     "estimate_alpha",
     "estimate_covariance",
     "fim_pair",
+    "information_terms",
     "loglik_full",
     "loglik_secondary",
     "loads_dataset",

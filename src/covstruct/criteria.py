@@ -18,6 +18,15 @@ alone. The BIC penalty carries the units of the parameters: scaling the data
 power by p moves it by -(2 m_i + 2) log p under approach A and -2 m_i log p
 under B, while the other penalties do not move, so BIC's choice depends on
 the unit the data is expressed in. AsymptoticBIC is the unit-free form.
+
+TIC and BIC take ``J_hat`` (sample) and ``I_hat`` (observed information) at
+the plug-in estimates through :func:`covstruct.likelihood.information_terms`,
+which works in N x N matrix space and never forms either matrix. Under
+approach B both penalties are closed forms. Under approach A the theta part
+is exact too, and the amplitude block enters through a 2 x 2 Schur
+complement S: ``Tr(J I^-1)`` adds ``Tr(S^-1 Y Y^T)`` and ``log det I`` adds
+``log det S``. The one TIC ridge retry and the BIC positive-definiteness
+check act on S.
 The classifier picks the smallest total; a hypothesis whose numerics
 break (singular information matrix, degenerate AICc denominator, failed
 factorization) is excluded and the failure recorded, and the argmin runs over
@@ -40,7 +49,7 @@ from .estimators import (
     estimate_alpha,
     estimate_covariance,
 )
-from .likelihood import FimPair, fim_pair
+from .likelihood import InfoTerms, information_terms
 from .linalg import (
     NotPositiveDefiniteError,
     hermitian_part,
@@ -66,7 +75,7 @@ __all__ = [
 
 _LOG_PI = float(np.log(math.pi))
 
-# Ridge scale for the one TIC retry on a singular observed information matrix.
+# Ridge scale for the one TIC retry on a singular amplitude Schur complement.
 _TIC_RIDGE = 1e-8
 
 
@@ -162,13 +171,15 @@ def penalty(
     k: int,
     n: int,
     approach: Approach,
-    fim: FimPair | None = None,
+    info: InfoTerms | None = None,
 ) -> float:
     """Penalty term of one rule for one hypothesis.
 
     ``n_params`` is the full likelihood parameter count (m_params + 2 under
     approach A), ``k``/``n`` the snapshot count and vector size. TIC and BIC
-    require ``fim``; the others ignore it.
+    require ``info`` (see :func:`covstruct.likelihood.information_terms`);
+    the others ignore it. The 2 x 2 Schur pair, present under approach A,
+    adds its trace and log-determinant to the theta terms.
     """
     kind = criterion.kind
     if kind is CriterionKind.AIC:
@@ -186,18 +197,22 @@ def penalty(
         return 2.0 * n_params * data_count / denom
     if kind is CriterionKind.ASYMPTOTIC_BIC:
         return m_params * math.log(k)
-    if fim is None:
-        raise ValueError(f"{criterion.key} needs the information-matrix pair")
+    if info is None:
+        raise ValueError(f"{criterion.key} needs the information-matrix terms")
     if kind is CriterionKind.TIC:
-        return 2.0 * _tic_trace(fim)
+        extra = 0.0 if info.schur is None else _tic_trace(*info.schur)
+        return 2.0 * (info.theta_trace + extra)
     if kind is CriterionKind.BIC:
-        return _bic_logdet(fim.observed)
+        extra = 0.0 if info.schur is None else _bic_logdet(info.schur[0])
+        return info.theta_logdet + extra
     raise ValueError(f"unhandled criterion kind {kind!r}")
 
 
-def _tic_trace(fim: FimPair) -> float:
-    """Tr[J_hat inv(I_hat)], with one ridge retry on factorization failure."""
-    observed, sample = fim.observed, fim.sample
+def _tic_trace(observed: np.ndarray, sample: np.ndarray) -> float:
+    """Tr[sample inv(observed)], with one ridge retry on factorization failure.
+
+    On the production path these are the amplitude Schur pair ``(S, Y Y^T)``.
+    """
     n = observed.shape[0]
     try:
         solved = np.linalg.solve(observed, sample)
@@ -215,12 +230,13 @@ def _tic_trace(fim: FimPair) -> float:
 
 
 def _bic_logdet(observed: np.ndarray) -> float:
-    """log det of the observed FIM; non-PD marks the hypothesis unusable.
+    """log det of an observed information block; non-PD marks the hypothesis
+    unusable. On the production path this is the amplitude Schur complement S.
 
     Theta holds the entries of M and alpha scales as the data amplitude, so
     scaling the data power by p adds -(2 m + 2) log p (approach A) or
-    -2 m log p (approach B) to the result. Use ``asymptotic-bic`` for a
-    penalty that does not depend on the unit of the data.
+    -2 m log p (approach B) to the whole BIC penalty. Use ``asymptotic-bic``
+    for a penalty that does not depend on the unit of the data.
     """
     try:
         return logdet_pd(hermitian_part(observed))
@@ -279,15 +295,12 @@ def _fit_term(estimate: EstimateSet, dataset: Dataset, approach: Approach) -> fl
 
 
 def _argmin_hypothesis(
-    totals: dict[Hypothesis, float], n_dim: int
+    totals: dict[Hypothesis, float], counts: dict[Hypothesis, int]
 ) -> Hypothesis | None:
     """Smallest total; ties go to the smaller parameter count, then index."""
     if not totals:
         return None
-    return min(
-        totals,
-        key=lambda h: (totals[h], param_count(h, n_dim), int(h)),
-    )
+    return min(totals, key=lambda h: (totals[h], counts[h], int(h)))
 
 
 def prepare_estimates(
@@ -321,9 +334,9 @@ def classify_batch(
 
     The four plug-in estimate sets are prepared once, under approach A when
     A is asked for: estimates that carry alpha also serve approach B, the
-    reverse does not hold. Per approach the fit terms are computed once and
-    the information-matrix pair once if any rule needs it. Results are
-    identical to per-call :func:`classify`.
+    reverse does not hold. Per approach the fit terms and parameter counts
+    are computed once, and the information terms once if any rule needs
+    them. Results are identical to per-call :func:`classify`.
     """
     approaches = tuple(Approach.parse(a) for a in approaches)
     criteria = tuple(criteria)
@@ -340,9 +353,11 @@ def _evaluate(
 ) -> dict[Criterion, Scorecard]:
     n, k = dataset.n, dataset.k
     need_fim = any(c.needs_fim for c in criteria)
+    counts = {h: param_count(h, n) for h in Hypothesis}
+    alpha_params = 2 if approach is Approach.A else 0
 
     fits: dict[Hypothesis, float] = {}
-    fims: dict[Hypothesis, FimPair] = {}
+    infos: dict[Hypothesis, InfoTerms] = {}
     broken: dict[Hypothesis, str] = {}
     fim_broken: dict[Hypothesis, str] = {}
 
@@ -361,7 +376,7 @@ def _evaluate(
         if need_fim:
             model = structure_model(h, n)
             try:
-                fims[h] = fim_pair(model, est, dataset, approach)
+                infos[h] = information_terms(model, est, dataset, approach)
             except _HYPOTHESIS_FAILURES as exc:
                 fim_broken[h] = f"{type(exc).__name__}: {exc}"
 
@@ -378,17 +393,15 @@ def _evaluate(
             if criterion.needs_fim and h in fim_broken:
                 scores[h] = HypothesisScore(fits[h], None, None, fim_broken[h])
                 continue
-            m_params = param_count(h, n)
-            n_params = m_params + 2 if approach is Approach.A else m_params
             try:
                 pen = penalty(
                     criterion,
-                    n_params=n_params,
-                    m_params=m_params,
+                    n_params=counts[h] + alpha_params,
+                    m_params=counts[h],
                     k=k,
                     n=n,
                     approach=approach,
-                    fim=fims.get(h),
+                    info=infos.get(h),
                 )
             except _HYPOTHESIS_FAILURES as exc:
                 scores[h] = HypothesisScore(
@@ -402,7 +415,7 @@ def _evaluate(
             criterion=criterion,
             approach=approach,
             scores=scores,
-            chosen=_argmin_hypothesis(totals, n),
+            chosen=_argmin_hypothesis(totals, counts),
         )
     return out
 

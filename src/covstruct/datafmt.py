@@ -13,8 +13,9 @@ A dataset file is line-oriented UTF-8. Grammar (one directive per line,
 Complex entries are written as (Re, Im) pairs in row-major order: vectors on
 one line each, the N x K secondary matrix as N ``secondary-row`` lines of K
 pairs. Floats are serialized with ``repr``, so write/read round trips are
-bit-exact. The header line must come first; N and K must appear before any
-data line; unknown directives are rejected by name with their line number.
+bit-exact. The header line must come first; N and K must appear once each,
+before any data line. A repeated N, K, cut or steering line and unknown
+directives are rejected by name with their line number.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def _parse(handle, origin: str) -> Dataset:
                 fail(lineno, f"bad integer for {keyword}: {args[0]!r}")
             if value < 1:
                 fail(lineno, f"{keyword} must be positive, got {value}")
+            if (n if keyword == "N" else k) is not None:
+                fail(lineno, f"duplicate {keyword} line")
             if keyword == "N":
                 n = value
             else:

@@ -1,4 +1,4 @@
-"""Log-likelihoods, their derivatives, and the two Fisher-information proxies.
+"""Log-likelihoods, their derivatives, and the information terms of TIC and BIC.
 
 Data model: the cell under test is ``z ~ CN(alpha v, M)`` and the K secondary
 snapshots are ``z_k ~ CN(0, M)``, all independent. With ``X = M^{-1}``,
@@ -10,36 +10,52 @@ log-likelihood over both data sets is::
 and the secondary-only version drops the CUT term with K in place of K+1.
 
 The covariance enters through the real parameter vector theta of the
-hypothesis (``vec(M) = C theta``); under approach A the parameters also
-include the real and imaginary parts of alpha. Derivatives follow two
-branches: the Hermitian one (H1, H3), where the basis columns pair with the
-adjoint of C, and the real-symmetric one (H2, H4), where the plain transpose
-appears and X is real. Mixed entries vanish only at special points, so both
-first and second derivatives are assembled exactly and cross-checked by
-finite differences in the test suite.
+hypothesis (``vec(M) = C theta``, ``M = sum_q theta_q C_q``); under approach A
+the parameters also include the real and imaginary parts of alpha.
 
-Two information-matrix estimates are built at the plug-in estimates:
+Production path: :func:`information_terms` gives the TIC trace and the BIC
+log-determinant in N x N matrix space. Every class is a quadratic subspace
+whose plug-in estimate is the projection ``P_h`` of S/K (Szatrowski 1980,
+Ann. Statist. 8(4); Jensen 1988, Ann. Statist. 16(1)). So at the plug-in the
+theta-theta observed information is ``K F`` under approach B and
+``(K-1) F`` plus a rank-2N term under A, where ``F_pq = Re Tr(X C_p X C_q)``
+and ``F^{-1}`` acts on the class as ``U -> M U M``. The score of snapshot k is
+the class component of ``D_k = X z_k z_k^H X - X``. Under A the rank-2N term
+is handled by Woodbury and the determinant lemma and the amplitude block by a
+2 x 2 Schur complement, so neither information matrix is formed.
+
+Reference path: the theta-basis matrices themselves, which no rule uses
+(``grad_alpha``, the CUT's amplitude score, serves both paths). Derivatives
+follow two branches: the Hermitian one (H1, H3), where the basis columns
+pair with the adjoint of C, and the real-symmetric one (H2, H4), where the
+plain transpose appears and X is real. Two information-matrix estimates are
+built at the plug-in estimates:
 
 * observed:  minus the analytic Hessian of the full log-likelihood;
 * sample:    the sum of per-snapshot score outer products (the CUT score
   carries the amplitude block under approach A; secondary scores have a
   zero amplitude block).
 
-Under a correctly specified model the two agree asymptotically, which the
-acceptance suite verifies at large K.
+The test suite checks these against finite differences and the matrix-space
+terms against these. Under a correctly specified model the two estimates
+agree asymptotically, which the acceptance suite verifies at large K.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .estimators import Approach, Dataset, EstimateSet
-from .linalg import inverse_and_logdet, vec
-from .structures import StructureModel
+from .linalg import cholesky_pd, inverse_and_logdet, logdet_pd, vec
+from .structures import Hypothesis, StructureModel, project
 
 __all__ = [
+    "InfoTerms",
+    "information_terms",
     "FimPair",
     "loglik_cut",
     "loglik_secondary",
@@ -311,4 +327,152 @@ def fim_pair(
     return FimPair(
         observed=observed_fim(model, estimate, dataset, approach),
         sample=sample_fim(model, estimate, dataset, approach),
+    )
+
+
+@dataclass(frozen=True)
+class InfoTerms:
+    """Information terms of the TIC and BIC penalties for one hypothesis.
+
+    Q is the theta-theta block of the observed information I and G the
+    score matrix (one column per snapshot, as in :func:`sample_fim`), so
+    ``J = G G^T``. ``theta_trace`` is ``sum_cols g_theta^T Q^{-1} g_theta`` and
+    ``theta_logdet`` is ``log det Q``. Under approach A, ``schur`` is the
+    2 x 2 pair ``(S, Y Y^T)``: S is the Schur complement
+    ``2 (v^H X v) I_2 - B^T Q^{-1} B`` of Q, with B the theta-alpha block of
+    I, and ``Y = B^T Q^{-1} G_theta - G_alpha``. Then
+    ``Tr(J I^{-1}) = theta_trace + Tr(S^{-1} Y Y^T)`` and
+    ``log det I = theta_logdet + log det S``. Under approach B, I = Q and
+    ``schur`` is None.
+    """
+
+    theta_trace: float
+    theta_logdet: float
+    schur: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def information_terms(
+    model: StructureModel,
+    estimate: EstimateSet,
+    dataset: Dataset,
+    approach: Approach,
+) -> InfoTerms:
+    """TIC and BIC information terms at the plug-in estimates, in matrix space.
+
+    Approach B: ``Q = K F``, so ``theta_trace = (1/K) sum_k <P(D_k), M P(D_k) M>``
+    with ``<A, B> = Re Tr(AB)`` and ``theta_logdet = m log K + log det F``.
+
+    Approach A: ``Q = (K-1) F + A^T (2 X~) A`` where A maps theta to the real
+    form of ``M(theta) w``, ``w = X (z - alpha v)``, and X~ is the 2N x 2N
+    real form of X. ``Q^{-1}`` is applied by Woodbury through the 2N x 2N
+    capacitance ``M~ / 2 + A ((K-1) F)^{-1} A^T`` and ``log det Q`` follows
+    from the matrix determinant lemma. The score columns are the K
+    snapshots' ``D_k`` and the CUT's ``w w^H - X``; the alpha border B has
+    the columns ``u w^H + w u^H`` and ``i (u w^H - w u^H)``, ``u = X v``.
+    """
+    approach = Approach.parse(approach)
+    h, n, k = model.hypothesis, dataset.n, dataset.k
+    m_hat, x = estimate.m_hat, estimate.x_hat
+    logdet_f = float(np.sum(np.log(model._column_norms))) - _sandwich_logdet(
+        h, m_hat, estimate.logdet
+    )
+    w = x @ dataset.secondary
+    if approach is Approach.B:
+        p = project(h, np.einsum("ik,jk->kij", w, w.conj()) - x)
+        quad = _inner(p, m_hat @ p @ m_hat)
+        return InfoTerms(float(np.sum(quad)) / k, model.m * math.log(k) + logdet_f)
+
+    cut, steering = dataset.require_cut()
+    alpha = estimate.alpha_hat
+    if alpha is None:
+        raise ValueError("approach A needs alpha_hat on the estimate set")
+    w_cut = x @ (cut - alpha * steering)
+    u = x @ steering
+    # Rows 0..K are the score matrices, K+1 and K+2 the alpha border, then
+    # the 2N matrices (b w^H + w b^H)/2 for b = e_j and b = i e_j, whose
+    # images under A ((K-1) F)^{-1} A^T are the capacitance columns.
+    stack = np.empty((k + 3 + 2 * n, n, n), dtype=complex)
+    stack[:k] = np.einsum("ik,jk->kij", w, w.conj()) - x
+    stack[k] = np.outer(w_cut, w_cut.conj()) - x
+    uw = np.outer(u, w_cut.conj())
+    stack[k + 1] = uw + uw.conj().T
+    stack[k + 2] = 1j * (uw - uw.conj().T)
+    ew = np.eye(n)[:, :, None] * w_cut.conj()
+    we = ew.conj().transpose(0, 2, 1)
+    stack[k + 3 : k + 3 + n] = 0.5 * (ew + we)
+    stack[k + 3 + n :] = 0.5j * (ew - we)
+
+    scores, border, first = slice(0, k + 1), slice(k + 1, k + 3), k + 3
+
+    # With D_i = stack[i] and g_i its theta gradient, t_i = M P(D_i) M / (K-1)
+    # is ((K-1) F)^{-1} g_i in matrix form and a_i = A t_i in real form.
+    p = project(h, stack)
+    t = m_hat @ p @ m_hat / (k - 1)
+    tw = t @ w_cut
+    a = np.concatenate([tw.real, tw.imag], axis=1)
+    cap = 0.5 * _real_form(m_hat) + a[first:].T
+    low = cholesky_pd(0.5 * (cap + cap.T))
+    logdet_cap = 2.0 * float(np.sum(np.log(low.diagonal())))
+    solved = scipy.linalg.cho_solve((low, True), a[:first].T)
+
+    # Woodbury: g_i^T Q^{-1} g_j = <P(D_i), t_j> - a_i^T cap^{-1} a_j.
+    quad = _inner(p[scores], t[scores]) - np.einsum(
+        "ci,ic->c", a[scores], solved[:, scores]
+    )
+    cross = np.einsum("bij,cji->bc", p[border], t[:first]).real - a[border] @ solved
+    schur = 2.0 * float(np.real(steering.conj() @ u)) * np.eye(2) - cross[:, border]
+    y = cross[:, scores].copy()
+    y[:, k] -= grad_alpha(x, alpha, cut, steering)
+    theta_logdet = (
+        model.m * math.log(k - 1)
+        + logdet_f
+        + 2 * n * math.log(2.0)
+        - 2.0 * estimate.logdet
+        + logdet_cap
+    )
+    return InfoTerms(
+        float(np.sum(quad)), theta_logdet, (0.5 * (schur + schur.T), y @ y.T)
+    )
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(A B) over the last two axes."""
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """2N x 2N real matrix acting on [Re y; Im y] as A acts on y."""
+    n = a.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = a.real
+    out[n:, :n] = np.imag(a)
+    out[:n, n:] = -out[n:, :n]
+    return out
+
+
+def _sandwich_logdet(hypothesis: Hypothesis, m_hat: np.ndarray, logdet: float) -> float:
+    """log det of ``U -> M U M`` on the class, in an orthonormal basis.
+
+    ``logdet`` is ``log det M``. The result is ``2N log det M`` on the
+    Hermitian matrices, ``(N+1) log det M`` on the real symmetric ones and on
+    the centrohermitian ones (unitarily equivalent to real symmetric), and
+    for H4 the sum over the blocks of M on the J-even and J-odd vectors,
+    ``(n_e + 1) log det M_e + (n_o + 1) log det M_o``. So ``log det F`` is
+    ``sum_q log ||C_q||^2`` minus this.
+    """
+    n = m_hat.shape[0]
+    if hypothesis is Hypothesis.H1:
+        return 2 * n * logdet
+    if hypothesis is not Hypothesis.H4:
+        return (n + 1) * logdet
+    half = n // 2
+    eye = np.eye(n)
+    pairs = eye[:, :half], eye[:, ::-1][:, :half]
+    even = math.sqrt(0.5) * (pairs[0] + pairs[1])
+    odd = math.sqrt(0.5) * (pairs[0] - pairs[1])
+    if n % 2:
+        even = np.column_stack([even, eye[:, half]])
+    return sum(
+        (basis.shape[1] + 1) * logdet_pd(basis.T @ m_hat @ basis)
+        for basis in (even, odd)
     )

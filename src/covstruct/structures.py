@@ -254,7 +254,8 @@ def project(hypothesis: Hypothesis, matrix: np.ndarray) -> np.ndarray:
     H1 returns the input unchanged; H2 takes the real part; H3 averages with
     the flipped conjugate ``J conj(M) J``; H4 is the real part of the H3
     projection (the two operations commute entrywise, so chaining them is
-    exact). Positive definiteness is preserved under every branch.
+    exact). Positive definiteness is preserved under every branch. A stack
+    of shape (..., N, N) is projected matrix by matrix over the last two axes.
     """
     h = Hypothesis(hypothesis)
     matrix = np.asarray(matrix)
@@ -262,7 +263,7 @@ def project(hypothesis: Hypothesis, matrix: np.ndarray) -> np.ndarray:
         return matrix
     if h is Hypothesis.H2:
         return matrix.real.copy()
-    flipped = matrix[::-1, ::-1].conj()
+    flipped = matrix[..., ::-1, ::-1].conj()
     centro = 0.5 * (matrix + flipped)
     if h is Hypothesis.H3:
         return centro

@@ -35,6 +35,7 @@ from covstruct.likelihood import (
     hessian_alpha_alpha,
     hessian_alpha_theta,
     hessian_theta_theta,
+    information_terms,
     loglik_full,
     loglik_secondary,
     snapshot_scores,
@@ -245,7 +246,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
                 k=k,
                 n=n,
                 approach=Approach.B,
-                fim=pair,
+                info=information_terms(model, est, ds, Approach.B),
             )
             tic_offsets.append(abs(got / (2.0 * model.m) - 1.0))
     elapsed = time.perf_counter() - started

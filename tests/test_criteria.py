@@ -27,7 +27,7 @@ from covstruct.criteria import (
     penalty,
 )
 from covstruct.estimators import Approach, Dataset
-from covstruct.likelihood import FimPair, loglik_full, loglik_secondary
+from covstruct.likelihood import InfoTerms, fim_pair, loglik_full, loglik_secondary
 from covstruct.scenario import complex_normal
 from covstruct.structures import Hypothesis, param_count, project, structure_model
 
@@ -145,21 +145,26 @@ def test_penalty_requires_fim_for_tic_and_bic():
             penalty(crit, n_params=9, m_params=9, k=10, n=3, approach=Approach.B)
 
 
+def _schur_only(observed, sample):
+    """Information terms whose whole content is the Schur pair."""
+    return InfoTerms(theta_trace=0.0, theta_logdet=0.0, schur=(observed, sample))
+
+
 def test_tic_ridge_recovers_singular_observed():
     observed = np.diag([1.0, 1.0, 0.0])
-    fim = FimPair(observed=observed, sample=np.eye(3))
-    got = penalty(TIC, n_params=3, m_params=3, k=10, n=3, approach=Approach.B, fim=fim)
+    info = _schur_only(observed, np.eye(3))
+    got = penalty(TIC, n_params=3, m_params=3, k=10, n=3, approach=Approach.B, info=info)
     assert np.isfinite(got) and got > 0.0
     # The ridge scales with trace(I)/n, so an all-zero FIM stays singular.
-    dead = FimPair(observed=np.zeros((3, 3)), sample=np.eye(3))
+    dead = _schur_only(np.zeros((3, 3)), np.eye(3))
     with pytest.raises(FimSingularError, match="ridge"):
-        penalty(TIC, n_params=3, m_params=3, k=10, n=3, approach=Approach.B, fim=dead)
+        penalty(TIC, n_params=3, m_params=3, k=10, n=3, approach=Approach.B, info=dead)
 
 
 def test_bic_rejects_non_pd_observed():
-    fim = FimPair(observed=np.diag([1.0, -1.0]), sample=np.eye(2))
+    info = _schur_only(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(FimSingularError, match="positive definite"):
-        penalty(BIC, n_params=2, m_params=2, k=10, n=3, approach=Approach.B, fim=fim)
+        penalty(BIC, n_params=2, m_params=2, k=10, n=3, approach=Approach.B, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +176,15 @@ def test_bic_rejects_non_pd_observed():
 def test_scorecard_totals_and_fit_cross_check(data):
     # The fit term uses Tr(X_hat S) = N K; the likelihood reference forms the
     # trace, so the two agree only if the identity holds for every class.
+    # The tic and bic penalties come from matrix-space forms; the reference
+    # is the theta-basis pair, 2 Tr(I^-1 J) and log det I.
     n = data.draw(st.integers(3, 9), label="N")
     k = data.draw(st.integers(n + 1, 3 * n), label="K")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ds = random_dataset(np.random.default_rng(seed), n, k)
     for approach in Approach:
-        card = classify(ds, approach, AIC)
+        cards = classify_batch(ds, (approach,), (AIC, TIC, BIC))[approach]
+        card = cards[AIC]
         assert isinstance(card, Scorecard)
         assert card.approach is approach
         assert not card.all_failed
@@ -194,6 +202,14 @@ def test_scorecard_totals_and_fit_cross_check(data):
             else:
                 want = loglik_secondary(model, theta, ds.secondary)
             assert score.fit == pytest.approx(-2.0 * want, rel=1e-9)
+            ref = fim_pair(model, prepared[h], ds, approach)
+            ref_tic = 2.0 * np.trace(np.linalg.solve(ref.observed, ref.sample))
+            sign, ref_bic = np.linalg.slogdet(ref.observed)
+            assert sign == 1.0
+            assert abs(cards[TIC].scores[h].penalty - ref_tic) <= 1e-10 * abs(ref_tic)
+            assert abs(cards[BIC].scores[h].penalty - ref_bic) <= 1e-10 * max(
+                1.0, abs(ref_bic)
+            )
 
 
 def test_classify_records_failures_and_survivors(rng):
@@ -225,22 +241,25 @@ def test_classify_records_failures_and_survivors(rng):
 # Argmin rule
 
 
+COUNTS_13 = {h: param_count(h, 13) for h in Hypothesis}
+
+
 def test_argmin_tie_breaks():
     h1, h2, h3, h4 = Hypothesis
-    assert _argmin_hypothesis({h1: 5.0, h4: 5.0}, 13) is h4
-    assert _argmin_hypothesis({h2: 3.0, h3: 3.0}, 13) is h2
-    assert _argmin_hypothesis({h: 1.0 for h in Hypothesis}, 13) is h4
-    assert _argmin_hypothesis({h1: 0.0, h2: 1.0}, 13) is h1
-    assert _argmin_hypothesis({}, 13) is None
+    assert _argmin_hypothesis({h1: 5.0, h4: 5.0}, COUNTS_13) is h4
+    assert _argmin_hypothesis({h2: 3.0, h3: 3.0}, COUNTS_13) is h2
+    assert _argmin_hypothesis({h: 1.0 for h in Hypothesis}, COUNTS_13) is h4
+    assert _argmin_hypothesis({h1: 0.0, h2: 1.0}, COUNTS_13) is h1
+    assert _argmin_hypothesis({}, COUNTS_13) is None
 
 
 def test_argmin_shift_invariance(rng):
     for _ in range(20):
         totals = {h: float(t) for h, t in zip(Hypothesis, rng.normal(size=4))}
-        base = _argmin_hypothesis(totals, 13)
+        base = _argmin_hypothesis(totals, COUNTS_13)
         for shift in (-1e6, 3.7, 1e6):
             shifted = {h: t + shift for h, t in totals.items()}
-            assert _argmin_hypothesis(shifted, 13) is base
+            assert _argmin_hypothesis(shifted, COUNTS_13) is base
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +293,27 @@ def test_batch_matches_single_calls(rng):
 
 def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
     estimate_calls = []
-    fim_calls = []
+    info_calls = []
     real_estimate = criteria_module.estimate_covariance
-    real_fim = criteria_module.fim_pair
+    real_info = criteria_module.information_terms
 
     def counting_estimate(hypothesis, dataset):
         estimate_calls.append(hypothesis)
         return real_estimate(hypothesis, dataset)
 
-    def counting_fim(model, estimate, dataset, approach):
-        fim_calls.append(estimate.hypothesis)
-        return real_fim(model, estimate, dataset, approach)
+    def counting_info(model, estimate, dataset, approach):
+        info_calls.append(estimate.hypothesis)
+        return real_info(model, estimate, dataset, approach)
 
     monkeypatch.setattr(criteria_module, "estimate_covariance", counting_estimate)
-    monkeypatch.setattr(criteria_module, "fim_pair", counting_fim)
+    monkeypatch.setattr(criteria_module, "information_terms", counting_info)
     ds = random_dataset(rng, 4, 9)
     classify_batch(ds, (Approach.A, Approach.B), DEFAULT_CRITERIA)
     # Seven rules, two approaches, four hypotheses: one estimate per
-    # hypothesis shared by both approaches, and one FIM pair per hypothesis
-    # and approach shared by every rule that needs it.
+    # hypothesis shared by both approaches, and one set of information terms
+    # per hypothesis and approach shared by every rule that needs it.
     assert sorted(estimate_calls, key=int) == list(Hypothesis)
-    assert sorted(fim_calls, key=int) == sorted(2 * list(Hypothesis), key=int)
+    assert sorted(info_calls, key=int) == sorted(2 * list(Hypothesis), key=int)
 
 
 def test_prepared_estimates_feed_batch(rng):

@@ -117,6 +117,10 @@ def test_non_finite_rejected():
 def test_duplicate_vectors_rejected():
     text = "covstruct-data v1\nN 2\nK 3\ncut 1 0 2 0\ncut 1 0 2 0\n"
     expect_error(text, ":5:", "duplicate cut")
+    # A repeated size line is refused too, even with the same value; the
+    # last one used to win silently.
+    expect_error("covstruct-data v1\nN 2\nK 9\nN 2\nK 3\n", ":4:", "duplicate N")
+    expect_error("covstruct-data v1\nN 2\nK 9\nK 3\n", ":4:", "duplicate K")
 
 
 def test_secondary_row_count_enforced():
