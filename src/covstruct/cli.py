@@ -7,14 +7,15 @@ Subcommands::
     covstruct plot      re-render P_cc-vs-K SVGs from a results CSV
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
-The worker count is the --workers flag, else the experiment file's
-``workers`` key, else the machine CPU count.
+``run`` builds its campaign from one experiment tree: the --config file (or
+an empty tree) with each given flag written over its key. So every setting
+is the flag, else the file's key, else the default (the case preset for the
+scenario, the CPU count for ``workers``, ``results`` for --out-dir).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,6 @@ from .estimators import Approach
 from .montecarlo import CampaignConfig, PccReport, run_campaign
 from .reporting import (
     ConfigError,
-    _parse_truth,
     config_sha256,
     parse_experiment,
     read_results_csv,
@@ -41,13 +41,6 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------- run
-
-def _parse_list(text: str, what: str) -> list[str]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"empty {what} list")
-    return items
-
 
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="run a Monte Carlo classification campaign")
@@ -71,79 +64,67 @@ def _add_run_parser(sub) -> None:
         action="store_true",
         help="draw the channel-error matrix once per truth instead of per trial",
     )
-    p.add_argument("--out-dir", type=Path, default=Path("results"))
+    p.add_argument("--out-dir", help="output directory (default results)")
     p.add_argument("--no-plots", action="store_true", help="skip SVG output")
     p.set_defaults(func=cmd_run)
 
 
 def _build_run_config(args) -> tuple[CampaignConfig, dict]:
-    data = {}
+    """Parse the experiment file's tree (or ``{}``) with each given flag written in."""
+    tree = {}
     if args.config is not None:
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            tree = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
-    if args.case is not None:
-        data["case"] = args.case
-    config, output = parse_experiment(data)
+    if isinstance(tree, dict):  # anything else gets parse_experiment's message
+        _write_flags(tree, args)
+    return parse_experiment(tree)
 
-    scenario_overrides = {}
-    if args.n is not None:
-        scenario_overrides["n"] = args.n
-    if args.snr_db is not None:
-        scenario_overrides["snr_db"] = args.snr_db
-    if args.f_v is not None:
-        scenario_overrides["f_v"] = args.f_v
-    if args.sigma_d is not None:
-        scenario_overrides["sigma_d"] = args.sigma_d
-    if args.freeze_channel_errors:
-        scenario_overrides["freeze_channel_errors"] = True
+
+def _write_flags(tree: dict, args) -> None:
+    """Set the experiment key of every ``run`` flag that was given."""
+    tree.update(_given(
+        case=args.case, trials=args.trials, seed=args.seed, workers=args.workers,
+        k_grid=_split_flag(args.k_grid, "--K", int),
+        criteria=_split_flag(args.criteria, "--criteria"),
+        truths=_split_flag(args.truths, "--truths"),
+        approaches={"A": ["A"], "B": ["B"], "AB": ["A", "B"]}.get(args.approach),
+    ))
+    for where, values in (
+        ("scenario", _given(n=args.n, snr_db=args.snr_db, f_v=args.f_v, sigma_d=args.sigma_d,
+                            freeze_channel_errors=args.freeze_channel_errors or None)),
+        ("output", _given(dir=args.out_dir, plots=False if args.no_plots else None)),
+    ):
+        if values and isinstance(tree.setdefault(where, {}), dict):
+            tree[where].update(values)
+
+
+def _given(**values) -> dict:
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _split_flag(text: str | None, flag: str, item=str) -> list | None:
+    if text is None:
+        return None
     try:
-        scenario = (
-            dataclasses.replace(config.scenario, **scenario_overrides)
-            if scenario_overrides
-            else config.scenario
-        )
-        campaign_overrides = {}
-        if args.k_grid is not None:
-            campaign_overrides["k_grid"] = tuple(
-                int(x) for x in _parse_list(args.k_grid, "K")
-            )
-        if args.trials is not None:
-            campaign_overrides["trials"] = args.trials
-        if args.criteria is not None:
-            campaign_overrides["criteria"] = tuple(
-                parse_criterion(c) for c in _parse_list(args.criteria, "criteria")
-            )
-        if args.approach is not None:
-            campaign_overrides["approaches"] = (
-                (Approach.A, Approach.B)
-                if args.approach == "AB"
-                else (Approach.parse(args.approach),)
-            )
-        if args.truths is not None:
-            campaign_overrides["truths"] = tuple(
-                _parse_truth(t) for t in _parse_list(args.truths, "truths")
-            )
-        if args.seed is not None:
-            campaign_overrides["master_seed"] = args.seed
-        if args.workers is not None:
-            campaign_overrides["workers"] = args.workers
-        config = dataclasses.replace(config, scenario=scenario, **campaign_overrides)
+        items = [item(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return config, output
+        raise ConfigError(f"{flag}: {exc}") from None
+    if not items:
+        raise ConfigError(f"empty {flag} list")
+    return items
 
 
 def cmd_run(args) -> int:
     config, output = _build_run_config(args)
-    out_dir = Path(output.get("dir", args.out_dir))
+    out_dir = Path(output.get("dir", "results"))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / output.get("csv", "results.csv")
     json_path = out_dir / output.get("json", "results.json")
-    plots = output.get("plots", not args.no_plots) and not args.no_plots
+    plots = output.get("plots", True)
 
     print(
         f"campaign: {len(config.truths)} truths x {len(config.k_grid)} K values x "
@@ -339,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0; usage errors 1, not 2
+        if exc.code == 0:
+            raise
+        return 1
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -56,7 +56,7 @@ from .linalg import (
     inverse_and_logdet,
     logdet_pd,
 )
-from .structures import Hypothesis, param_count, structure_model
+from .structures import Hypothesis, param_count
 
 __all__ = [
     "CriterionKind",
@@ -374,9 +374,8 @@ def _evaluate(
             broken[h] = f"{type(exc).__name__}: {exc}"
             continue
         if need_fim:
-            model = structure_model(h, n)
             try:
-                infos[h] = information_terms(model, est, dataset, approach)
+                infos[h] = information_terms(est, dataset, approach)
             except _HYPOTHESIS_FAILURES as exc:
                 fim_broken[h] = f"{type(exc).__name__}: {exc}"
 

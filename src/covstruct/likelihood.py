@@ -51,7 +51,7 @@ import scipy.linalg
 
 from .estimators import Approach, Dataset, EstimateSet
 from .linalg import cholesky_pd, inverse_and_logdet, logdet_pd, vec
-from .structures import Hypothesis, StructureModel, project
+from .structures import Hypothesis, StructureModel, basis_log_norm, param_count, project
 
 __all__ = [
     "InfoTerms",
@@ -352,10 +352,7 @@ class InfoTerms:
 
 
 def information_terms(
-    model: StructureModel,
-    estimate: EstimateSet,
-    dataset: Dataset,
-    approach: Approach,
+    estimate: EstimateSet, dataset: Dataset, approach: Approach
 ) -> InfoTerms:
     """TIC and BIC information terms at the plug-in estimates, in matrix space.
 
@@ -371,16 +368,14 @@ def information_terms(
     the columns ``u w^H + w u^H`` and ``i (u w^H - w u^H)``, ``u = X v``.
     """
     approach = Approach.parse(approach)
-    h, n, k = model.hypothesis, dataset.n, dataset.k
-    m_hat, x = estimate.m_hat, estimate.x_hat
-    logdet_f = float(np.sum(np.log(model._column_norms))) - _sandwich_logdet(
-        h, m_hat, estimate.logdet
-    )
+    h, n, k = estimate.hypothesis, dataset.n, dataset.k
+    m, m_hat, x = param_count(h, n), estimate.m_hat, estimate.x_hat
+    logdet_f = basis_log_norm(h, n) - _sandwich_logdet(h, m_hat, estimate.logdet)
     w = x @ dataset.secondary
     if approach is Approach.B:
         p = project(h, np.einsum("ik,jk->kij", w, w.conj()) - x)
         quad = _inner(p, m_hat @ p @ m_hat)
-        return InfoTerms(float(np.sum(quad)) / k, model.m * math.log(k) + logdet_f)
+        return InfoTerms(float(np.sum(quad)) / k, m * math.log(k) + logdet_f)
 
     cut, steering = dataset.require_cut()
     alpha = estimate.alpha_hat
@@ -424,7 +419,7 @@ def information_terms(
     y = cross[:, scores].copy()
     y[:, k] -= grad_alpha(x, alpha, cut, steering)
     theta_logdet = (
-        model.m * math.log(k - 1)
+        m * math.log(k - 1)
         + logdet_f
         + 2 * n * math.log(2.0)
         - 2.0 * estimate.logdet

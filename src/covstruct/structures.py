@@ -27,6 +27,7 @@ value may be complex).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "StructureViolationError",
     "StructureModel",
     "param_count",
+    "basis_log_norm",
     "structure_model",
     "project",
     "structure_residual",
@@ -90,6 +92,21 @@ def param_count(hypothesis: Hypothesis, n: int) -> int:
         half = n // 2
         return half * (half + 1)
     return ((n + 1) // 2) ** 2
+
+
+def basis_log_norm(hypothesis: Hypothesis, n: int) -> float:
+    """``sum_q log ||C_q||^2`` over the basis columns of a hypothesis at size n.
+
+    A column's squared norm is the size of its position orbit (1, 2 or 4).
+    Summed over the columns, log2 of the orbit sizes is N(N-1) for the
+    complex classes (H1, H3) and N(N-1)/2 for the real ones (H2, H4), plus
+    N // 2 under H3 and H4 for the diagonal pairs (i, i), (N-1-i, N-1-i).
+    """
+    h = Hypothesis(hypothesis)
+    doublings = n * (n - 1) // (2 if h.is_real else 1)
+    if h in (Hypothesis.H3, Hypothesis.H4):
+        doublings += n // 2
+    return math.log(2.0) * doublings
 
 
 # Group elements are (position_map, conjugates) pairs acting on 0-based (i, j).
@@ -185,17 +202,8 @@ class StructureModel:
                 f"residual {residual:.3e} exceeds {tol:.0e} * {scale:.3e}"
             )
         c = self.constraint
-        theta = (c.conj().T @ vec(matrix)) / self._column_norms
-        return theta.real
-
-    @property
-    def _column_norms(self) -> np.ndarray:
-        # C^H C is diagonal by construction; cache the diagonal.
-        cached = getattr(self, "_norms_cache", None)
-        if cached is None:
-            cached = np.einsum("ij,ij->j", self.constraint.conj(), self.constraint).real
-            object.__setattr__(self, "_norms_cache", cached)
-        return cached
+        norms = np.einsum("ij,ij->j", c.conj(), c).real  # C^H C is diagonal
+        return (c.conj().T @ vec(matrix)).real / norms
 
 
 _MODEL_CACHE: dict[tuple[Hypothesis, int], StructureModel] = {}

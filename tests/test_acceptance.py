@@ -246,7 +246,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
                 k=k,
                 n=n,
                 approach=Approach.B,
-                info=information_terms(model, est, ds, Approach.B),
+                info=information_terms(est, ds, Approach.B),
             )
             tic_offsets.append(abs(got / (2.0 * model.m) - 1.0))
     elapsed = time.perf_counter() - started

@@ -129,6 +129,9 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         (["--truths", "H1,H1"], "duplicate truth 'H1'"),
         (["--workers", "0"], "workers must be >= 1"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (["--K", "12,x"], "--K: invalid literal for int()"),
+        (["--K", ","], "empty --K list"),
+        (["--trials", "x"], "argument --trials: invalid int value"),
     ):
         assert run_cli(base + flags) == 1, flags
         assert message in capsys.readouterr().err, flags
@@ -155,6 +158,16 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     ):
         config.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli(["run", "--config", config, "--out-dir", out]) == 1, tree
+        assert message in capsys.readouterr().err, tree
+        assert not out.exists(), tree
+    # Flags merge only into trees that are objects; others keep their message.
+    for tree, message in (
+        ([1], "experiment file must hold a JSON object"),
+        ({"scenario": 5}, "'scenario' must be an object, got 5"),
+        ({"output": "x"}, "'output' must be an object, got 'x'"),
+    ):
+        config.write_text(json.dumps(tree), encoding="utf-8")
+        assert run_cli(["run", "--config", config, "--n", "9", "--out-dir", out]) == 1, tree
         assert message in capsys.readouterr().err, tree
         assert not out.exists(), tree
 
@@ -184,6 +197,18 @@ def test_run_scenario_tree_overrides(tmp_path):
     assert payload["config"]["scenario"]["n"] == 9
     assert payload["config"]["scenario"]["snr_db"] == 13.0
     assert payload["config"]["scenario"]["sigma_d"] == 0.15
+    # --out-dir overrides the file's output.dir like every other flag; without
+    # the flag the file's directory is used.
+    from_file = tmp_path / "from_file"
+    tree = json.loads(config.read_text(encoding="utf-8"))
+    tree["output"] = {"dir": str(from_file)}
+    config.write_text(json.dumps(tree), encoding="utf-8")
+    from_flag = tmp_path / "from_flag"
+    assert run_cli(["run", "--config", config, "--no-plots", "--out-dir", from_flag]) == 0
+    assert (from_flag / "results.csv").exists()
+    assert not from_file.exists()
+    assert run_cli(["run", "--config", config, "--no-plots"]) == 0
+    assert (from_file / "results.csv").read_bytes() == (from_flag / "results.csv").read_bytes()
 
 
 def test_experiment_round_trip(tmp_path, capsys):
@@ -264,6 +289,8 @@ def test_classify_unknown_criterion(tmp_path, capsys, h4_dataset):
     write_dataset(h4_dataset, data)
     assert run_cli(["classify", "--data", data, "--approach", "B", "--criterion", "mdl"]) == 1
     assert "unknown criterion" in capsys.readouterr().err
+    assert run_cli(["classify", "--data", data, "--approach", "C", "--criterion", "aic"]) == 1
+    assert "invalid choice: 'C'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- plot

@@ -301,9 +301,9 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
         estimate_calls.append(hypothesis)
         return real_estimate(hypothesis, dataset)
 
-    def counting_info(model, estimate, dataset, approach):
+    def counting_info(estimate, dataset, approach):
         info_calls.append(estimate.hypothesis)
-        return real_info(model, estimate, dataset, approach)
+        return real_info(estimate, dataset, approach)
 
     monkeypatch.setattr(criteria_module, "estimate_covariance", counting_estimate)
     monkeypatch.setattr(criteria_module, "information_terms", counting_info)

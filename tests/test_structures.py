@@ -8,6 +8,7 @@ from covstruct.scenario import complex_normal
 from covstruct.structures import (
     Hypothesis,
     StructureViolationError,
+    basis_log_norm,
     param_count,
     project,
     satisfies_structure,
@@ -82,6 +83,12 @@ def test_constraint_shape_and_rank():
             off = gram - np.diag(np.diag(gram))
             assert np.abs(off).max() == 0.0
             assert np.diag(gram).real.min() >= 1.0
+    # The closed form of sum_q log ||C_q||^2 counts orbit sizes.
+    for n in range(1, 16):
+        for h in Hypothesis:
+            c = structure_model(h, n).constraint
+            want = float(np.sum(np.log(np.einsum("ij,ij->j", c.conj(), c).real)))
+            assert basis_log_norm(h, n) == pytest.approx(want, rel=1e-12, abs=0.0), (h, n)
 
 
 def test_decode_satisfies_vec_equation(rng):
