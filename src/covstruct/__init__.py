@@ -12,8 +12,10 @@ from .criteria import (
     CriterionKind,
     HypothesisScore,
     Scorecard,
+    TrialScores,
     classify,
     classify_batch,
+    classify_stack,
     parse_criterion,
     prepare_estimates,
 )
@@ -21,6 +23,7 @@ from .datafmt import DataFormatError, dumps_dataset, loads_dataset, read_dataset
 from .estimators import (
     Approach,
     Dataset,
+    DatasetStack,
     DegenerateSteeringError,
     EstimateSet,
     estimate_alpha,
@@ -73,6 +76,7 @@ __all__ = [
     "DEFAULT_CRITERIA",
     "DataFormatError",
     "Dataset",
+    "DatasetStack",
     "DegenerateSteeringError",
     "EstimateSet",
     "Hypothesis",
@@ -84,9 +88,11 @@ __all__ = [
     "SourceParams",
     "StructureModel",
     "StructureViolationError",
+    "TrialScores",
     "TruthInstance",
     "classify",
     "classify_batch",
+    "classify_stack",
     "confusion_histogram",
     "dumps_dataset",
     "estimate_alpha",

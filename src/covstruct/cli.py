@@ -118,12 +118,27 @@ def _split_flag(text: str | None, flag: str, item=str) -> list | None:
     return items
 
 
+def _output_paths(output: dict) -> tuple[Path, Path, Path]:
+    """Output directory, CSV and JSON paths, checked before a campaign runs."""
+    out_dir = Path(output.get("dir", "results"))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"--out-dir / output.dir: {str(out_dir)!r} is not a directory")
+    paths = []
+    for key, default in (("csv", "results.csv"), ("json", "results.json")):
+        name = output.get(key, default)
+        path = out_dir / name
+        if Path(name).name in ("", "..") or path.is_dir():
+            raise ConfigError(f"output.{key}: {name!r} does not name a file")
+        if path.parent != out_dir and not path.parent.is_dir():
+            raise ConfigError(f"output.{key}: directory {str(path.parent)!r} does not exist")
+        paths.append(path)
+    return out_dir, paths[0], paths[1]
+
+
 def cmd_run(args) -> int:
     config, output = _build_run_config(args)
-    out_dir = Path(output.get("dir", "results"))
+    out_dir, csv_path, json_path = _output_paths(output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / output.get("csv", "results.csv")
-    json_path = out_dir / output.get("json", "results.json")
     plots = output.get("plots", True)
 
     print(

@@ -27,10 +27,22 @@ is exact too, and the amplitude block enters through a 2 x 2 Schur
 complement S: ``Tr(J I^-1)`` adds ``Tr(S^-1 Y Y^T)`` and ``log det I`` adds
 ``log det S``. The one TIC ridge retry and the BIC positive-definiteness
 check act on S.
-The classifier picks the smallest total; a hypothesis whose numerics
-break (singular information matrix, degenerate AICc denominator, failed
+The classifier picks the smallest total, ties going to the smaller
+parameter count and then the lower index; a hypothesis whose numerics break
+(singular information matrix, degenerate AICc denominator, failed
 factorization) is excluded and the failure recorded, and the argmin runs over
 the survivors.
+
+One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
+datasets at once: the estimates come from stacked projections, one stacked
+Cholesky and one stacked inverse per class, the fits and totals are (4, T)
+arrays, the closed-form penalties are one value per hypothesis, and the
+argmin runs over the whole batch. TIC and BIC form their information terms
+per trial from views of the stacked estimates. A trial that fails a check is
+excluded on its own, with the message a stack of one would give, and every
+stacked operation treats each trial alone, so a trial's outcome does not
+depend on the stack it sits in. :func:`classify_batch` and :func:`classify`
+are the engine on a stack of one.
 """
 
 from __future__ import annotations
@@ -44,16 +56,17 @@ import numpy as np
 from .estimators import (
     Approach,
     Dataset,
+    DatasetStack,
     DegenerateSteeringError,
-    EstimateSet,
-    estimate_alpha,
+    EstimateStack,
+    estimate_alpha_stack,
     estimate_covariance,
 )
 from .likelihood import InfoTerms, information_terms
 from .linalg import (
     NotPositiveDefiniteError,
     hermitian_part,
-    inverse_and_logdet,
+    inverse_and_logdet_stack,
     logdet_pd,
 )
 from .structures import Hypothesis, param_count
@@ -65,12 +78,15 @@ __all__ = [
     "AiccDegenerateError",
     "HypothesisScore",
     "Scorecard",
+    "TrialScores",
+    "NONE_CHOSEN",
     "parse_criterion",
     "DEFAULT_CRITERIA",
     "penalty",
     "prepare_estimates",
     "classify",
     "classify_batch",
+    "classify_stack",
 ]
 
 _LOG_PI = float(np.log(math.pi))
@@ -280,41 +296,118 @@ _HYPOTHESIS_FAILURES = (
     DegenerateSteeringError,
 )
 
+# Column of the "every hypothesis failed" bucket in ``TrialScores.chosen``.
+NONE_CHOSEN = len(Hypothesis)
 
-def _fit_term(estimate: EstimateSet, dataset: Dataset, approach: Approach) -> float:
-    """-2 times the governing log-likelihood at the plug-in estimates."""
-    n, k = dataset.n, dataset.k
+
+def _failure_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass(frozen=True)
+class TrialScores:
+    """One (approach, criterion) outcome over a stack of T trials.
+
+    ``fit``, ``penalty`` and ``total`` are (4, T) arrays, row i for
+    hypothesis H(i+1); a failed entry holds NaN where it has no value.
+    ``failures`` maps (hypothesis number, trial) to the failure that
+    excluded that hypothesis. ``chosen`` holds, per trial, the row of the
+    chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
+    """
+
+    criterion: Criterion
+    approach: Approach
+    fit: np.ndarray
+    penalty: np.ndarray
+    total: np.ndarray
+    failures: dict[tuple[int, int], str]
+    chosen: np.ndarray
+
+    def scorecard(self, trial: int) -> Scorecard:
+        """The scorecard of one trial."""
+        scores: dict[Hypothesis, HypothesisScore] = {}
+        for i, h in enumerate(Hypothesis):
+            fit = float(self.fit[i, trial])
+            failure = self.failures.get((int(h), trial))
+            if failure is None:
+                scores[h] = HypothesisScore(
+                    fit, float(self.penalty[i, trial]), float(self.total[i, trial])
+                )
+            else:
+                scores[h] = HypothesisScore(
+                    None if math.isnan(fit) else fit, None, None, failure
+                )
+        row = int(self.chosen[trial])
+        return Scorecard(
+            criterion=self.criterion,
+            approach=self.approach,
+            scores=scores,
+            chosen=None if row == NONE_CHOSEN else Hypothesis(row + 1),
+        )
+
+
+def _fit_terms(
+    estimate: EstimateStack, stack: DatasetStack, approach: Approach
+) -> np.ndarray:
+    """-2 times the governing log-likelihood at the plug-in estimates, per trial."""
+    n, k = stack.n, stack.k
     # Tr(X_hat S) = N K: each class is closed under inversion and M_hat is the
     # projection of S/K onto it (Szatrowski 1980, Ann. Statist. 8(4)).
     if approach is Approach.B:
         return 2.0 * (k * (n * _LOG_PI + estimate.logdet) + n * k)
-    cut, steering = dataset.require_cut()
-    resid = cut - estimate.alpha_hat * steering
-    quad = float(np.real(resid.conj() @ estimate.x_hat @ resid))
+    cut, steering = stack.require_cut()
+    resid = cut - estimate.alpha_hat[:, None] * steering
+    quad = (resid.conj()[:, None, :] @ estimate.x_hat @ resid[:, :, None])[:, 0, 0].real
     return 2.0 * ((k + 1) * (n * _LOG_PI + estimate.logdet) + n * k + quad)
 
 
-def _argmin_hypothesis(
-    totals: dict[Hypothesis, float], counts: dict[Hypothesis, int]
-) -> Hypothesis | None:
-    """Smallest total; ties go to the smaller parameter count, then index."""
-    if not totals:
-        return None
-    return min(totals, key=lambda h: (totals[h], counts[h], int(h)))
+def _argmin_batch(
+    totals: np.ndarray, failed: np.ndarray, counts: list[int]
+) -> np.ndarray:
+    """Per column of (4, T) totals, the row with the smallest total among the
+    rows not ``failed``; ties go to the smaller parameter count, then the
+    lower index. ``NONE_CHOSEN`` where every row failed."""
+    masked = np.where(failed, np.inf, totals)
+    tied = (masked == masked.min(axis=0)) & ~failed
+    order = sorted(range(len(counts)), key=lambda i: (counts[i], i))
+    chosen = np.asarray(order)[np.argmax(tied[order], axis=0)]
+    return np.where(failed.all(axis=0), NONE_CHOSEN, chosen)
 
 
-def prepare_estimates(
-    dataset: Dataset, approach: Approach
-) -> dict[Hypothesis, "EstimateSet | str"]:
-    """Per-hypothesis estimate sets, with failures kept as message strings."""
+def prepare_estimates(data: "Dataset | DatasetStack", approach: Approach) -> dict:
+    """Per-hypothesis plug-in estimates; one stacked Cholesky per class gives
+    X and log det and is the one positive-definiteness check.
+
+    For a :class:`DatasetStack` each value is an :class:`EstimateStack`. For
+    one :class:`Dataset` it is that dataset's :class:`EstimateSet`, or the
+    failure message when the estimate is not positive definite. Under
+    approach A a degenerate steering energy is kept as the alpha failure:
+    the covariance estimates stay valid for the secondary-only likelihood,
+    and only the joint-likelihood rules lose that hypothesis.
+    """
     approach = Approach.parse(approach)
-    out: dict[Hypothesis, EstimateSet | str] = {}
+    stack = data if isinstance(data, DatasetStack) else DatasetStack((data,))
+    out: dict[Hypothesis, EstimateStack] = {}
     for h in Hypothesis:
-        try:
-            out[h] = estimate_all_single(dataset, approach, h)
-        except _HYPOTHESIS_FAILURES as exc:
-            out[h] = f"{type(exc).__name__}: {exc}"
-    return out
+        m_hat = estimate_covariance(h, stack)
+        x_hat, logdet, errors = inverse_and_logdet_stack(m_hat)
+        alpha, alpha_errors = None, {}
+        if approach is Approach.A:
+            alpha, alpha_errors = estimate_alpha_stack(h, x_hat, *stack.require_cut())
+        out[h] = EstimateStack(
+            hypothesis=h,
+            m_hat=m_hat,
+            x_hat=x_hat,
+            logdet=logdet,
+            alpha_hat=alpha,
+            failures={t: _failure_text(exc) for t, exc in errors.items()},
+            alpha_failures={
+                t: _failure_text(exc) for t, exc in alpha_errors.items() if t not in errors
+            },
+        )
+    if isinstance(data, DatasetStack):
+        return out
+    return {h: est.at(0) for h, est in out.items()}
 
 
 def classify(
@@ -330,121 +423,108 @@ def classify(
 def classify_batch(
     dataset: Dataset, approaches, criteria
 ) -> dict[Approach, dict[Criterion, Scorecard]]:
-    """Classify one dataset under every approach and rule, sharing the work.
+    """Classify one dataset under every approach and rule: the engine
+    (:func:`classify_stack`) on a stack of one."""
+    scores = classify_stack(DatasetStack((dataset,)), approaches, criteria)
+    return {
+        approach: {criterion: s.scorecard(0) for criterion, s in by_rule.items()}
+        for approach, by_rule in scores.items()
+    }
 
-    The four plug-in estimate sets are prepared once, under approach A when
+
+def classify_stack(
+    stack: DatasetStack, approaches, criteria
+) -> dict[Approach, dict[Criterion, TrialScores]]:
+    """Classify a stack of T datasets under every approach and rule at once.
+
+    The four plug-in estimate stacks are prepared once, under approach A when
     A is asked for: estimates that carry alpha also serve approach B, the
-    reverse does not hold. Per approach the fit terms and parameter counts
-    are computed once, and the information terms once if any rule needs
-    them. Results are identical to per-call :func:`classify`.
+    reverse does not hold. Per approach the fit terms are (4, T) arrays, the
+    closed-form penalties one value per hypothesis, and the information
+    terms are formed per trial and hypothesis once if any rule needs them.
+    Each trial's outcome is bit-identical whatever stack it sits in.
     """
     approaches = tuple(Approach.parse(a) for a in approaches)
     criteria = tuple(criteria)
     prep = Approach.A if Approach.A in approaches else approaches[0]
-    prepared = prepare_estimates(dataset, prep)
-    return {a: _evaluate(dataset, a, criteria, prepared) for a in approaches}
+    prepared = prepare_estimates(stack, prep)
+    return {a: _evaluate(stack, a, criteria, prepared) for a in approaches}
 
 
 def _evaluate(
-    dataset: Dataset,
+    stack: DatasetStack,
     approach: Approach,
     criteria: tuple[Criterion, ...],
-    prepared: dict[Hypothesis, "EstimateSet | str"],
-) -> dict[Criterion, Scorecard]:
-    n, k = dataset.n, dataset.k
-    need_fim = any(c.needs_fim for c in criteria)
-    counts = {h: param_count(h, n) for h in Hypothesis}
+    prepared: dict[Hypothesis, EstimateStack],
+) -> dict[Criterion, TrialScores]:
+    n, k, trials = stack.n, stack.k, len(stack)
+    counts = [param_count(h, n) for h in Hypothesis]
     alpha_params = 2 if approach is Approach.A else 0
 
-    fits: dict[Hypothesis, float] = {}
-    infos: dict[Hypothesis, InfoTerms] = {}
-    broken: dict[Hypothesis, str] = {}
-    fim_broken: dict[Hypothesis, str] = {}
+    fit = np.empty((len(counts), trials))
+    broken: dict[tuple[int, int], str] = {}
+    for i, (h, est) in enumerate(prepared.items()):
+        fit[i] = _fit_terms(est, stack, approach)
+        lost = est.failures
+        if approach is Approach.A:
+            lost = {**lost, **est.alpha_failures}
+        for t, message in lost.items():
+            broken[(int(h), t)] = message
+            fit[i, t] = np.nan
 
-    for h, est in prepared.items():
-        if isinstance(est, str):
-            broken[h] = est
-            continue
-        if approach is Approach.A and est.alpha_failure is not None:
-            broken[h] = est.alpha_failure
-            continue
-        try:
-            fits[h] = _fit_term(est, dataset, approach)
-        except _HYPOTHESIS_FAILURES as exc:
-            broken[h] = f"{type(exc).__name__}: {exc}"
-            continue
-        if need_fim:
-            try:
-                infos[h] = information_terms(est, dataset, approach)
-            except _HYPOTHESIS_FAILURES as exc:
-                fim_broken[h] = f"{type(exc).__name__}: {exc}"
+    infos: dict[tuple[int, int], InfoTerms] = {}
+    fim_broken: dict[tuple[int, int], str] = {}
+    if any(c.needs_fim for c in criteria):
+        for h, est in prepared.items():
+            for t, dataset in enumerate(stack.datasets):
+                if (int(h), t) in broken:
+                    continue
+                try:
+                    infos[(int(h), t)] = information_terms(est.at(t), dataset, approach)
+                except _HYPOTHESIS_FAILURES as exc:
+                    fim_broken[(int(h), t)] = _failure_text(exc)
 
-    out: dict[Criterion, Scorecard] = {}
+    out: dict[Criterion, TrialScores] = {}
     for criterion in criteria:
-        scores: dict[Hypothesis, HypothesisScore] = {}
-        totals: dict[Hypothesis, float] = {}
-        for h in Hypothesis:
-            if h not in fits:
-                scores[h] = HypothesisScore(
-                    None, None, None, broken.get(h, "no estimate available")
-                )
+        pen = np.full_like(fit, np.nan)
+        failures = dict(broken)
+        for i, h in enumerate(Hypothesis):
+            kwargs = dict(
+                n_params=counts[i] + alpha_params,
+                m_params=counts[i],
+                k=k,
+                n=n,
+                approach=approach,
+            )
+            if not criterion.needs_fim:
+                try:
+                    pen[i] = penalty(criterion, **kwargs)
+                except _HYPOTHESIS_FAILURES as exc:
+                    for t in range(trials):
+                        failures.setdefault((int(h), t), _failure_text(exc))
                 continue
-            if criterion.needs_fim and h in fim_broken:
-                scores[h] = HypothesisScore(fits[h], None, None, fim_broken[h])
-                continue
-            try:
-                pen = penalty(
-                    criterion,
-                    n_params=counts[h] + alpha_params,
-                    m_params=counts[h],
-                    k=k,
-                    n=n,
-                    approach=approach,
-                    info=infos.get(h),
-                )
-            except _HYPOTHESIS_FAILURES as exc:
-                scores[h] = HypothesisScore(
-                    fits[h], None, None, f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            total = fits[h] + pen
-            scores[h] = HypothesisScore(fits[h], pen, total)
-            totals[h] = total
-        out[criterion] = Scorecard(
+            for t in range(trials):
+                key = (int(h), t)
+                if key in broken:
+                    continue
+                if key in fim_broken:
+                    failures[key] = fim_broken[key]
+                    continue
+                try:
+                    pen[i, t] = penalty(criterion, info=infos[key], **kwargs)
+                except _HYPOTHESIS_FAILURES as exc:
+                    failures[key] = _failure_text(exc)
+        failed = np.zeros(fit.shape, dtype=bool)
+        for h, t in failures:
+            failed[h - 1, t] = True
+        total = fit + pen
+        out[criterion] = TrialScores(
             criterion=criterion,
             approach=approach,
-            scores=scores,
-            chosen=_argmin_hypothesis(totals, counts),
+            fit=fit,
+            penalty=pen,
+            total=total,
+            failures=failures,
+            chosen=_argmin_batch(total, failed, counts),
         )
     return out
-
-
-def estimate_all_single(
-    dataset: Dataset, approach: Approach, hypothesis: Hypothesis
-) -> EstimateSet:
-    """Plug-in estimates for one hypothesis; one Cholesky gives X and log det.
-
-    That Cholesky is the one positive-definiteness check: a rank-deficient
-    scatter matrix raises NotPositiveDefiniteError here. Under approach A a
-    degenerate steering energy is kept in ``alpha_failure``.
-    """
-    m_hat = estimate_covariance(hypothesis, dataset)
-    x_hat, logdet = inverse_and_logdet(m_hat)
-    alpha = None
-    alpha_failure = None
-    if approach is Approach.A:
-        cut, steering = dataset.require_cut()
-        try:
-            alpha = estimate_alpha(hypothesis, x_hat, cut, steering)
-        except DegenerateSteeringError as exc:
-            # The covariance estimates stay valid for the secondary-only
-            # likelihood; only the joint-likelihood rules lose this hypothesis.
-            alpha_failure = f"{type(exc).__name__}: {exc}"
-    return EstimateSet(
-        hypothesis=hypothesis,
-        m_hat=m_hat,
-        x_hat=x_hat,
-        logdet=logdet,
-        alpha_hat=alpha,
-        alpha_failure=alpha_failure,
-    )

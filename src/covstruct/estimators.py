@@ -6,6 +6,11 @@ estimate is ``S / K``; the structured variants are its exact projections onto
 each hypothesis, so the nesting relations hold bit-for-bit (e.g. the
 centrosymmetric estimate equals the real part of the centrohermitian one).
 
+The estimators work on one dataset or on a :class:`DatasetStack` of T
+datasets of one shape, whose arrays carry a leading trial axis. Every
+stacked operation treats each trial on its own, so a trial's estimates are
+bit-identical whatever stack it sits in.
+
 The signal amplitude ``alpha`` is estimated from the cell under test with the
 ICM estimate plugged in. Under the flip-symmetric hypotheses the cell under
 test splits into conjugate-even and conjugate-odd parts
@@ -27,10 +32,13 @@ from .structures import Hypothesis, project
 __all__ = [
     "Approach",
     "Dataset",
+    "DatasetStack",
     "EstimateSet",
+    "EstimateStack",
     "DegenerateSteeringError",
     "estimate_covariance",
     "estimate_alpha",
+    "estimate_alpha_stack",
 ]
 
 # Steering-energy denominators at or below this are refused outright.
@@ -113,7 +121,7 @@ class Dataset:
     @functools.cached_property
     def scatter(self) -> np.ndarray:
         """Hermitian part of ``S = Z Z^H``, formed on first use and kept."""
-        return hermitian_part(self.secondary @ self.secondary.conj().T)
+        return _scatter(self.secondary)
 
     def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
         """CUT and steering, or a clear error naming what approach A misses."""
@@ -122,6 +130,57 @@ class Dataset:
         if self.steering is None:
             raise ValueError("approach A needs a steering vector ('steering')")
         return self.cut, self.steering
+
+
+def _scatter(secondary: np.ndarray) -> np.ndarray:
+    return hermitian_part(secondary @ secondary.conj().swapaxes(-1, -2))
+
+
+class DatasetStack:
+    """T datasets of one N x K shape, stacked along a leading trial axis.
+
+    ``secondary`` is the (T, N, K) stack and ``scatter`` the (T, N, N) stack
+    of ``S = Z Z^H``, formed by one stacked matmul on first use.
+    ``datasets`` keeps the per-trial :class:`Dataset` objects.
+    """
+
+    def __init__(self, datasets):
+        self.datasets = tuple(datasets)
+        if not self.datasets:
+            raise ValueError("a dataset stack needs at least one dataset")
+        shape = self.datasets[0].secondary.shape
+        for dataset in self.datasets:
+            if dataset.secondary.shape != shape:
+                raise ValueError(
+                    f"stacked datasets must share one N x K shape, got "
+                    f"{dataset.secondary.shape} and {shape}"
+                )
+        self.secondary = np.stack([d.secondary for d in self.datasets])
+
+    def __len__(self) -> int:
+        return len(self.datasets)
+
+    @property
+    def n(self) -> int:
+        return self.secondary.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.secondary.shape[2]
+
+    @functools.cached_property
+    def scatter(self) -> np.ndarray:
+        return _scatter(self.secondary)
+
+    def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, N) stacks of the CUTs and steering vectors; raises as
+        :meth:`Dataset.require_cut` does for the first dataset missing one."""
+        return self._cut_pair
+
+    @functools.cached_property
+    def _cut_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        pairs = [d.require_cut() for d in self.datasets]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
 @dataclass(frozen=True)
@@ -143,12 +202,51 @@ class EstimateSet:
     alpha_failure: str | None = None
 
 
-def estimate_covariance(hypothesis: Hypothesis, dataset: Dataset) -> np.ndarray:
+@dataclass(frozen=True)
+class EstimateStack:
+    """Plug-in estimates for one hypothesis over a :class:`DatasetStack`.
+
+    The arrays carry the trial axis first. ``failures`` maps each trial whose
+    estimate failed its Cholesky check to the failure message; that trial's
+    rows are placeholders. ``alpha_failures`` does the same for a degenerate
+    steering energy under approach A, where ``alpha_hat`` is set; under
+    approach B it is None.
+    """
+
+    hypothesis: Hypothesis
+    m_hat: np.ndarray
+    x_hat: np.ndarray
+    logdet: np.ndarray
+    alpha_hat: np.ndarray | None
+    failures: dict[int, str]
+    alpha_failures: dict[int, str]
+
+    def at(self, trial: int) -> "EstimateSet | str":
+        """One trial's estimate set (views into the stacks), or its failure."""
+        if trial in self.failures:
+            return self.failures[trial]
+        alpha = None
+        if self.alpha_hat is not None and trial not in self.alpha_failures:
+            alpha = complex(self.alpha_hat[trial])
+        return EstimateSet(
+            hypothesis=self.hypothesis,
+            m_hat=self.m_hat[trial],
+            x_hat=self.x_hat[trial],
+            logdet=float(self.logdet[trial]),
+            alpha_hat=alpha,
+            alpha_failure=self.alpha_failures.get(trial),
+        )
+
+
+def estimate_covariance(
+    hypothesis: Hypothesis, dataset: "Dataset | DatasetStack"
+) -> np.ndarray:
     """Structured ML estimate of the ICM from the secondary snapshots.
 
     H1: S/K. H2: Re(S)/K. H3: (S/K + J conj(S/K) J)/2. H4: real part of H3.
     All are exact projections of S/K, hence positive definite whenever S is.
     The caller's Cholesky of the result is the positive-definiteness check.
+    A :class:`DatasetStack` gives the (T, N, N) stack of estimates.
     """
     return project(hypothesis, dataset.scatter / dataset.k)
 
@@ -166,27 +264,59 @@ def estimate_alpha(
     stacked real and imaginary parts. H3 and H4 split the CUT into its
     conjugate-even and conjugate-odd parts, which carry the real and the
     imaginary amplitude components. Raises DegenerateSteeringError when the
-    steering energy through ``x_hat`` falls at or below 1e-14.
+    steering energy through ``x_hat`` falls at or below 1e-14. One trial of
+    :func:`estimate_alpha_stack`.
+    """
+    alpha, errors = estimate_alpha_stack(
+        hypothesis,
+        np.asarray(x_hat)[None],
+        np.asarray(cut, dtype=complex)[None],
+        np.asarray(steering, dtype=complex)[None],
+    )
+    if errors:
+        raise errors[0]
+    return complex(alpha[0])
+
+
+def estimate_alpha_stack(
+    hypothesis: Hypothesis,
+    x_hat: np.ndarray,
+    cut: np.ndarray,
+    steering: np.ndarray,
+) -> tuple[np.ndarray, dict[int, DegenerateSteeringError]]:
+    """Amplitude estimates over a stack: (T, N, N) ``x_hat``, (T, N) CUTs and
+    steering vectors. Returns the (T,) estimates and, per trial whose
+    steering energy is at or below the floor, the error
+    :func:`estimate_alpha` raises for it; those trials' estimates are
+    placeholders.
     """
     h = Hypothesis(hypothesis)
-    z = np.asarray(cut, dtype=complex)
-    v = np.asarray(steering, dtype=complex)
-    vx = v.conj() @ x_hat
-    denom = float((vx @ v).real)
-    _check_steering(denom)
-
+    vx = _rowdot(steering.conj(), x_hat)
+    denom = _rowdot(vx, steering).real
+    errors = {
+        int(t): _steering_error(float(denom[t]))
+        for t in np.flatnonzero(~(denom > _STEERING_FLOOR))
+    }
+    denom = np.where(denom > _STEERING_FLOOR, denom, 1.0)
     if h in (Hypothesis.H1, Hypothesis.H2):
-        return complex((vx @ z) / denom)
+        return _rowdot(vx, cut) / denom, errors
 
-    z_flip = z[::-1].conj()
-    a_re = (vx @ (0.5 * (z + z_flip))).real / denom
-    a_im = (-1j * (vx @ (0.5 * (z - z_flip)))).real / denom
-    return complex(a_re, a_im)
+    cut_flip = cut[:, ::-1].conj()
+    alpha = np.empty(len(cut), dtype=complex)
+    alpha.real = _rowdot(vx, 0.5 * (cut + cut_flip)).real / denom
+    alpha.imag = (-1j * _rowdot(vx, 0.5 * (cut - cut_flip))).real / denom
+    return alpha, errors
 
 
-def _check_steering(denom: float) -> None:
-    if not denom > _STEERING_FLOOR:
-        raise DegenerateSteeringError(
-            f"steering energy through the ICM inverse is {denom!r} "
-            f"(at or below {_STEERING_FLOOR:g})"
-        )
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-trial ``a_t @ b_t`` of a (T, N) stack with a (T, N) or (T, N, N) one."""
+    if b.ndim == 2:
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a[:, None, :] @ b)[:, 0, :]
+
+
+def _steering_error(denom: float) -> DegenerateSteeringError:
+    return DegenerateSteeringError(
+        f"steering energy through the ICM inverse is {denom!r} "
+        f"(at or below {_STEERING_FLOOR:g})"
+    )

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -23,8 +22,8 @@ __all__ = [
     "cholesky_pd",
     "logdet_pd",
     "invert_pd",
-    "inverse_from_cholesky",
     "inverse_and_logdet",
+    "inverse_and_logdet_stack",
 ]
 
 # Relative pivot floor: a Cholesky pivot at or below this fraction of the
@@ -53,8 +52,9 @@ def exchange(n: int) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^H)/2. Bit-exact Hermitian: transposed sums commute entrywise."""
-    return 0.5 * (a + a.conj().T)
+    """(A + A^H)/2 over the last two axes. Bit-exact Hermitian: transposed
+    sums commute entrywise."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def cholesky_pd(m: np.ndarray) -> np.ndarray:
@@ -84,13 +84,17 @@ def cholesky_pd(m: np.ndarray) -> np.ndarray:
             f"Cholesky breakdown on {m.shape[0]}x{m.shape[1]} matrix: {exc}"
         ) from None
     diag_max = float(np.max(m.diagonal().real)) if m.shape[0] else 0.0
-    pivots = low.diagonal().real ** 2
-    if m.shape[0] and np.min(pivots) <= _PIVOT_RTOL * diag_max:
-        raise NotPositiveDefiniteError(
-            f"Cholesky pivot {np.min(pivots):.3e} at or below "
-            f"{_PIVOT_RTOL:.0e} * max diagonal ({diag_max:.3e})"
-        )
+    pivot = float(np.min(low.diagonal().real ** 2)) if m.shape[0] else np.inf
+    if pivot <= _PIVOT_RTOL * diag_max:
+        raise _pivot_error(pivot, diag_max)
     return low
+
+
+def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"Cholesky pivot {pivot:.3e} at or below "
+        f"{_PIVOT_RTOL:.0e} * max diagonal ({diag_max:.3e})"
+    )
 
 
 def logdet_pd(m: np.ndarray) -> float:
@@ -100,25 +104,56 @@ def logdet_pd(m: np.ndarray) -> float:
 
 
 def invert_pd(m: np.ndarray) -> np.ndarray:
-    """Invert a Hermitian positive-definite matrix via Cholesky.
-
-    The inverse is re-hermitized so downstream structure checks see an
-    exactly Hermitian X. Callers that also need the log-determinant or the
-    factor itself should use :func:`cholesky_pd` once and derive both.
-    """
-    m = np.asarray(m)
-    return inverse_from_cholesky(cholesky_pd(m), m.dtype)
-
-
-def inverse_from_cholesky(low: np.ndarray, dtype=None) -> np.ndarray:
-    """Hermitian inverse of ``low @ low^H`` from an existing lower factor."""
-    eye = np.eye(low.shape[0], dtype=dtype if dtype is not None else low.dtype)
-    inv = scipy.linalg.cho_solve((low, True), eye)
-    return hermitian_part(inv)
+    """Hermitian inverse of a Hermitian positive-definite matrix."""
+    return inverse_and_logdet(m)[0]
 
 
 def inverse_and_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian inverse and log-determinant of a Hermitian PD matrix, from
-    one Cholesky factorization (which raises NotPositiveDefiniteError)."""
-    low = cholesky_pd(m)
-    return inverse_from_cholesky(low), 2.0 * float(np.sum(np.log(low.diagonal().real)))
+    """Hermitian inverse and log-determinant of a Hermitian PD matrix; raises
+    NotPositiveDefiniteError as :func:`cholesky_pd` does. One matrix of
+    :func:`inverse_and_logdet_stack`."""
+    x, logdet, errors = inverse_and_logdet_stack(np.asarray(m)[None])
+    if errors:
+        raise errors[0]
+    return x[0], float(logdet[0])
+
+
+def inverse_and_logdet_stack(
+    m: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, dict[int, NotPositiveDefiniteError]]:
+    """Hermitian inverses and log-determinants of a (T, N, N) stack.
+
+    One stacked Cholesky gives the log-determinants and the positive-
+    definiteness check of :func:`cholesky_pd`; one stacked inverse gives X.
+    Returns ``(x, logdet, errors)``: ``errors`` maps the index of each matrix
+    that fails the check to the error :func:`cholesky_pd` raises for it
+    alone, and that matrix's rows of ``x`` and ``logdet`` are placeholders.
+    The other matrices are unaffected: the stacked calls factor each matrix
+    on its own, so every result is bit-identical to a stack of one.
+    """
+    m = np.asarray(m)
+    errors: dict[int, NotPositiveDefiniteError] = {}
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        # numpy raises for the whole stack when any one factor breaks down,
+        # so factor matrix by matrix for the failing ones' messages.
+        low = np.empty_like(m)
+        for t, matrix in enumerate(m):
+            try:
+                low[t] = cholesky_pd(matrix)
+            except NotPositiveDefiniteError as exc:
+                errors[t] = exc
+    else:
+        diag_max = np.max(m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+        pivot = np.min(low.diagonal(axis1=-2, axis2=-1).real ** 2, axis=-1)
+        for t in np.flatnonzero(pivot <= _PIVOT_RTOL * diag_max):
+            errors[int(t)] = _pivot_error(pivot[t], diag_max[t])
+    if errors:
+        bad = list(errors)
+        eye = np.eye(m.shape[-1], dtype=m.dtype)
+        low[bad] = eye
+        m = m.copy()
+        m[bad] = eye
+    logdet = 2.0 * np.sum(np.log(low.diagonal(axis1=-2, axis2=-1).real), axis=-1)
+    return hermitian_part(np.linalg.inv(m)), logdet, errors

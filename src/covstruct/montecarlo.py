@@ -7,6 +7,15 @@ RNG streams are keyed by (master seed, truth, K, trial index), which makes
 the tallies independent of scheduling and worker count: any partition of the
 trials sums to the same counts.
 
+A chunk of trials draws each trial from its own stream, in trial order, and
+hands each block of drawn datasets to the classification engine
+(:func:`covstruct.criteria.classify_stack`) as one stack. A block holds a
+fixed budget of snapshot entries, so memory stays flat whatever N, K or the
+chunk size. Truths that draw nothing (H3, H4, or any truth with frozen
+channel errors) are built once per chunk. The engine's outcome for a trial
+does not depend on the stack it sits in, so neither the block size nor the
+chunk size nor the worker count changes a tally.
+
 A trial where every hypothesis fails numerically under some rule lands in
 that rule's "failed" bucket and leaves the P_cc denominator; partial
 failures just shrink the argmin. Failures carry their trial index so any
@@ -23,9 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import DEFAULT_CRITERIA, Criterion, Scorecard, classify_batch
-from .estimators import Approach
-from .scenario import ScenarioConfig, sample_dataset, truth_instance
+from .criteria import DEFAULT_CRITERIA, Criterion, classify_stack
+from .estimators import Approach, DatasetStack
+from .scenario import (
+    CHANNEL_ERROR_TRUTHS,
+    ScenarioConfig,
+    sample_dataset,
+    truth_instance,
+)
 from .structures import Hypothesis
 
 __all__ = [
@@ -44,6 +58,10 @@ DEFAULT_K_GRID: tuple[int, ...] = (20, 25, 30, 35, 40, 45)
 # Sub-stream tags keeping per-trial draws and frozen channel-error draws apart.
 _TRIAL_STREAM = 1
 _FROZEN_STREAM = 2
+
+# Snapshot entries (N x K per trial) drawn and classified per block of a
+# chunk: memory stays flat however large N K or the chunk is.
+_BLOCK_ENTRIES = 1 << 14
 
 
 class MissingCellError(KeyError):
@@ -197,17 +215,25 @@ def _frozen_truth_rng(master_seed: int, truth: Hypothesis):
 
 
 def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
-    """Worker body: classify trials [lo, hi) of one cell, return raw tallies."""
+    """Worker body: classify trials [lo, hi) of one cell, return raw tallies.
+
+    Trials draw one by one from their own streams, then each block of them
+    goes through the classification engine as one stack.
+    """
     config, truth_value, k, lo, hi = args
     truth = Hypothesis(truth_value)
     scenario = config.scenario
     started = time.perf_counter()
 
-    frozen = None
+    # A frozen truth is drawn once; a truth without channel errors draws
+    # nothing, so one instance serves every trial either way.
+    shared = None
     if scenario.freeze_channel_errors:
-        frozen = truth_instance(
+        shared = truth_instance(
             truth, scenario, _frozen_truth_rng(config.master_seed, truth)
         )
+    elif truth not in CHANNEL_ERROR_TRUTHS:
+        shared = truth_instance(truth, scenario)
 
     counts: dict[tuple[str, str], np.ndarray] = {
         (c.key, a.value): np.zeros(5, dtype=np.int64)
@@ -216,34 +242,32 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
     }
     failures: list[FailureRecord] = []
 
-    for trial in range(lo, hi):
-        rng = _trial_rng(config.master_seed, truth, k, trial)
-        instance = frozen if frozen is not None else truth_instance(truth, scenario, rng)
-        dataset = sample_dataset(instance, scenario, k, rng)
-        for approach, cards in classify_batch(
-            dataset, config.approaches, config.criteria
-        ).items():
-            seen_failures: set[tuple[int, str]] = set()
-            for criterion in config.criteria:
-                card: Scorecard = cards[criterion]
-                tally = counts[(criterion.key, approach.value)]
-                if card.chosen is None:
-                    tally[4] += 1
-                else:
-                    tally[int(card.chosen) - 1] += 1
-                for h, score in card.scores.items():
-                    if score.failure and (int(h), score.failure) not in seen_failures:
-                        seen_failures.add((int(h), score.failure))
-                        failures.append(
-                            FailureRecord(
-                                truth=int(truth),
-                                k=k,
-                                trial=trial,
-                                approach=approach.value,
-                                hypothesis=int(h),
-                                message=score.failure,
-                            )
-                        )
+    block = max(1, _BLOCK_ENTRIES // (scenario.n * k))
+    for start in range(lo, hi, block):
+        datasets = []
+        for trial in range(start, min(start + block, hi)):
+            rng = _trial_rng(config.master_seed, truth, k, trial)
+            instance = shared if shared is not None else truth_instance(truth, scenario, rng)
+            datasets.append(sample_dataset(instance, scenario, k, rng))
+        scores = classify_stack(DatasetStack(datasets), config.approaches, config.criteria)
+        for approach, by_rule in scores.items():
+            seen: set[tuple[tuple[int, int], str]] = set()
+            for criterion, outcome in by_rule.items():
+                counts[(criterion.key, approach.value)] += np.bincount(
+                    outcome.chosen, minlength=5
+                )
+                seen.update(outcome.failures.items())
+            failures.extend(
+                FailureRecord(
+                    truth=int(truth),
+                    k=k,
+                    trial=start + t,
+                    approach=approach.value,
+                    hypothesis=h,
+                    message=message,
+                )
+                for (h, t), message in seen
+            )
     return counts, failures, time.perf_counter() - started, (truth_value, k)
 
 

@@ -30,6 +30,7 @@ with a uniform random phase, on the symmetric phase-ramp steering vector
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "SourceParams",
     "ScenarioConfig",
     "TruthInstance",
+    "CHANNEL_ERROR_TRUTHS",
     "OddSizeRequiredError",
     "case1_sources",
     "case2_sources",
@@ -121,6 +123,10 @@ def table_case(case_id: int, **overrides) -> ScenarioConfig:
     raise ValueError(f"case_id must be 1 or 2, got {case_id}")
 
 
+# Truths whose channel-error matrix is drawn; the others draw nothing.
+CHANNEL_ERROR_TRUTHS = frozenset({Hypothesis.H1, Hypothesis.H2})
+
+
 @dataclass(frozen=True)
 class TruthInstance:
     """One realized ground truth: covariance plus its factors."""
@@ -129,6 +135,11 @@ class TruthInstance:
     m_true: np.ndarray
     a_factor: np.ndarray
     r_clutter: np.ndarray
+
+    @functools.cached_property
+    def low(self) -> np.ndarray:
+        """Lower Cholesky factor of ``m_true``, formed on first use and kept."""
+        return cholesky_pd(self.m_true)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -176,28 +187,29 @@ def steering_vector(n: int, f_v: float) -> np.ndarray:
 def truth_instance(
     hypothesis: Hypothesis,
     config: ScenarioConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
 ) -> TruthInstance:
     """Draw one ground-truth covariance for a hypothesis.
 
     H1/H2 consume the generator for the channel-error matrix W; H3/H4 are
-    deterministic given the config. The result is projected onto the exact
-    structure of the hypothesis, which never moves the matrix by more than
-    floating-point noise but makes the structure checks exact.
+    deterministic given the config and need no generator. The result is
+    projected onto the exact structure of the hypothesis, which never moves
+    the matrix by more than floating-point noise but makes the structure
+    checks exact.
     """
     h = Hypothesis(hypothesis)
     n = config.n
     zero_doppler = h in (Hypothesis.H2, Hypothesis.H4)
     r = clutter_covariance(config.sources, n, zero_doppler=zero_doppler)
 
-    if h is Hypothesis.H1:
-        w = complex_normal(rng, (n, n))
-        a = np.eye(n) + config.sigma_d * w
-    elif h is Hypothesis.H2:
-        w = rng.standard_normal((n, n))
-        a = np.eye(n) + config.sigma_d * w
-    else:
+    if h not in CHANNEL_ERROR_TRUTHS:
         a = np.eye(n)
+    elif rng is None:
+        raise ValueError(f"an {h.name} truth draws channel errors and needs a generator")
+    elif h is Hypothesis.H1:
+        a = np.eye(n) + config.sigma_d * complex_normal(rng, (n, n))
+    else:
+        a = np.eye(n) + config.sigma_d * rng.standard_normal((n, n))
 
     m_raw = a @ r @ a.conj().T + config.sigma_n2 * np.eye(n)
     m_true = project(h, hermitian_part(m_raw))
@@ -221,10 +233,10 @@ def sample_dataset(
 
     Fixed draw order (phase, CUT noise, secondary block) so a given stream
     yields a bit-identical dataset. Snapshots are ``L g`` with L the lower
-    Cholesky factor of the truth and g standard complex normal.
+    Cholesky factor of the truth (``truth.low``) and g standard complex normal.
     """
     n = config.n
-    low = cholesky_pd(truth.m_true)
+    low = truth.low
     amplitude = np.sqrt(db_to_linear(config.snr_db))
     phase = rng.uniform(0.0, 2.0 * np.pi)
     alpha = amplitude * np.exp(1j * phase)

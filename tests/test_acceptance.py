@@ -24,9 +24,9 @@ from test_structures import C_H1_N3, expected_param_count
 
 from covstruct.criteria import (
     classify_batch,
-    estimate_all_single,
     parse_criterion,
     penalty,
+    prepare_estimates,
 )
 from covstruct.estimators import Approach, Dataset, estimate_covariance
 from covstruct.likelihood import (
@@ -233,7 +233,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
             )
             truth = truth_instance(h, config, rng)
             ds = Dataset(secondary=gaussian_snapshots(rng, truth.m_true, k))
-            est = estimate_all_single(ds, Approach.B, h)
+            est = prepare_estimates(ds, Approach.B)[h]
             pair = fim_pair(model, est, ds, Approach.B)
             rels.append(
                 np.linalg.norm(pair.sample - pair.observed)

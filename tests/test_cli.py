@@ -172,6 +172,27 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         assert not out.exists(), tree
 
 
+def test_run_rejects_bad_output_paths(tmp_path, capsys):
+    # Output paths are checked before the campaign runs: exit 1, a message
+    # naming the flag or key, and no result file written.
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    base = ["run", "--trials", "1", "--workers", "1", "--K", "20", "--truths", "H1", "--no-plots"]
+    assert run_cli(base + ["--out-dir", taken]) == 1
+    assert "--out-dir / output.dir" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "keep"
+    out = tmp_path / "never"
+    config = tmp_path / "exp.json"
+    for output, message in (
+        ({"csv": ""}, "output.csv: '' does not name a file"),
+        ({"json": "sub/x.json"}, "output.json: directory"),
+    ):
+        config.write_text(json.dumps({"output": output}), encoding="utf-8")
+        assert run_cli(base + ["--config", config, "--out-dir", out]) == 1, output
+        assert message in capsys.readouterr().err, output
+        assert not out.exists(), output
+
+
 def test_run_scenario_tree_overrides(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(

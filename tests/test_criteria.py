@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,17 +19,27 @@ from covstruct.criteria import (
     AiccDegenerateError,
     Criterion,
     CriterionKind,
+    NONE_CHOSEN,
     FimSingularError,
     Scorecard,
-    _argmin_hypothesis,
+    _argmin_batch,
+    _HYPOTHESIS_FAILURES,
     classify,
     classify_batch,
+    classify_stack,
     parse_criterion,
     penalty,
 )
-from covstruct.estimators import Approach, Dataset
-from covstruct.likelihood import InfoTerms, fim_pair, loglik_full, loglik_secondary
-from covstruct.scenario import complex_normal
+from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateSet
+from covstruct.likelihood import (
+    InfoTerms,
+    fim_pair,
+    information_terms,
+    loglik_full,
+    loglik_secondary,
+)
+from covstruct.linalg import cholesky_pd
+from covstruct.scenario import ScenarioConfig, SourceParams, complex_normal, truth_instance
 from covstruct.structures import Hypothesis, param_count, project, structure_model
 
 from conftest import gaussian_snapshots, random_dataset, random_pd_matrix
@@ -244,22 +255,47 @@ def test_classify_records_failures_and_survivors(rng):
 COUNTS_13 = {h: param_count(h, 13) for h in Hypothesis}
 
 
+def argmin_one(totals, counts):
+    """One trial through the batched argmin; absent hypotheses have failed."""
+    column = np.array([[totals.get(h, np.nan)] for h in Hypothesis])
+    failed = np.array([[h not in totals] for h in Hypothesis])
+    row = int(_argmin_batch(column, failed, [counts[h] for h in Hypothesis])[0])
+    return None if row == NONE_CHOSEN else Hypothesis(row + 1)
+
+
 def test_argmin_tie_breaks():
     h1, h2, h3, h4 = Hypothesis
-    assert _argmin_hypothesis({h1: 5.0, h4: 5.0}, COUNTS_13) is h4
-    assert _argmin_hypothesis({h2: 3.0, h3: 3.0}, COUNTS_13) is h2
-    assert _argmin_hypothesis({h: 1.0 for h in Hypothesis}, COUNTS_13) is h4
-    assert _argmin_hypothesis({h1: 0.0, h2: 1.0}, COUNTS_13) is h1
-    assert _argmin_hypothesis({}, COUNTS_13) is None
+    assert argmin_one({h1: 5.0, h4: 5.0}, COUNTS_13) is h4
+    assert argmin_one({h2: 3.0, h3: 3.0}, COUNTS_13) is h2
+    assert argmin_one({h: 1.0 for h in Hypothesis}, COUNTS_13) is h4
+    assert argmin_one({h1: 0.0, h2: 1.0}, COUNTS_13) is h1
+    assert argmin_one({}, COUNTS_13) is None
+
+
+def test_batched_argmin_resolves_ties_per_trial():
+    # The tie cases above as the columns of one batch, plus an all-failed
+    # column: each column resolves on its own. A bare np.argmin would give
+    # H1 for the H1 = H4 tie and for the all-equal column.
+    nan = np.nan
+    totals = np.array([
+        [5.0, nan, 1.0, 0.0, nan],
+        [nan, 3.0, 1.0, 1.0, nan],
+        [nan, 3.0, 1.0, nan, nan],
+        [5.0, nan, 1.0, nan, nan],
+    ])
+    chosen = _argmin_batch(totals, np.isnan(totals), [COUNTS_13[h] for h in Hypothesis])
+    h1, h2, h3, h4 = Hypothesis
+    want = [h4, h2, h4, h1, None]
+    assert [None if c == NONE_CHOSEN else Hypothesis(c + 1) for c in chosen] == want
 
 
 def test_argmin_shift_invariance(rng):
     for _ in range(20):
         totals = {h: float(t) for h, t in zip(Hypothesis, rng.normal(size=4))}
-        base = _argmin_hypothesis(totals, COUNTS_13)
+        base = argmin_one(totals, COUNTS_13)
         for shift in (-1e6, 3.7, 1e6):
             shifted = {h: t + shift for h, t in totals.items()}
-            assert _argmin_hypothesis(shifted, COUNTS_13) is base
+            assert argmin_one(shifted, COUNTS_13) is base
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +366,177 @@ def test_prepared_estimates_feed_batch(rng):
                     got, want = batch[approach][crit].scores[h], single.scores[h]
                     assert got.total == want.total
                     assert got.failure == want.failure
+
+
+# ---------------------------------------------------------------------------
+# The trial-batched engine against a per-dataset reference
+
+
+def reference_classify(ds, approach, criteria):
+    """Per-dataset reference loop over the hypotheses.
+
+    It writes the likelihood out with the explicit trace Tr(X S), inverts
+    through the Cholesky factor, and takes the argmin with the tie rule
+    written as a sort key. Returns per rule the chosen hypothesis (or None),
+    the totals and the set of failed hypotheses.
+    """
+    n, k = ds.n, ds.k
+    scatter = ds.secondary @ ds.secondary.conj().T
+    scatter = 0.5 * (scatter + scatter.conj().T)
+    fits, estimates = {}, {}
+    for h in Hypothesis:
+        m_hat = project(h, scatter / k)
+        try:
+            low = cholesky_pd(m_hat)
+        except _HYPOTHESIS_FAILURES:
+            continue
+        x = scipy.linalg.cho_solve((low, True), np.eye(n))
+        x = 0.5 * (x + x.conj().T)
+        logdet = 2.0 * float(np.sum(np.log(low.diagonal().real)))
+        fit = k * (n * math.log(math.pi) + logdet) + float(np.trace(x @ scatter).real)
+        alpha = None
+        if approach is Approach.A:
+            v, z = ds.steering, ds.cut
+            energy = float((v.conj() @ x @ v).real)
+            if not energy > 1e-14:
+                continue
+            if h in (Hypothesis.H1, Hypothesis.H2):
+                alpha = complex(v.conj() @ x @ z / energy)
+            else:
+                flip = z[::-1].conj()
+                alpha = complex(
+                    (v.conj() @ x @ (z + flip)).real / (2 * energy),
+                    (v.conj() @ x @ (z - flip)).imag / (2 * energy),
+                )
+            r = z - alpha * v
+            fit += n * math.log(math.pi) + logdet + float((r.conj() @ x @ r).real)
+        fits[h] = 2.0 * fit
+        estimates[h] = EstimateSet(h, m_hat, x, logdet, alpha)
+    out = {}
+    for criterion in criteria:
+        totals = {}
+        for h, fit in fits.items():
+            m = param_count(h, n)
+            try:
+                info = (
+                    information_terms(estimates[h], ds, approach)
+                    if criterion.needs_fim
+                    else None
+                )
+                totals[h] = fit + penalty(
+                    criterion,
+                    n_params=m + (2 if approach is Approach.A else 0),
+                    m_params=m,
+                    k=k,
+                    n=n,
+                    approach=approach,
+                    info=info,
+                )
+            except _HYPOTHESIS_FAILURES:
+                pass
+        chosen = min(
+            totals, key=lambda h: (totals[h], param_count(h, n), int(h)), default=None
+        )
+        out[criterion] = (chosen, totals, set(Hypothesis) - set(totals))
+    return out
+
+
+def _scenario_datasets(rng, n, k, cnr_db, trials):
+    """Datasets under random truths of one scenario, with random unit steering."""
+    config = ScenarioConfig(n=n, sources=(SourceParams(cnr_db, 0.85, 0.285),))
+    out = []
+    for _ in range(trials):
+        truth = truth_instance(Hypothesis(int(rng.integers(1, 5))), config, rng)
+        steering = complex_normal(rng, n)
+        steering /= np.linalg.norm(steering)
+        cut = 3.0 * steering + truth.low @ complex_normal(rng, n)
+        secondary = truth.low @ complex_normal(rng, (n, k))
+        out.append(Dataset(secondary=secondary, cut=cut, steering=steering))
+    return out
+
+
+def _assert_same_outcome(stacked, alone, t):
+    """Trial t of a stacked outcome equals the outcome of that trial alone."""
+    for field in ("fit", "penalty", "total"):
+        np.testing.assert_array_equal(getattr(stacked, field)[:, t], getattr(alone, field)[:, 0])
+    assert stacked.chosen[t] == alone.chosen[0]
+    assert {h: m for (h, u), m in stacked.failures.items() if u == t} == {
+        h: m for (h, _), m in alone.failures.items()
+    }
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_matches_per_dataset_reference(data):
+    # Choices equal the reference loop's, totals agree to rounding, and each
+    # trial's outcome is bit-identical whatever stack it sits in.
+    n = data.draw(st.integers(3, 8), label="N")
+    k = data.draw(st.integers(n + 1, 3 * n), label="K")
+    cnr_db = data.draw(st.floats(0.0, 40.0), label="CNR dB")
+    trials = data.draw(st.integers(1, 5), label="T")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    datasets = _scenario_datasets(np.random.default_rng(seed), n, k, cnr_db, trials)
+    stacked = classify_stack(DatasetStack(datasets), tuple(Approach), DEFAULT_CRITERIA)
+    for t, ds in enumerate(datasets):
+        alone = classify_stack(DatasetStack([ds]), tuple(Approach), DEFAULT_CRITERIA)
+        for approach in Approach:
+            reference = reference_classify(ds, approach, DEFAULT_CRITERIA)
+            for criterion in DEFAULT_CRITERIA:
+                outcome = stacked[approach][criterion]
+                _assert_same_outcome(outcome, alone[approach][criterion], t)
+                card = outcome.scorecard(t)
+                chosen, totals, failed = reference[criterion]
+                assert card.chosen is chosen, (approach, criterion)
+                assert {h for h in Hypothesis if card.scores[h].failed} == failed
+                for h, total in totals.items():
+                    assert card.scores[h].total == pytest.approx(total, rel=1e-9)
+
+
+def test_failures_inside_a_block_match_the_dataset_alone(rng):
+    # A zero snapshot row makes one trial's scatter singular (the stacked
+    # Cholesky breaks down and the block factors matrix by matrix); a near-
+    # copy of a row fails only the pivot floor; a 1e8 data scale drives the
+    # steering energy under approach A below its floor. Each failing trial
+    # reports what classify_batch reports for it alone, and every other
+    # trial's outcome is unchanged.
+    n, k = 5, 12
+    good = [random_dataset(rng, n, k) for _ in range(3)]
+    zero_row = good[0].secondary.copy()
+    zero_row[2] = 0.0
+    near_copy = good[1].secondary.copy()
+    near_copy[3] = near_copy[1] + 1e-7 * complex_normal(rng, k)
+    base = good[2]
+    singular = Dataset(secondary=zero_row, cut=good[0].cut, steering=good[0].steering)
+    pivot = Dataset(secondary=near_copy, cut=good[1].cut, steering=good[1].steering)
+    huge = Dataset(secondary=1e8 * base.secondary, cut=base.cut, steering=base.steering)
+    for bad, text in (
+        ({1: singular, 3: huge}, "NotPositiveDefiniteError: Cholesky breakdown"),
+        ({0: pivot, 3: huge}, "NotPositiveDefiniteError: Cholesky pivot"),
+    ):
+        datasets = list(good)
+        for t, ds in sorted(bad.items()):
+            datasets.insert(t, ds)
+        stacked = classify_stack(DatasetStack(datasets), tuple(Approach), DEFAULT_CRITERIA)
+        clean = classify_stack(DatasetStack(good), tuple(Approach), DEFAULT_CRITERIA)
+        clean_index = [t for t in range(len(datasets)) if t not in bad]
+        messages = {
+            message
+            for by_rule in stacked.values()
+            for outcome in by_rule.values()
+            for message in outcome.failures.values()
+        }
+        assert any(m.startswith(text) for m in messages)
+        assert any(m.startswith("DegenerateSteeringError: steering energy") for m in messages)
+        alone = [classify_batch(ds, tuple(Approach), DEFAULT_CRITERIA) for ds in datasets]
+        for approach, by_rule in stacked.items():
+            for criterion, outcome in by_rule.items():
+                for t, cards in enumerate(alone):
+                    assert outcome.scorecard(t) == cards[approach][criterion]
+                for u, t in enumerate(clean_index):
+                    assert outcome.chosen[t] == clean[approach][criterion].chosen[u]
+                    np.testing.assert_array_equal(
+                        outcome.total[:, t], clean[approach][criterion].total[:, u]
+                    )
 
 
 # ---------------------------------------------------------------------------

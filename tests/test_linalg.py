@@ -8,7 +8,7 @@ from covstruct.linalg import (
     cholesky_pd,
     exchange,
     hermitian_part,
-    inverse_from_cholesky,
+    inverse_and_logdet_stack,
     invert_pd,
     logdet_pd,
     unvec,
@@ -78,12 +78,31 @@ def test_invert_pd_residual(rng):
         np.testing.assert_array_equal(x, x.conj().T)
 
 
-def test_inverse_from_cholesky_matches_invert(rng):
-    m = random_pd_matrix(rng, 5)
-    low = cholesky_pd(m)
-    x1 = inverse_from_cholesky(low)
-    x2 = invert_pd(m)
-    np.testing.assert_allclose(x1, x2, rtol=0, atol=1e-12 * float(np.abs(x2).max()))
+def test_inverse_and_logdet_stack_matches_single_calls(rng):
+    # Each matrix of a stack is factored on its own: results equal one-matrix
+    # calls bit for bit, and a failing matrix carries cholesky_pd's own error
+    # while the others are untouched, on the breakdown and the pivot path.
+    stack = np.stack([random_pd_matrix(rng, 5) for _ in range(4)])
+    x, logdet, errors = inverse_and_logdet_stack(stack)
+    assert errors == {}
+    for t, m in enumerate(stack):
+        np.testing.assert_array_equal(x[t], invert_pd(m))
+        assert logdet[t] == logdet_pd(m)
+    indefinite = np.diag([1.0, -1.0, 2.0, 1.0, 1.0]).astype(complex)
+    tiny_pivot = np.diag([1.0, 1e-14, 2.0, 1.0, 1.0]).astype(complex)
+    for bad in ({1: indefinite, 2: tiny_pivot}, {2: tiny_pivot}):
+        broken = stack.copy()
+        for t, m in bad.items():
+            broken[t] = m
+        x_b, logdet_b, errors_b = inverse_and_logdet_stack(broken)
+        assert set(errors_b) == set(bad)
+        for t, m in bad.items():
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                cholesky_pd(m)
+            assert str(errors_b[t]) == str(info.value)
+        for t in set(range(4)) - set(bad):
+            np.testing.assert_array_equal(x_b[t], x[t])
+            assert logdet_b[t] == logdet[t]
 
 
 def test_cholesky_reconstruction(rng):

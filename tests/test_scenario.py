@@ -170,6 +170,11 @@ def test_h3_h4_truths_are_deterministic():
         second = truth_instance(h, config, np.random.default_rng(2))
         assert np.array_equal(first.m_true, second.m_true)
         assert np.array_equal(first.a_factor, np.eye(13))
+        # They draw nothing, so they need no generator.
+        assert np.array_equal(truth_instance(h, config).m_true, first.m_true)
+    for h in (Hypothesis.H1, Hypothesis.H2):
+        with pytest.raises(ValueError, match="needs a generator"):
+            truth_instance(h, config)
 
 
 def test_channel_errors_break_flip_symmetry():
