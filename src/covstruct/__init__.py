@@ -29,14 +29,7 @@ from .estimators import (
     estimate_alpha,
     estimate_covariance,
 )
-from .likelihood import (
-    fim_pair,
-    information_terms,
-    loglik_full,
-    loglik_secondary,
-    observed_fim,
-    sample_fim,
-)
+from .likelihood import information_terms
 from .linalg import NotPositiveDefiniteError
 from .montecarlo import (
     CampaignConfig,
@@ -97,12 +90,8 @@ __all__ = [
     "dumps_dataset",
     "estimate_alpha",
     "estimate_covariance",
-    "fim_pair",
     "information_terms",
-    "loglik_full",
-    "loglik_secondary",
     "loads_dataset",
-    "observed_fim",
     "param_count",
     "parse_criterion",
     "prepare_estimates",
@@ -110,7 +99,6 @@ __all__ = [
     "read_dataset",
     "run_campaign",
     "sample_dataset",
-    "sample_fim",
     "satisfies_structure",
     "steering_vector",
     "structure_model",

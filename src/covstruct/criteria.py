@@ -21,12 +21,14 @@ the unit the data is expressed in. AsymptoticBIC is the unit-free form.
 
 TIC and BIC take ``J_hat`` (sample) and ``I_hat`` (observed information) at
 the plug-in estimates through :func:`covstruct.likelihood.information_terms`,
-which works in N x N matrix space and never forms either matrix. Under
-approach B both penalties are closed forms. Under approach A the theta part
-is exact too, and the amplitude block enters through a 2 x 2 Schur
-complement S: ``Tr(J I^-1)`` adds ``Tr(S^-1 Y Y^T)`` and ``log det I`` adds
-``log det S``. The one TIC ridge retry and the BIC positive-definiteness
-check act on S.
+which gives one class's terms for a whole stack of trials from group means
+of vector inner products and never forms either matrix. Under approach B
+both penalties are closed forms. Under approach A the theta part is exact
+too, and the amplitude block enters through (T, 2, 2) stacks of Schur
+complements S: ``Tr(J I^-1)`` adds ``Tr(S^-1 Y Y^T)`` (one stacked solve)
+and ``log det I`` adds ``log det S`` (one stacked Cholesky, the BIC
+positive-definiteness check). A trial whose S is singular to the solve is
+retried alone with a ridge, and the retries are counted.
 The classifier picks the smallest total, ties going to the smaller
 parameter count and then the lower index; a hypothesis whose numerics break
 (singular information matrix, degenerate AICc denominator, failed
@@ -37,8 +39,8 @@ One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
 datasets at once: the estimates come from stacked projections, one stacked
 Cholesky and one stacked inverse per class, the fits and totals are (4, T)
 arrays, the closed-form penalties are one value per hypothesis, and the
-argmin runs over the whole batch. TIC and BIC form their information terms
-per trial from views of the stacked estimates. A trial that fails a check is
+argmin runs over the whole batch. TIC and BIC take one call of the
+information terms per class and approach. A trial that fails a check is
 excluded on its own, with the message a stack of one would give, and every
 stacked operation treats each trial alone, so a trial's outcome does not
 depend on the stack it sits in. :func:`classify_batch` and :func:`classify`
@@ -65,9 +67,10 @@ from .estimators import (
 from .likelihood import InfoTerms, information_terms
 from .linalg import (
     NotPositiveDefiniteError,
+    cholesky_stack,
     hermitian_part,
     inverse_and_logdet_stack,
-    logdet_pd,
+    logdet_from_cholesky,
 )
 from .structures import Hypothesis, param_count
 
@@ -188,14 +191,16 @@ def penalty(
     n: int,
     approach: Approach,
     info: InfoTerms | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Penalty term of one rule for one hypothesis.
 
     ``n_params`` is the full likelihood parameter count (m_params + 2 under
     approach A), ``k``/``n`` the snapshot count and vector size. TIC and BIC
-    require ``info`` (see :func:`covstruct.likelihood.information_terms`);
-    the others ignore it. The 2 x 2 Schur pair, present under approach A,
-    adds its trace and log-determinant to the theta terms.
+    require ``info`` (see :func:`covstruct.likelihood.information_terms`),
+    give one penalty per trial of its stack and raise the first trial's
+    failure; the others ignore it and give one float. The 2 x 2 Schur pair,
+    present under approach A, adds its trace and log-determinant to the theta
+    terms.
     """
     kind = criterion.kind
     if kind is CriterionKind.AIC:
@@ -215,49 +220,97 @@ def penalty(
         return m_params * math.log(k)
     if info is None:
         raise ValueError(f"{criterion.key} needs the information-matrix terms")
-    if kind is CriterionKind.TIC:
-        extra = 0.0 if info.schur is None else _tic_trace(*info.schur)
-        return 2.0 * (info.theta_trace + extra)
-    if kind is CriterionKind.BIC:
-        extra = 0.0 if info.schur is None else _bic_logdet(info.schur[0])
-        return info.theta_logdet + extra
-    raise ValueError(f"unhandled criterion kind {kind!r}")
+    values, errors, _ = _information_penalty(criterion, info)
+    if errors:
+        raise errors[min(errors)]
+    return values
 
 
-def _tic_trace(observed: np.ndarray, sample: np.ndarray) -> float:
-    """Tr[sample inv(observed)], with one ridge retry on factorization failure.
+def _information_penalty(
+    criterion: Criterion, info: InfoTerms
+) -> tuple[np.ndarray, dict[int, FimSingularError], tuple[int, int]]:
+    """TIC or BIC penalties of a stack of information terms.
 
-    On the production path these are the amplitude Schur pair ``(S, Y Y^T)``.
+    Returns the (T,) penalties, the failure of each trial whose Schur block
+    is unusable (its penalty is a placeholder), and the counts of TIC ridge
+    retries and of matrix-by-matrix fallbacks of the stacked Cholesky.
     """
-    n = observed.shape[0]
+    if criterion.kind is CriterionKind.TIC:
+        if info.schur is None:
+            return 2.0 * info.theta_trace, {}, (0, 0)
+        extra, errors, retries = _tic_trace(*info.schur)
+        return 2.0 * (info.theta_trace + extra), errors, (retries, 0)
+    if criterion.kind is not CriterionKind.BIC:
+        raise ValueError(f"{criterion.key} takes no information-matrix terms")
+    if info.schur is None:
+        return info.theta_logdet, {}, (0, 0)
+    extra, errors, fell_back = _bic_logdet(info.schur[0])
+    return info.theta_logdet + extra, errors, (0, int(fell_back))
+
+
+def _tic_trace(
+    observed: np.ndarray, sample: np.ndarray
+) -> tuple[np.ndarray, dict[int, FimSingularError], int]:
+    """Tr[sample inv(observed)] over (T, d, d) stacks, with one ridge retry
+    for each trial whose solve fails or is not finite.
+
+    On the production path these are the amplitude Schur pairs ``(S, Y Y^T)``.
+    Returns the traces, the failure of each trial the ridge did not rescue,
+    and the number of ridge retries.
+    """
+    d = observed.shape[-1]
+    solved, bad = _solve_each(observed, sample)
+    errors: dict[int, FimSingularError] = {}
+    if bad:
+        retry = list(bad)
+        ridge = _TIC_RIDGE * np.trace(observed[retry], axis1=-2, axis2=-1) / d
+        shifted = observed[retry] + ridge[:, None, None] * np.eye(d)
+        retried, still = _solve_each(shifted, sample[retry])
+        solved[retry] = retried
+        for j, reason in still.items():
+            errors[retry[j]] = FimSingularError(
+                f"observed FIM singular even after ridge: {reason}"
+            )
+    return np.trace(solved, axis1=-2, axis2=-1), errors, len(bad)
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Stacked ``solve(a, b)`` and, per trial whose solve raises or is not
+    finite, the reason. numpy refuses the whole stack when one matrix is
+    singular; the trials are then solved one by one."""
+    bad: dict[int, str] = {}
     try:
-        solved = np.linalg.solve(observed, sample)
-        if not np.all(np.isfinite(solved)):
-            raise np.linalg.LinAlgError("non-finite solve result")
+        solved = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        ridge = _TIC_RIDGE * float(np.trace(observed)) / n
-        try:
-            solved = np.linalg.solve(observed + ridge * np.eye(n), sample)
-        except np.linalg.LinAlgError as exc:
-            raise FimSingularError(f"observed FIM singular even after ridge: {exc}") from None
-        if not np.all(np.isfinite(solved)):
-            raise FimSingularError("observed FIM singular even after ridge")
-    return float(np.trace(solved))
+        solved = np.zeros(b.shape)
+        for t in range(len(a)):
+            try:
+                solved[t] = np.linalg.solve(a[t], b[t])
+            except np.linalg.LinAlgError as exc:
+                bad[t] = str(exc)
+    for t in np.flatnonzero(~np.isfinite(solved).all(axis=(-2, -1))):
+        bad.setdefault(int(t), "non-finite solve result")
+    return solved, dict(sorted(bad.items()))
 
 
-def _bic_logdet(observed: np.ndarray) -> float:
-    """log det of an observed information block; non-PD marks the hypothesis
-    unusable. On the production path this is the amplitude Schur complement S.
+def _bic_logdet(
+    observed: np.ndarray,
+) -> tuple[np.ndarray, dict[int, FimSingularError], bool]:
+    """log det of a (T, d, d) stack of observed information blocks, one
+    stacked Cholesky; a non-PD block marks its trial's hypothesis unusable.
+    On the production path these are the amplitude Schur complements S.
 
     Theta holds the entries of M and alpha scales as the data amplitude, so
     scaling the data power by p adds -(2 m + 2) log p (approach A) or
     -2 m log p (approach B) to the whole BIC penalty. Use ``asymptotic-bic``
     for a penalty that does not depend on the unit of the data.
     """
-    try:
-        return logdet_pd(hermitian_part(observed))
-    except NotPositiveDefiniteError as exc:
-        raise FimSingularError(f"observed FIM not positive definite: {exc}") from None
+    low, errors, fell_back = cholesky_stack(hermitian_part(observed))
+    failures = {
+        t: FimSingularError(f"observed FIM not positive definite: {exc}")
+        for t, exc in errors.items()
+    }
+    return logdet_from_cholesky(low), failures, fell_back
 
 
 @dataclass(frozen=True)
@@ -313,6 +366,10 @@ class TrialScores:
     ``failures`` maps (hypothesis number, trial) to the failure that
     excluded that hypothesis. ``chosen`` holds, per trial, the row of the
     chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
+    ``ridge_retries`` counts the trials and hypotheses whose TIC solve was
+    retried with a ridge; ``stack_fallbacks`` counts the stacked
+    factorizations behind this outcome (estimates, and for TIC and BIC the
+    information terms) that fell back to matrix by matrix.
     """
 
     criterion: Criterion
@@ -322,6 +379,8 @@ class TrialScores:
     total: np.ndarray
     failures: dict[tuple[int, int], str]
     chosen: np.ndarray
+    ridge_retries: int = 0
+    stack_fallbacks: int = 0
 
     def scorecard(self, trial: int) -> Scorecard:
         """The scorecard of one trial."""
@@ -390,7 +449,7 @@ def prepare_estimates(data: "Dataset | DatasetStack", approach: Approach) -> dic
     out: dict[Hypothesis, EstimateStack] = {}
     for h in Hypothesis:
         m_hat = estimate_covariance(h, stack)
-        x_hat, logdet, errors = inverse_and_logdet_stack(m_hat)
+        x_hat, logdet, errors, fell_back = inverse_and_logdet_stack(m_hat)
         alpha, alpha_errors = None, {}
         if approach is Approach.A:
             alpha, alpha_errors = estimate_alpha_stack(h, x_hat, *stack.require_cut())
@@ -404,6 +463,7 @@ def prepare_estimates(data: "Dataset | DatasetStack", approach: Approach) -> dic
             alpha_failures={
                 t: _failure_text(exc) for t, exc in alpha_errors.items() if t not in errors
             },
+            fallbacks=int(fell_back),
         )
     if isinstance(data, DatasetStack):
         return out
@@ -472,51 +532,42 @@ def _evaluate(
             broken[(int(h), t)] = message
             fit[i, t] = np.nan
 
-    infos: dict[tuple[int, int], InfoTerms] = {}
-    fim_broken: dict[tuple[int, int], str] = {}
+    infos: dict[Hypothesis, InfoTerms] = {}
     if any(c.needs_fim for c in criteria):
-        for h, est in prepared.items():
-            for t, dataset in enumerate(stack.datasets):
-                if (int(h), t) in broken:
-                    continue
-                try:
-                    infos[(int(h), t)] = information_terms(est.at(t), dataset, approach)
-                except _HYPOTHESIS_FAILURES as exc:
-                    fim_broken[(int(h), t)] = _failure_text(exc)
+        infos = {h: information_terms(est, stack, approach) for h, est in prepared.items()}
+    estimate_fallbacks = sum(est.fallbacks for est in prepared.values())
 
     out: dict[Criterion, TrialScores] = {}
     for criterion in criteria:
         pen = np.full_like(fit, np.nan)
         failures = dict(broken)
+        retries, fallbacks = 0, estimate_fallbacks
         for i, h in enumerate(Hypothesis):
-            kwargs = dict(
-                n_params=counts[i] + alpha_params,
-                m_params=counts[i],
-                k=k,
-                n=n,
-                approach=approach,
-            )
-            if not criterion.needs_fim:
-                try:
-                    pen[i] = penalty(criterion, **kwargs)
-                except _HYPOTHESIS_FAILURES as exc:
-                    for t in range(trials):
-                        failures.setdefault((int(h), t), _failure_text(exc))
+            if criterion.needs_fim:
+                info = infos[h]
+                pen[i], errors, (retried, fell_back) = _information_penalty(criterion, info)
+                retries += retried
+                fallbacks += info.fallbacks + fell_back
+                for t, exc in {**errors, **info.failures}.items():
+                    failures.setdefault((int(h), t), _failure_text(exc))
                 continue
-            for t in range(trials):
-                key = (int(h), t)
-                if key in broken:
-                    continue
-                if key in fim_broken:
-                    failures[key] = fim_broken[key]
-                    continue
-                try:
-                    pen[i, t] = penalty(criterion, info=infos[key], **kwargs)
-                except _HYPOTHESIS_FAILURES as exc:
-                    failures[key] = _failure_text(exc)
+            try:
+                pen[i] = penalty(
+                    criterion,
+                    n_params=counts[i] + alpha_params,
+                    m_params=counts[i],
+                    k=k,
+                    n=n,
+                    approach=approach,
+                )
+            except _HYPOTHESIS_FAILURES as exc:
+                for t in range(trials):
+                    failures.setdefault((int(h), t), _failure_text(exc))
         failed = np.zeros(fit.shape, dtype=bool)
         for h, t in failures:
             failed[h - 1, t] = True
+        if criterion.needs_fim:
+            pen[failed] = np.nan
         total = fit + pen
         out[criterion] = TrialScores(
             criterion=criterion,
@@ -526,5 +577,7 @@ def _evaluate(
             total=total,
             failures=failures,
             chosen=_argmin_batch(total, failed, counts),
+            ridge_retries=retries,
+            stack_fallbacks=fallbacks,
         )
     return out

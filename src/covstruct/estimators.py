@@ -210,7 +210,8 @@ class EstimateStack:
     estimate failed its Cholesky check to the failure message; that trial's
     rows are placeholders. ``alpha_failures`` does the same for a degenerate
     steering energy under approach A, where ``alpha_hat`` is set; under
-    approach B it is None.
+    approach B it is None. ``fallbacks`` counts the stacked factorizations
+    that fell back to matrix by matrix.
     """
 
     hypothesis: Hypothesis
@@ -220,6 +221,7 @@ class EstimateStack:
     alpha_hat: np.ndarray | None
     failures: dict[int, str]
     alpha_failures: dict[int, str]
+    fallbacks: int = 0
 
     def at(self, trial: int) -> "EstimateSet | str":
         """One trial's estimate set (views into the stacks), or its failure."""
@@ -317,6 +319,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _steering_error(denom: float) -> DegenerateSteeringError:
     return DegenerateSteeringError(
-        f"steering energy through the ICM inverse is {denom!r} "
+        f"steering energy through the ICM inverse is {denom:.3e} "
         f"(at or below {_STEERING_FLOOR:g})"
     )

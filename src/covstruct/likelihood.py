@@ -1,4 +1,4 @@
-"""Log-likelihoods, their derivatives, and the information terms of TIC and BIC.
+"""The information terms of the TIC and BIC penalties, batched over trials.
 
 Data model: the cell under test is ``z ~ CN(alpha v, M)`` and the K secondary
 snapshots are ``z_k ~ CN(0, M)``, all independent. With ``X = M^{-1}``,
@@ -8,13 +8,12 @@ log-likelihood over both data sets is::
     s(p) = -(K+1) [N log pi + log det M] - Tr{X S} - Tr{X S_a}
 
 and the secondary-only version drops the CUT term with K in place of K+1.
-
 The covariance enters through the real parameter vector theta of the
-hypothesis (``vec(M) = C theta``, ``M = sum_q theta_q C_q``); under approach A
-the parameters also include the real and imaginary parts of alpha.
+hypothesis (``M = sum_q theta_q C_q``); under approach A the parameters
+also include the real and imaginary parts of alpha.
 
-Production path: :func:`information_terms` gives the TIC trace and the BIC
-log-determinant in N x N matrix space. Every class is a quadratic subspace
+:func:`information_terms` gives the TIC trace and the BIC log-determinant of
+one class for a whole stack of trials. Every class is a quadratic subspace
 whose plug-in estimate is the projection ``P_h`` of S/K (Szatrowski 1980,
 Ann. Statist. 8(4); Jensen 1988, Ann. Statist. 16(1)). So at the plug-in the
 theta-theta observed information is ``K F`` under approach B and
@@ -24,442 +23,303 @@ the class component of ``D_k = X z_k z_k^H X - X``. Under A the rank-2N term
 is handled by Woodbury and the determinant lemma and the amplitude block by a
 2 x 2 Schur complement, so neither information matrix is formed.
 
-Reference path: the theta-basis matrices themselves, which no rule uses
-(``grad_alpha``, the CUT's amplitude score, serves both paths). Derivatives
-follow two branches: the Hermitian one (H1, H3), where the basis columns
-pair with the adjoint of C, and the real-symmetric one (H2, H4), where the
-plain transpose appears and X is real. Two information-matrix estimates are
-built at the plug-in estimates:
+``P_h`` is the mean over a group acting on vectors: ``{id}`` (H1),
+``{id, conj}`` (H2), ``{id, J conj}`` (H3) and ``{id, conj, J, J conj}``
+(H4), with ``P_h(a b^H) = mean_g g(a) g(b)^H``. Every matrix the terms pair
+has rank at most two, so each pairing is a group mean of products of
+N-vector inner products, and no N x N matrix per score is built.
 
-* observed:  minus the analytic Hessian of the full log-likelihood;
-* sample:    the sum of per-snapshot score outer products (the CUT score
-  carries the amplitude block under approach A; secondary scores have a
-  zero amplitude block).
-
-The test suite checks these against finite differences and the matrix-space
-terms against these. Under a correctly specified model the two estimates
-agree asymptotically, which the acceptance suite verifies at large K.
+The test suite's oracle (``tests/oracle.py``) keeps the direct forms: the
+same terms from the projected N x N matrices of one trial, and the
+theta-basis log-likelihoods, their analytic derivatives and the observed
+and sample information matrices, checked against finite differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .estimators import Approach, Dataset, EstimateSet
-from .linalg import cholesky_pd, inverse_and_logdet, logdet_pd, vec
-from .structures import Hypothesis, StructureModel, basis_log_norm, param_count, project
+from .estimators import Approach, DatasetStack, EstimateStack
+from .linalg import cholesky_stack, logdet_from_cholesky
+from .structures import Hypothesis, basis_log_norm, param_count
 
-__all__ = [
-    "InfoTerms",
-    "information_terms",
-    "FimPair",
-    "loglik_cut",
-    "loglik_secondary",
-    "loglik_full",
-    "snapshot_scores",
-    "grad_alpha",
-    "hessian_theta_theta",
-    "hessian_alpha_theta",
-    "hessian_alpha_alpha",
-    "observed_fim",
-    "sample_fim",
-    "fim_pair",
-]
-
-_LOG_PI = float(np.log(np.pi))
-
-# Derivative assembly must land on the real axis; a larger leftover imaginary
-# part means the conjugation branch does not match the hypothesis.
-_IMAG_RTOL = 1e-9
-
-
-def _real_checked(a: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(a)
-    if not np.iscomplexobj(a):
-        return np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a.real)))) if a.size else 1.0
-    worst = float(np.max(np.abs(a.imag))) if a.size else 0.0
-    if worst > _IMAG_RTOL * scale:
-        raise ValueError(
-            f"{what}: imaginary residue {worst:.3e} exceeds "
-            f"{_IMAG_RTOL:.0e} * {scale:.3e}; conjugation branch mismatch"
-        )
-    return a.real.copy()
-
-
-def _quad_form(x: np.ndarray, r: np.ndarray) -> float:
-    """r^H X r as a float (X Hermitian)."""
-    return float(np.real(r.conj() @ x @ r))
-
-
-def _trace_product(x: np.ndarray, s: np.ndarray) -> float:
-    """Tr{X S} as a float (both Hermitian)."""
-    return float(np.real(np.einsum("ij,ji->", x, s)))
-
-
-def loglik_cut(
-    model: StructureModel,
-    theta: np.ndarray,
-    alpha: complex,
-    cut: np.ndarray,
-    steering: np.ndarray,
-) -> float:
-    """Log-likelihood of the CUT alone at (theta, alpha)."""
-    x, logdet = inverse_and_logdet(model.decode(theta))
-    alpha = complex(alpha)
-    r = np.asarray(cut, dtype=complex) - alpha * np.asarray(steering, dtype=complex)
-    return -model.n * _LOG_PI - logdet - _quad_form(x, r)
-
-
-def loglik_secondary(model: StructureModel, theta: np.ndarray, secondary: np.ndarray) -> float:
-    """Log-likelihood of the secondary snapshots at theta."""
-    z = np.asarray(secondary, dtype=complex)
-    k = z.shape[1]
-    x, logdet = inverse_and_logdet(model.decode(theta))
-    s = z @ z.conj().T
-    return -k * (model.n * _LOG_PI + logdet) - _trace_product(x, s)
-
-
-def loglik_full(
-    model: StructureModel,
-    theta: np.ndarray,
-    alpha: complex,
-    cut: np.ndarray,
-    secondary: np.ndarray,
-    steering: np.ndarray,
-) -> float:
-    """Joint log-likelihood of CUT plus secondary data at (theta, alpha)."""
-    return loglik_cut(model, theta, alpha, cut, steering) + loglik_secondary(
-        model, theta, secondary
-    )
-
-
-def snapshot_scores(
-    model: StructureModel, x: np.ndarray, snapshots: np.ndarray
-) -> np.ndarray:
-    """Per-snapshot theta scores, evaluated through X = M^{-1}; shape (m, cols).
-
-    Column k is d/d theta of ``-log det M - z_k^H X z_k`` at M = M(theta):
-
-    Hermitian branch:  C^H vec(X z_k z_k^H X) - conj(C^H vec X)
-    Symmetric branch:  C^T [vec(X z_k z_k^H X) - vec X], X real.
-    """
-    c = model.constraint
-    w = x @ snapshots  # N x cols
-    n, k = w.shape
-    # Column k of `outer` is vec((X z_k)(X z_k)^H) in column-stacked order.
-    outer = (w.conj()[:, None, :] * w[None, :, :]).reshape(n * n, k)
-    if model.hypothesis.is_real:
-        term = c.T @ (outer - vec(x)[:, None])
-    else:
-        term = c.conj().T @ outer - np.conj(c.conj().T @ vec(x))[:, None]
-    return _real_checked(term, f"snapshot scores ({model.hypothesis.name})")
+__all__ = ["InfoTerms", "information_terms", "grad_alpha"]
 
 
 def grad_alpha(
-    x: np.ndarray, alpha: complex, cut: np.ndarray, steering: np.ndarray
+    x: np.ndarray, alpha, cut: np.ndarray, steering: np.ndarray
 ) -> np.ndarray:
-    """Score of the CUT w.r.t. [Re alpha, Im alpha]. Shape (2,)."""
-    alpha = complex(alpha)
+    """Score of the CUT w.r.t. [Re alpha, Im alpha], shape (..., 2).
+
+    Takes one trial or a stack: (..., N, N) ``x``, (...) ``alpha`` and
+    (..., N) ``cut`` and ``steering``.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
     v = np.asarray(steering, dtype=complex)
-    z = np.asarray(cut, dtype=complex)
-    energy = _quad_form(x, v)
-    zxv = complex(z.conj() @ x @ v)
-    return np.array(
-        [
-            2.0 * (-alpha.real * energy + zxv.real),
-            2.0 * (-alpha.imag * energy - zxv.imag),
-        ]
-    )
-
-
-def hessian_theta_theta(
-    model: StructureModel, x: np.ndarray, g: np.ndarray, count: float
-) -> np.ndarray:
-    """theta-theta block of the log-likelihood Hessian.
-
-    ``g`` is the accumulated outer-product matrix of every snapshot entering
-    the likelihood (S + S_a jointly, S alone for secondary-only) and ``count``
-    the matching number of snapshots (K + 1 or K).
-    """
-    c = model.constraint
-    xgx = x @ g @ x
-    inner = count * x - xgx
-    if model.hypothesis.is_real:
-        block = np.kron(x, inner) - np.kron(x @ g.conj() @ x, x)
-        out = c.T @ block @ c
-    else:
-        block = np.kron(x.conj(), inner) - np.kron(xgx.conj(), x)
-        out = c.conj().T @ block @ c
-    return _real_checked(out, f"theta-theta Hessian ({model.hypothesis.name})")
-
-
-def hessian_alpha_theta(
-    model: StructureModel,
-    x: np.ndarray,
-    alpha: complex,
-    cut: np.ndarray,
-    steering: np.ndarray,
-) -> np.ndarray:
-    """alpha-theta block of the joint Hessian, shape (2, m).
-
-    Row 0 differentiates the Re-alpha score, row 1 the Im-alpha score; both
-    reduce to adjoint products against rank-one matrices built from X v and
-    X z.
-    """
-    c = model.constraint
-    alpha = complex(alpha)
-    v = np.asarray(steering, dtype=complex)
-    z = np.asarray(cut, dtype=complex)
-    u = x @ v
-    w = x @ z
-    uu = np.outer(u, u.conj())
-    uw = np.outer(u, w.conj())
-    if model.hypothesis.is_real:
-        t_vv = c.T @ vec(uu)
-        t_vz = c.T @ vec(uw)
-    else:
-        t_vv = c.conj().T @ vec(uu)
-        t_vz = c.conj().T @ vec(uw)
-    row_re = 2.0 * alpha.real * t_vv - 2.0 * t_vz.real
-    row_im = 2.0 * alpha.imag * t_vv + 2.0 * t_vz.imag
-    out = np.vstack([row_re, row_im])
-    return _real_checked(out, f"alpha-theta Hessian ({model.hypothesis.name})")
-
-
-def hessian_alpha_alpha(x: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """alpha-alpha block: -2 (v^H X v) I_2."""
-    v = np.asarray(steering, dtype=complex)
-    return -2.0 * _quad_form(x, v) * np.eye(2)
-
-
-@dataclass(frozen=True)
-class FimPair:
-    """Observed and sample information matrices at the plug-in estimates."""
-
-    observed: np.ndarray
-    sample: np.ndarray
-
-    @property
-    def n_params(self) -> int:
-        return self.observed.shape[0]
-
-
-def observed_fim(
-    model: StructureModel,
-    estimate: EstimateSet,
-    dataset: Dataset,
-    approach: Approach,
-) -> np.ndarray:
-    """Minus the analytic Hessian of the governing log-likelihood.
-
-    Approach A stacks theta with [Re alpha, Im alpha] and uses K+1 snapshot
-    terms; approach B keeps theta only with K terms.
-    """
-    approach = Approach.parse(approach)
-    x = estimate.x_hat
-    s = dataset.scatter
-
-    if approach is Approach.B:
-        h_tt = hessian_theta_theta(model, x, s, float(dataset.k))
-        return -h_tt
-
-    cut, steering = dataset.require_cut()
-    alpha = estimate.alpha_hat
-    if alpha is None:
-        raise ValueError("approach A needs alpha_hat on the estimate set")
-    resid = cut - alpha * steering
-    s_a = np.outer(resid, resid.conj())
-    h_tt = hessian_theta_theta(model, x, s + s_a, float(dataset.k + 1))
-    h_at = hessian_alpha_theta(model, x, alpha, cut, steering)
-    h_aa = hessian_alpha_alpha(x, steering)
-    m = model.m
-    full = np.empty((m + 2, m + 2))
-    full[:m, :m] = h_tt
-    full[m:, :m] = h_at
-    full[:m, m:] = h_at.T
-    full[m:, m:] = h_aa
-    return -full
-
-
-def sample_fim(
-    model: StructureModel,
-    estimate: EstimateSet,
-    dataset: Dataset,
-    approach: Approach,
-) -> np.ndarray:
-    """Sum of per-snapshot score outer products at the plug-in estimates.
-
-    This is ``G G^T`` with one score column per snapshot. Secondary snapshots
-    contribute theta scores only; under approach A the CUT adds the column of
-    ``z - alpha v`` whose amplitude rows hold the alpha gradient, so G is
-    (m+2) x (K+1).
-    """
-    approach = Approach.parse(approach)
-    x = estimate.x_hat
-    if approach is Approach.B:
-        g = snapshot_scores(model, x, dataset.secondary)
-        return g @ g.T
-
-    cut, steering = dataset.require_cut()
-    alpha = estimate.alpha_hat
-    if alpha is None:
-        raise ValueError("approach A needs alpha_hat on the estimate set")
-    resid = cut - alpha * steering
-    m, k = model.m, dataset.k
-    g = np.zeros((m + 2, k + 1))
-    g[:m] = snapshot_scores(model, x, np.column_stack([dataset.secondary, resid]))
-    g[m:, k] = grad_alpha(x, alpha, cut, steering)
-    return g @ g.T
-
-
-def fim_pair(
-    model: StructureModel,
-    estimate: EstimateSet,
-    dataset: Dataset,
-    approach: Approach,
-) -> FimPair:
-    """Observed and sample information matrices for one hypothesis."""
-    return FimPair(
-        observed=observed_fim(model, estimate, dataset, approach),
-        sample=sample_fim(model, estimate, dataset, approach),
+    u = _matvec(np.asarray(x), v)
+    energy = _dot(v.conj(), u).real
+    zxv = _dot(np.asarray(cut, dtype=complex).conj(), u)
+    return 2.0 * np.stack(
+        [-alpha.real * energy + zxv.real, -alpha.imag * energy - zxv.imag], axis=-1
     )
 
 
 @dataclass(frozen=True)
 class InfoTerms:
-    """Information terms of the TIC and BIC penalties for one hypothesis.
+    """Information terms of the TIC and BIC penalties for one hypothesis over
+    a stack of T trials.
 
     Q is the theta-theta block of the observed information I and G the
-    score matrix (one column per snapshot, as in :func:`sample_fim`), so
-    ``J = G G^T``. ``theta_trace`` is ``sum_cols g_theta^T Q^{-1} g_theta`` and
-    ``theta_logdet`` is ``log det Q``. Under approach A, ``schur`` is the
-    2 x 2 pair ``(S, Y Y^T)``: S is the Schur complement
-    ``2 (v^H X v) I_2 - B^T Q^{-1} B`` of Q, with B the theta-alpha block of
-    I, and ``Y = B^T Q^{-1} G_theta - G_alpha``. Then
+    score matrix (one column per secondary snapshot, plus the CUT's under
+    approach A), so ``J = G G^T``. ``theta_trace`` holds ``sum_cols g_theta^T Q^{-1} g_theta``
+    and ``theta_logdet`` holds ``log det Q``, both (T,). Under approach A,
+    ``schur`` is the pair of (T, 2, 2) stacks ``(S, Y Y^T)``: S is the Schur
+    complement ``2 (v^H X v) I_2 - B^T Q^{-1} B`` of Q, with B the
+    theta-alpha block of I, and ``Y = B^T Q^{-1} G_theta - G_alpha``. Then
     ``Tr(J I^{-1}) = theta_trace + Tr(S^{-1} Y Y^T)`` and
     ``log det I = theta_logdet + log det S``. Under approach B, I = Q and
     ``schur`` is None.
+
+    ``failures`` maps each trial whose terms could not be formed to its
+    error. Those trials, and the trials whose estimate had already failed,
+    hold placeholders: zero terms and the pair ``(I_2, 0)``. ``fallbacks``
+    counts the stacked factorizations that fell back to matrix by matrix.
     """
 
-    theta_trace: float
-    theta_logdet: float
+    theta_trace: np.ndarray
+    theta_logdet: np.ndarray
     schur: tuple[np.ndarray, np.ndarray] | None = None
+    failures: dict[int, Exception] = field(default_factory=dict)
+    fallbacks: int = 0
+
+
+# Each class's projection is the average over a group acting on vectors,
+# P_h(a b^H) = mean_g g(a) g(b)^H. An element (flip, conjugate) maps a to
+# J a and/or conj(a).
+_VECTOR_GROUPS = {
+    Hypothesis.H1: ((False, False),),
+    Hypothesis.H2: ((False, False), (False, True)),
+    Hypothesis.H3: ((False, False), (True, True)),
+    Hypothesis.H4: ((False, False), (False, True), (True, False), (True, True)),
+}
+
+
+def _images(group, a: np.ndarray) -> np.ndarray:
+    """``g(a)`` for every element g of a vector group: a (..., N) stack of
+    vectors gives the (..., G, N) stack of their images."""
+    a_conj = a.conj()
+    images = []
+    for flip, conj in group:
+        image = a_conj if conj else a
+        images.append(image[..., ::-1] if flip else image)
+    return np.stack(images, axis=-2)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_i a_i b_i`` along the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a_j b`` for every vector a_j of a (T, J, G, N) stack against the
+    (T, N, P) matrix b of its trial: the (T, J, G, P) products."""
+    t, j, g, n = a.shape
+    return (a.reshape(t, j * g, n) @ b).reshape(t, j, g, b.shape[-1])
+
+
+def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a b`` of a (..., J, N) stack of matrices and a (..., N) one of vectors."""
+    return (a @ b[..., None])[..., 0]
 
 
 def information_terms(
-    estimate: EstimateSet, dataset: Dataset, approach: Approach
+    estimate: EstimateStack, stack: DatasetStack, approach: Approach
 ) -> InfoTerms:
-    """TIC and BIC information terms at the plug-in estimates, in matrix space.
+    """TIC and BIC information terms at the plug-in estimates, for a stack.
 
-    Approach B: ``Q = K F``, so ``theta_trace = (1/K) sum_k <P(D_k), M P(D_k) M>``
-    with ``<A, B> = Re Tr(AB)`` and ``theta_logdet = m log K + log det F``.
+    Every class is a quadratic subspace whose plug-in estimate is the
+    projection ``P`` of S/K, and ``P`` is the mean over a group acting on
+    vectors (:data:`_VECTOR_GROUPS`). ``X`` and ``M`` lie in the class, so
+    ``M P(a b^H) M = mean_g g(M a) g(M b)^H``, and each inner product
+    ``<A, B> = Re Tr(AB)`` of such terms is a group mean of products of
+    N-vector inner products. With ``w_k = X z_k`` and ``D_k = w_k w_k^H - X``:
+
+    Approach B: ``Q = K F`` with ``F_pq = Re Tr(X C_p X C_q)``, so
+    ``theta_trace = (1/K) sum_k <P(D_k), M P(D_k) M>
+    = (1/K) sum_k [mean_g |z_k^H g(w_k)|^2 - 2 z_k^H w_k + N]`` and
+    ``theta_logdet = m log K + log det F``.
 
     Approach A: ``Q = (K-1) F + A^T (2 X~) A`` where A maps theta to the real
-    form of ``M(theta) w``, ``w = X (z - alpha v)``, and X~ is the 2N x 2N
-    real form of X. ``Q^{-1}`` is applied by Woodbury through the 2N x 2N
-    capacitance ``M~ / 2 + A ((K-1) F)^{-1} A^T`` and ``log det Q`` follows
-    from the matrix determinant lemma. The score columns are the K
-    snapshots' ``D_k`` and the CUT's ``w w^H - X``; the alpha border B has
-    the columns ``u w^H + w u^H`` and ``i (u w^H - w u^H)``, ``u = X v``.
+    form of ``M(theta) w``, ``w = X r`` with ``r = z - alpha v``, and X~ is the
+    2N x 2N real form of X. ``Q^{-1}`` is applied by Woodbury through the
+    2N x 2N capacitance ``M~ / 2 + A ((K-1) F)^{-1} A^T`` and ``log det Q``
+    follows from the matrix determinant lemma. The score columns are the K
+    snapshots' ``D_k`` and the CUT's ``w w^H - X``; the alpha border has the
+    columns ``u w^H + w u^H`` and ``i (u w^H - w u^H)``, ``u = X v``, and the
+    capacitance those of ``(b w^H + w b^H) / 2`` for ``b = e_j, i e_j``. Each
+    is rank one or two, so ``t w`` with ``t = M P(.) M / (K-1)`` and every
+    pairing are group means over ``z_k``, ``r``, ``v``, ``u``, ``w`` and the
+    columns of M. One stacked Cholesky of the capacitances gives their log
+    determinants and the positive-definiteness check, and one stacked solve
+    applies their inverses.
+
+    Trials whose estimate failed (and, under A, whose amplitude did) are
+    skipped and hold placeholders; see :class:`InfoTerms`.
     """
     approach = Approach.parse(approach)
-    h, n, k = estimate.hypothesis, dataset.n, dataset.k
-    m, m_hat, x = param_count(h, n), estimate.m_hat, estimate.x_hat
-    logdet_f = basis_log_norm(h, n) - _sandwich_logdet(h, m_hat, estimate.logdet)
-    w = x @ dataset.secondary
+    h, n, k, trials = estimate.hypothesis, stack.n, stack.k, len(stack)
+    dead = set(estimate.failures)
+    if approach is Approach.A:
+        if estimate.alpha_hat is None:
+            raise ValueError("approach A needs alpha_hat on the estimate stack")
+        cut, steering = stack.require_cut()
+        dead |= set(estimate.alpha_failures)
+    live = np.array([t for t in range(trials) if t not in dead], dtype=int)
+    if len(live) == trials:
+        pick = lambda a: a  # noqa: E731
+    else:
+        pick = lambda a: a[live]  # noqa: E731
+
+    m, group = param_count(h, n), _VECTOR_GROUPS[h]
+    m_hat, x, logdet = pick(estimate.m_hat), pick(estimate.x_hat), pick(estimate.logdet)
+    sandwich, failures, fallbacks = _sandwich_logdet(h, m_hat, logdet)
+    logdet_f = basis_log_norm(h, n) - sandwich
+    # Score rows: snapshot k in row k (z_k, w_k = X z_k), and under approach
+    # A the CUT's r = z - alpha v and X r in row K. With images g(row) along
+    # axis 2, q = g(row)^H (X row), whose mean |q|^2 - 2 Re q_id + N is
+    # <P(D), M P(D) M> for the row's D = (X row)(X row)^H - X.
+    z = pick(stack.secondary).swapaxes(-1, -2)
     if approach is Approach.B:
-        p = project(h, np.einsum("ik,jk->kij", w, w.conj()) - x)
-        quad = _inner(p, m_hat @ p @ m_hat)
-        return InfoTerms(float(np.sum(quad)) / k, m * math.log(k) + logdet_f)
+        rows, x_rows = z, z @ x.swapaxes(-1, -2)
+    else:
+        cut, v, alpha = pick(cut), pick(steering), pick(estimate.alpha_hat)
+        r = cut - alpha[:, None] * v
+        rows = np.concatenate([z, r[:, None]], axis=1)
+        x_rows = rows @ x.swapaxes(-1, -2)
+    images = _images(group, rows)
+    images_conj = images.conj()
+    q = _matvec(images_conj, x_rows)
+    quad = np.mean(np.abs(q) ** 2, axis=-1) - 2.0 * q[..., 0].real + n
+    if approach is Approach.B:
+        terms = (np.sum(quad, axis=-1) / k, m * math.log(k) + logdet_f, None)
+        return _place(terms, live, trials, failures, fallbacks)
 
-    cut, steering = dataset.require_cut()
-    alpha = estimate.alpha_hat
-    if alpha is None:
-        raise ValueError("approach A needs alpha_hat on the estimate set")
-    w_cut = x @ (cut - alpha * steering)
-    u = x @ steering
-    # Rows 0..K are the score matrices, K+1 and K+2 the alpha border, then
-    # the 2N matrices (b w^H + w b^H)/2 for b = e_j and b = i e_j, whose
-    # images under A ((K-1) F)^{-1} A^T are the capacitance columns.
-    stack = np.empty((k + 3 + 2 * n, n, n), dtype=complex)
-    stack[:k] = np.einsum("ik,jk->kij", w, w.conj()) - x
-    stack[k] = np.outer(w_cut, w_cut.conj()) - x
-    uw = np.outer(u, w_cut.conj())
-    stack[k + 1] = uw + uw.conj().T
-    stack[k + 2] = 1j * (uw - uw.conj().T)
-    ew = np.eye(n)[:, :, None] * w_cut.conj()
-    we = ew.conj().transpose(0, 2, 1)
-    stack[k + 3 : k + 3 + n] = 0.5 * (ew + we)
-    stack[k + 3 + n :] = 0.5j * (ew - we)
+    xr, u = x_rows[:, k], _matvec(x, v)
+    km1, size = k - 1, len(group)
+    xr_u = np.stack([xr, u], axis=-1)
+    # Per row and element: g(row)^H X r and g(row)^H u; c = g(r)^H X r.
+    proj = _matmul_rows(images_conj, xr_u)
+    c, ru = proj[:, k, :, 0], proj[:, k, :, 1]
 
-    scores, border, first = slice(0, k + 1), slice(k + 1, k + 3), k + 3
+    # The alpha border and the capacitance columns are b' (X r)^H + X r b'^H
+    # (halved for the capacitance) with M b' = b for the rows b of `basis`:
+    # v, i v, the columns of M and i times them. M P(.) M X r is then
+    # mean_g g(b) c_g + g(r) g(b)^H X r.
+    columns = m_hat.swapaxes(-1, -2)
+    basis = np.concatenate([v[:, None], 1j * v[:, None], columns, 1j * columns], axis=1)
+    b_images = _images(group, basis)
+    b_proj = _matmul_rows(b_images.conj(), xr_u)
+    b_tw = ((c[:, None, None] @ b_images)[:, :, 0] + b_proj[..., 0] @ images[:, k]) / (
+        size * km1
+    )
 
-    # With D_i = stack[i] and g_i its theta gradient, t_i = M P(D_i) M / (K-1)
-    # is ((K-1) F)^{-1} g_i in matrix form and a_i = A t_i in real form.
-    p = project(h, stack)
-    t = m_hat @ p @ m_hat / (k - 1)
-    tw = t @ w_cut
-    a = np.concatenate([tw.real, tw.imag], axis=1)
-    cap = 0.5 * _real_form(m_hat) + a[first:].T
-    low = cholesky_pd(0.5 * (cap + cap.T))
-    logdet_cap = 2.0 * float(np.sum(np.log(low.diagonal())))
-    solved = scipy.linalg.cho_solve((low, True), a[:first].T)
+    # Rows 0..K-1 the snapshots, K the CUT, K+1 and K+2 the alpha border:
+    # tw holds t_i X r with t_i = M P(D_i) M / (K-1), and wtu (X r)^H t_i u.
+    tw = ((proj[..., None, :, 0] @ images)[..., 0, :] / size - r[:, None]) / km1
+    tw = np.concatenate([tw, b_tw[:, :2]], axis=1)
+    wtu = np.mean(proj[..., 0].conj() * proj[..., 1], axis=-1) - _dot(xr.conj(), v)[:, None]
+    b_wtu = np.mean(
+        b_proj[:, :2, :, 0].conj() * ru[:, None] + c.conj()[:, None] * b_proj[:, :2, :, 1],
+        axis=-1,
+    )
+    wtu = np.concatenate([wtu, b_wtu], axis=1) / km1
+    a = np.concatenate([tw.real, tw.imag], axis=-1)
+
+    cols = 0.5 * b_tw[:, 2:]
+    cap = 0.5 * _real_form(m_hat) + np.concatenate([cols.real, cols.imag], axis=-1).swapaxes(
+        -1, -2
+    )
+    cap = 0.5 * (cap + cap.swapaxes(-1, -2))
+    low, errors, fell_back = cholesky_stack(cap)
+    if errors:
+        cap[list(errors)] = np.eye(2 * n)
+    solved = np.linalg.solve(cap, a.swapaxes(-1, -2))
 
     # Woodbury: g_i^T Q^{-1} g_j = <P(D_i), t_j> - a_i^T cap^{-1} a_j.
-    quad = _inner(p[scores], t[scores]) - np.einsum(
-        "ci,ic->c", a[scores], solved[:, scores]
+    scores = slice(0, k + 1)
+    theta_trace = np.sum(quad, axis=-1) / km1 - np.sum(
+        a[:, scores] * solved[..., scores].swapaxes(-1, -2), axis=(-2, -1)
     )
-    cross = np.einsum("bij,cji->bc", p[border], t[:first]).real - a[border] @ solved
-    schur = 2.0 * float(np.real(steering.conj() @ u)) * np.eye(2) - cross[:, border]
-    y = cross[:, scores].copy()
-    y[:, k] -= grad_alpha(x, alpha, cut, steering)
+    cross = np.stack([2.0 * wtu.real, -2.0 * wtu.imag], axis=1) - a[:, k + 1 :] @ solved
+    schur = 2.0 * _dot(v.conj(), u).real[:, None, None] * np.eye(2) - cross[..., k + 1 :]
+    y = cross[..., scores].copy()
+    y[..., k] -= grad_alpha(x, alpha, cut, v)
     theta_logdet = (
-        m * math.log(k - 1)
+        m * math.log(km1)
         + logdet_f
         + 2 * n * math.log(2.0)
-        - 2.0 * estimate.logdet
-        + logdet_cap
+        - 2.0 * logdet
+        + logdet_from_cholesky(low)
     )
-    return InfoTerms(
-        float(np.sum(quad)), theta_logdet, (0.5 * (schur + schur.T), y @ y.T)
+    terms = (
+        theta_trace,
+        theta_logdet,
+        (0.5 * (schur + schur.swapaxes(-1, -2)), y @ y.swapaxes(-1, -2)),
     )
+    return _place(terms, live, trials, {**errors, **failures}, fallbacks + fell_back)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(A B) over the last two axes."""
-    return np.einsum("...ij,...ji->...", a, b).real
+def _place(terms, live, trials, failures, fallbacks) -> InfoTerms:
+    """InfoTerms over all T trials from the terms of the ``live`` ones, with
+    placeholders for the others and for the live trials in ``failures``."""
+    trace, logdet, schur = terms
+    failures = {int(live[t]): exc for t, exc in failures.items()}
+    if len(live) == trials and not failures:
+        return InfoTerms(trace, logdet, schur, {}, int(fallbacks))
+    ok = np.setdiff1d(live, list(failures))
+    rows = np.isin(live, ok)
+    full_trace, full_logdet = np.zeros(trials), np.zeros(trials)
+    full_trace[ok], full_logdet[ok] = trace[rows], logdet[rows]
+    if schur is not None:
+        observed = np.broadcast_to(np.eye(2), (trials, 2, 2)).copy()
+        sample = np.zeros((trials, 2, 2))
+        observed[ok], sample[ok] = schur[0][rows], schur[1][rows]
+        schur = (observed, sample)
+    return InfoTerms(full_trace, full_logdet, schur, failures, int(fallbacks))
 
 
 def _real_form(a: np.ndarray) -> np.ndarray:
-    """2N x 2N real matrix acting on [Re y; Im y] as A acts on y."""
-    n = a.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = out[n:, n:] = a.real
-    out[n:, :n] = np.imag(a)
-    out[:n, n:] = -out[n:, :n]
+    """2N x 2N real matrices acting on [Re y; Im y] as each A acts on y."""
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = a.real
+    out[..., n:, :n] = np.imag(a)
+    out[..., :n, n:] = -out[..., n:, :n]
     return out
 
 
-def _sandwich_logdet(hypothesis: Hypothesis, m_hat: np.ndarray, logdet: float) -> float:
-    """log det of ``U -> M U M`` on the class, in an orthonormal basis.
+def _sandwich_logdet(
+    hypothesis: Hypothesis, m_hat: np.ndarray, logdet: np.ndarray
+) -> tuple[np.ndarray, dict[int, Exception], bool]:
+    """log det of ``U -> M U M`` on the class, in an orthonormal basis, over a
+    (T, N, N) stack.
 
     ``logdet`` is ``log det M``. The result is ``2N log det M`` on the
     Hermitian matrices, ``(N+1) log det M`` on the real symmetric ones and on
     the centrohermitian ones (unitarily equivalent to real symmetric), and
     for H4 the sum over the blocks of M on the J-even and J-odd vectors,
     ``(n_e + 1) log det M_e + (n_o + 1) log det M_o``. So ``log det F`` is
-    ``sum_q log ||C_q||^2`` minus this.
+    ``sum_q log ||C_q||^2`` minus this. Also returns the per-trial errors and
+    the fallback flag of the blocks' stacked Cholesky (:func:`cholesky_stack`).
     """
-    n = m_hat.shape[0]
+    n = m_hat.shape[-1]
     if hypothesis is Hypothesis.H1:
-        return 2 * n * logdet
+        return 2 * n * logdet, {}, False
     if hypothesis is not Hypothesis.H4:
-        return (n + 1) * logdet
+        return (n + 1) * logdet, {}, False
     half = n // 2
     eye = np.eye(n)
     pairs = eye[:, :half], eye[:, ::-1][:, :half]
@@ -467,7 +327,10 @@ def _sandwich_logdet(hypothesis: Hypothesis, m_hat: np.ndarray, logdet: float) -
     odd = math.sqrt(0.5) * (pairs[0] - pairs[1])
     if n % 2:
         even = np.column_stack([even, eye[:, half]])
-    return sum(
-        (basis.shape[1] + 1) * logdet_pd(basis.T @ m_hat @ basis)
-        for basis in (even, odd)
-    )
+    total, errors, fell_back = 0.0, {}, False
+    for basis in (even, odd):
+        low, block_errors, block_fell_back = cholesky_stack(basis.T @ m_hat @ basis)
+        total = total + (basis.shape[1] + 1) * logdet_from_cholesky(low)
+        errors = {**block_errors, **errors}
+        fell_back = fell_back or block_fell_back
+    return total, errors, fell_back

@@ -23,6 +23,8 @@ __all__ = [
     "logdet_pd",
     "invert_pd",
     "inverse_and_logdet",
+    "cholesky_stack",
+    "logdet_from_cholesky",
     "inverse_and_logdet_stack",
 ]
 
@@ -99,8 +101,7 @@ def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
 
 def logdet_pd(m: np.ndarray) -> float:
     """log-determinant of a Hermitian positive-definite matrix via Cholesky."""
-    low = cholesky_pd(m)
-    return 2.0 * float(np.sum(np.log(low.diagonal().real)))
+    return float(logdet_from_cholesky(cholesky_pd(m)))
 
 
 def invert_pd(m: np.ndarray) -> np.ndarray:
@@ -112,32 +113,31 @@ def inverse_and_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Hermitian inverse and log-determinant of a Hermitian PD matrix; raises
     NotPositiveDefiniteError as :func:`cholesky_pd` does. One matrix of
     :func:`inverse_and_logdet_stack`."""
-    x, logdet, errors = inverse_and_logdet_stack(np.asarray(m)[None])
+    x, logdet, errors, _ = inverse_and_logdet_stack(np.asarray(m)[None])
     if errors:
         raise errors[0]
     return x[0], float(logdet[0])
 
 
-def inverse_and_logdet_stack(
+def cholesky_stack(
     m: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict[int, NotPositiveDefiniteError]]:
-    """Hermitian inverses and log-determinants of a (T, N, N) stack.
+) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError], bool]:
+    """Lower Cholesky factors of a (T, N, N) stack, checked as :func:`cholesky_pd`.
 
-    One stacked Cholesky gives the log-determinants and the positive-
-    definiteness check of :func:`cholesky_pd`; one stacked inverse gives X.
-    Returns ``(x, logdet, errors)``: ``errors`` maps the index of each matrix
-    that fails the check to the error :func:`cholesky_pd` raises for it
-    alone, and that matrix's rows of ``x`` and ``logdet`` are placeholders.
-    The other matrices are unaffected: the stacked calls factor each matrix
-    on its own, so every result is bit-identical to a stack of one.
+    Returns ``(low, errors, fell_back)``. ``errors`` maps the index of each
+    matrix that fails the check to the error :func:`cholesky_pd` raises for
+    it alone; that matrix's factor is the identity. numpy refuses the whole
+    stack when any one factor breaks down, and then the stack is factored
+    matrix by matrix; ``fell_back`` says so. Either way each matrix is
+    factored on its own, so every factor is bit-identical to a stack of one.
     """
     m = np.asarray(m)
     errors: dict[int, NotPositiveDefiniteError] = {}
+    fell_back = False
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        # numpy raises for the whole stack when any one factor breaks down,
-        # so factor matrix by matrix for the failing ones' messages.
+        fell_back = True
         low = np.empty_like(m)
         for t, matrix in enumerate(m):
             try:
@@ -150,10 +150,30 @@ def inverse_and_logdet_stack(
         for t in np.flatnonzero(pivot <= _PIVOT_RTOL * diag_max):
             errors[int(t)] = _pivot_error(pivot[t], diag_max[t])
     if errors:
-        bad = list(errors)
-        eye = np.eye(m.shape[-1], dtype=m.dtype)
-        low[bad] = eye
+        low[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
+    return low, errors, fell_back
+
+
+def logdet_from_cholesky(low: np.ndarray) -> np.ndarray:
+    """log det of each matrix of a stack from its lower Cholesky factor."""
+    return 2.0 * np.sum(np.log(low.diagonal(axis1=-2, axis2=-1).real), axis=-1)
+
+
+def inverse_and_logdet_stack(
+    m: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, dict[int, NotPositiveDefiniteError], bool]:
+    """Hermitian inverses and log-determinants of a (T, N, N) stack.
+
+    One stacked Cholesky (:func:`cholesky_stack`) gives the log-determinants
+    and the positive-definiteness check; one stacked inverse gives X.
+    Returns ``(x, logdet, errors, fell_back)`` with ``errors`` and
+    ``fell_back`` as :func:`cholesky_stack` gives them; a failing matrix's
+    rows of ``x`` and ``logdet`` are placeholders. The other matrices are
+    unaffected: every result is bit-identical to a stack of one.
+    """
+    m = np.asarray(m)
+    low, errors, fell_back = cholesky_stack(m)
+    if errors:
         m = m.copy()
-        m[bad] = eye
-    logdet = 2.0 * np.sum(np.log(low.diagonal(axis1=-2, axis2=-1).real), axis=-1)
-    return hermitian_part(np.linalg.inv(m)), logdet, errors
+        m[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
+    return hermitian_part(np.linalg.inv(m)), logdet_from_cholesky(low), errors, fell_back

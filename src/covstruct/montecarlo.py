@@ -164,12 +164,20 @@ class FailureRecord:
 
 @dataclass(frozen=True)
 class PccReport:
-    """Campaign result: per-cell tallies plus the failure log."""
+    """Campaign result: per-cell tallies plus the failure log.
+
+    ``fallbacks`` maps (criterion key, approach) to the summed
+    ``(ridge_retries, stack_fallbacks)`` of every block's
+    :class:`~covstruct.criteria.TrialScores`. A stack fallback is counted
+    once per stacked call, so that count depends on how the trials were
+    blocked; the retries do not.
+    """
 
     config: CampaignConfig
     cells: dict[tuple[str, str, int, int], CellStats] = field(repr=False)
     failures: tuple[FailureRecord, ...] = ()
     elapsed_seconds: float = 0.0
+    fallbacks: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict)
 
     def cell(
         self, criterion, approach, truth, k: int
@@ -214,7 +222,7 @@ def _frozen_truth_rng(master_seed: int, truth: Hypothesis):
     return np.random.default_rng(seq)
 
 
-def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
+def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:
     """Worker body: classify trials [lo, hi) of one cell, return raw tallies.
 
     Trials draw one by one from their own streams, then each block of them
@@ -240,6 +248,7 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
         for c in config.criteria
         for a in config.approaches
     }
+    fallbacks = {key: np.zeros(2, dtype=np.int64) for key in counts}
     failures: list[FailureRecord] = []
 
     block = max(1, _BLOCK_ENTRIES // (scenario.n * k))
@@ -253,9 +262,9 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
         for approach, by_rule in scores.items():
             seen: set[tuple[tuple[int, int], str]] = set()
             for criterion, outcome in by_rule.items():
-                counts[(criterion.key, approach.value)] += np.bincount(
-                    outcome.chosen, minlength=5
-                )
+                key = (criterion.key, approach.value)
+                counts[key] += np.bincount(outcome.chosen, minlength=5)
+                fallbacks[key] += (outcome.ridge_retries, outcome.stack_fallbacks)
                 seen.update(outcome.failures.items())
             failures.extend(
                 FailureRecord(
@@ -268,7 +277,7 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int]]:
                 )
                 for (h, t), message in seen
             )
-    return counts, failures, time.perf_counter() - started, (truth_value, k)
+    return counts, failures, time.perf_counter() - started, (truth_value, k), fallbacks
 
 
 def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
@@ -295,9 +304,12 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
     seconds: dict[tuple[int, int], float] = {}
     absorbed: dict[tuple[int, int], int] = {}
     failures: list[FailureRecord] = []
+    fallbacks: dict[tuple[str, str], np.ndarray] = {}
 
     def _absorb(result):
-        counts, fails, elapsed, cell = result
+        counts, fails, elapsed, cell, chunk_fallbacks = result
+        for key, tally in chunk_fallbacks.items():
+            fallbacks[key] = fallbacks.get(key, 0) + tally
         for (ckey, akey), tally in counts.items():
             key = (ckey, akey, cell[0], cell[1])
             if key in sums:
@@ -351,6 +363,7 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
         cells=cells,
         failures=tuple(sorted(failures)),
         elapsed_seconds=time.perf_counter() - started,
+        fallbacks={key: (int(tally[0]), int(tally[1])) for key, tally in fallbacks.items()},
     )
 
 

@@ -278,7 +278,8 @@ def config_sha256(config: CampaignConfig) -> str:
 
 
 def write_results_json(report: PccReport, path, package_version: str) -> None:
-    """JSON mirror with provenance: config echo + hash, timings, failures."""
+    """JSON mirror with provenance: config echo + hash, timings, failures, and
+    the TIC ridge retries and stack fallbacks per (criterion, approach)."""
     cells = []
     for key in report.iter_keys():
         ckey, akey, truth, k = key
@@ -297,6 +298,18 @@ def write_results_json(report: PccReport, path, package_version: str) -> None:
                 "cell_seconds": stats.seconds,
             }
         )
+    fallbacks = []
+    for criterion in report.config.criteria:
+        for approach in report.config.approaches:
+            retries, stack = report.fallbacks.get((criterion.key, approach.value), (0, 0))
+            fallbacks.append(
+                {
+                    "criterion": criterion.key,
+                    "approach": approach.value,
+                    "ridge_retries": retries,
+                    "stack_fallbacks": stack,
+                }
+            )
     payload = {
         "schema": CSV_SCHEMA_VERSION,
         "package_version": package_version,
@@ -306,6 +319,7 @@ def write_results_json(report: PccReport, path, package_version: str) -> None:
         "elapsed_seconds": report.elapsed_seconds,
         "cells": cells,
         "failures": [dataclasses.asdict(f) for f in report.failures],
+        "fallbacks": fallbacks,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

@@ -195,12 +195,12 @@ def truth_instance(
     deterministic given the config and need no generator. The result is
     projected onto the exact structure of the hypothesis, which never moves
     the matrix by more than floating-point noise but makes the structure
-    checks exact.
+    checks exact. ``r_clutter`` is shared by every instance of one scenario
+    and is read-only.
     """
     h = Hypothesis(hypothesis)
     n = config.n
-    zero_doppler = h in (Hypothesis.H2, Hypothesis.H4)
-    r = clutter_covariance(config.sources, n, zero_doppler=zero_doppler)
+    r = _cached_clutter(config.sources, n, h in (Hypothesis.H2, Hypothesis.H4))
 
     if h not in CHANNEL_ERROR_TRUTHS:
         a = np.eye(n)
@@ -216,6 +216,22 @@ def truth_instance(
     if h.is_real:
         assert not np.iscomplexobj(m_true)
     return TruthInstance(hypothesis=h, m_true=m_true, a_factor=a, r_clutter=r)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_clutter(sources, n: int, zero_doppler: bool) -> np.ndarray:
+    """:func:`clutter_covariance`, formed once per scenario and read-only."""
+    r = clutter_covariance(sources, n, zero_doppler=zero_doppler)
+    r.flags.writeable = False
+    return r
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_steering(n: int, f_v: float) -> np.ndarray:
+    """:func:`steering_vector`, formed once per scenario and read-only."""
+    v = steering_vector(n, f_v)
+    v.flags.writeable = False
+    return v
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -240,7 +256,7 @@ def sample_dataset(
     amplitude = np.sqrt(db_to_linear(config.snr_db))
     phase = rng.uniform(0.0, 2.0 * np.pi)
     alpha = amplitude * np.exp(1j * phase)
-    v = steering_vector(n, config.f_v)
+    v = _cached_steering(n, config.f_v)
     cut = alpha * v + low @ complex_normal(rng, n)
     secondary = low @ complex_normal(rng, (n, k))
     return Dataset(secondary=secondary, cut=cut, steering=v)

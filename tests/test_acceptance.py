@@ -20,6 +20,15 @@ from conftest import (
     random_dataset,
     random_pd_matrix,
 )
+from oracle import (
+    fim_pair,
+    hessian_alpha_alpha,
+    hessian_alpha_theta,
+    hessian_theta_theta,
+    loglik_full,
+    loglik_secondary,
+    snapshot_scores,
+)
 from test_structures import C_H1_N3, expected_param_count
 
 from covstruct.criteria import (
@@ -28,18 +37,8 @@ from covstruct.criteria import (
     penalty,
     prepare_estimates,
 )
-from covstruct.estimators import Approach, Dataset, estimate_covariance
-from covstruct.likelihood import (
-    fim_pair,
-    grad_alpha,
-    hessian_alpha_alpha,
-    hessian_alpha_theta,
-    hessian_theta_theta,
-    information_terms,
-    loglik_full,
-    loglik_secondary,
-    snapshot_scores,
-)
+from covstruct.estimators import Approach, Dataset, DatasetStack, estimate_covariance
+from covstruct.likelihood import grad_alpha, information_terms
 from covstruct.montecarlo import CampaignConfig, confusion_histogram, run_campaign
 from covstruct.reporting import render_results_csv
 from covstruct.scenario import complex_normal, table_case, truth_instance
@@ -235,6 +234,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
             ds = Dataset(secondary=gaussian_snapshots(rng, truth.m_true, k))
             est = prepare_estimates(ds, Approach.B)[h]
             pair = fim_pair(model, est, ds, Approach.B)
+            stack = DatasetStack([ds])
             rels.append(
                 np.linalg.norm(pair.sample - pair.observed)
                 / np.linalg.norm(pair.observed)
@@ -246,8 +246,10 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
                 k=k,
                 n=n,
                 approach=Approach.B,
-                info=information_terms(est, ds, Approach.B),
-            )
+                info=information_terms(
+                    prepare_estimates(stack, Approach.B)[h], stack, Approach.B
+                ),
+            )[0]
             tic_offsets.append(abs(got / (2.0 * model.m) - 1.0))
     elapsed = time.perf_counter() - started
     mean_rel = float(np.mean(rels))

@@ -5,6 +5,7 @@ slack; they are asserted against fixed seeds, so failures mean regressions,
 not sampling noise.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,18 +32,14 @@ from covstruct.criteria import (
     penalty,
 )
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateSet
-from covstruct.likelihood import (
-    InfoTerms,
-    fim_pair,
-    information_terms,
-    loglik_full,
-    loglik_secondary,
-)
+from covstruct.likelihood import InfoTerms
 from covstruct.linalg import cholesky_pd
 from covstruct.scenario import ScenarioConfig, SourceParams, complex_normal, truth_instance
 from covstruct.structures import Hypothesis, param_count, project, structure_model
 
 from conftest import gaussian_snapshots, random_dataset, random_pd_matrix
+from oracle import fim_pair, loglik_full, loglik_secondary
+from oracle import information_terms as matrix_space_terms
 
 AIC = Criterion(CriterionKind.AIC)
 TIC = Criterion(CriterionKind.TIC)
@@ -157,8 +154,8 @@ def test_penalty_requires_fim_for_tic_and_bic():
 
 
 def _schur_only(observed, sample):
-    """Information terms whose whole content is the Schur pair."""
-    return InfoTerms(theta_trace=0.0, theta_logdet=0.0, schur=(observed, sample))
+    """Information terms of a stack of one whose whole content is the Schur pair."""
+    return InfoTerms(np.zeros(1), np.zeros(1), schur=(observed[None], sample[None]))
 
 
 def test_tic_ridge_recovers_singular_observed():
@@ -176,6 +173,48 @@ def test_bic_rejects_non_pd_observed():
     info = _schur_only(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(FimSingularError, match="positive definite"):
         penalty(BIC, n_params=2, m_params=2, k=10, n=3, approach=Approach.B, info=info)
+
+
+def _with_singular_schur(real_info, hypothesis, trial):
+    """information_terms, except that ``hypothesis`` gets a singular 2 x 2
+    Schur complement at ``trial`` of each stack."""
+
+    def patched(estimate, stack, approach):
+        info = real_info(estimate, stack, approach)
+        if estimate.hypothesis is not hypothesis or info.schur is None:
+            return info
+        observed = info.schur[0].copy()
+        observed[trial] = [[1.0, 1.0], [1.0, 1.0]]
+        return dataclasses.replace(info, schur=(observed, info.schur[1]))
+
+    return patched
+
+
+def test_singular_schur_block_is_retried_once(rng, monkeypatch):
+    # One singular Schur block in a stack of four: TIC retries exactly that
+    # trial with a ridge and counts it once; every other penalty keeps its
+    # bits. BIC refuses the block for that trial alone, after its stacked
+    # Cholesky fell back to matrix by matrix.
+    stack = DatasetStack([random_dataset(rng, 4, 9) for _ in range(4)])
+    clean = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
+    assert clean[TIC].ridge_retries == clean[TIC].stack_fallbacks == 0
+    monkeypatch.setattr(
+        criteria_module,
+        "information_terms",
+        _with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 2),
+    )
+    patched = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
+    tic, bic = patched[TIC], patched[BIC]
+    assert (tic.ridge_retries, tic.stack_fallbacks) == (1, 0)
+    assert tic.failures == {}
+    assert np.isfinite(tic.penalty[1, 2])
+    others = np.ones(tic.penalty.shape, dtype=bool)
+    others[1, 2] = False
+    np.testing.assert_array_equal(tic.penalty[others], clean[TIC].penalty[others])
+    assert (bic.ridge_retries, bic.stack_fallbacks) == (0, 1)
+    assert list(bic.failures) == [(2, 2)]
+    assert bic.failures[(2, 2)].startswith("FimSingularError: observed FIM not positive")
+    np.testing.assert_array_equal(bic.penalty[others], clean[BIC].penalty[others])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +415,8 @@ def reference_classify(ds, approach, criteria):
     """Per-dataset reference loop over the hypotheses.
 
     It writes the likelihood out with the explicit trace Tr(X S), inverts
-    through the Cholesky factor, and takes the argmin with the tie rule
+    through the Cholesky factor, forms the information terms in matrix space
+    (the oracle's ``information_terms``), and takes the argmin with the tie rule
     written as a sort key. Returns per rule the chosen hypothesis (or None),
     the totals and the set of failed hypotheses.
     """
@@ -418,12 +458,13 @@ def reference_classify(ds, approach, criteria):
         for h, fit in fits.items():
             m = param_count(h, n)
             try:
-                info = (
-                    information_terms(estimates[h], ds, approach)
-                    if criterion.needs_fim
-                    else None
-                )
-                totals[h] = fit + penalty(
+                info = None
+                if criterion.needs_fim:
+                    trace, logdet, schur = matrix_space_terms(estimates[h], ds, approach)
+                    if schur is not None:
+                        schur = (schur[0][None], schur[1][None])
+                    info = InfoTerms(np.array([trace]), np.array([logdet]), schur)
+                pen = penalty(
                     criterion,
                     n_params=m + (2 if approach is Approach.A else 0),
                     m_params=m,
@@ -432,6 +473,7 @@ def reference_classify(ds, approach, criteria):
                     approach=approach,
                     info=info,
                 )
+                totals[h] = fit + (float(pen[0]) if criterion.needs_fim else pen)
             except _HYPOTHESIS_FAILURES:
                 pass
         chosen = min(

@@ -165,6 +165,21 @@ def test_degenerate_steering_raises():
         estimate_alpha(Hypothesis.H1, 1e-16 * x, z, v)
 
 
+def test_degenerate_steering_message_ignores_the_last_bits():
+    # The failure text lands in a campaign's JSON mirror, so it must not
+    # change when the steering energy moves in its last bit.
+    energy = 3.7e-17
+    nudged = float(np.nextafter(energy, 1.0))
+    assert nudged != energy
+    messages = []
+    for value in (energy, nudged):
+        with pytest.raises(DegenerateSteeringError) as info:
+            estimate_alpha(Hypothesis.H1, value * np.eye(3), np.ones(3), np.eye(3)[0])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "3.700e-17" in messages[0]
+
+
 def test_estimate_all_shapes(rng):
     ds = random_dataset(rng, 5, 14)
     full = prepare_estimates(ds, Approach.A)

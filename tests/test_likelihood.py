@@ -1,17 +1,32 @@
 """Log-likelihood values, gradients, Hessians, and information matrices.
 
-The derivative checks use central finite differences of the log-likelihood
-itself as the oracle, with per-coordinate steps h = 1e-5 * max(1, |p|).
+The theta-basis forms live in the test oracle (``oracle.py``); the
+derivative checks use central finite differences of the log-likelihood
+itself, with per-coordinate steps h = 1e-5 * max(1, |p|). ``grad_alpha`` is
+the package's own.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covstruct.criteria import prepare_estimates
-from covstruct.estimators import Approach, Dataset
-from covstruct.likelihood import (
+from covstruct.estimators import Approach, Dataset, DatasetStack
+from covstruct.likelihood import grad_alpha, information_terms
+from covstruct.linalg import invert_pd, logdet_pd
+from covstruct.scenario import (
+    complex_normal,
+    sample_dataset,
+    steering_vector,
+    table_case,
+    truth_instance,
+)
+from covstruct.structures import Hypothesis, structure_model
+
+from conftest import fd_gradient, fd_hessian, random_dataset, random_pd_matrix
+from oracle import (
     fim_pair,
-    grad_alpha,
     hessian_alpha_alpha,
     hessian_alpha_theta,
     hessian_theta_theta,
@@ -22,11 +37,7 @@ from covstruct.likelihood import (
     sample_fim,
     snapshot_scores,
 )
-from covstruct.linalg import invert_pd, logdet_pd
-from covstruct.scenario import complex_normal, steering_vector
-from covstruct.structures import Hypothesis, structure_model
-
-from conftest import fd_gradient, fd_hessian, random_dataset, random_pd_matrix
+from oracle import information_terms as matrix_space_terms
 
 
 def structured_point(rng, h, n):
@@ -263,3 +274,126 @@ def test_loglik_rejects_non_pd_theta(rng):
 
     with pytest.raises(NotPositiveDefiniteError):
         loglik_secondary(model, theta, z_all)
+
+
+# ---------------------------------------------------------------------------
+# Stacked information terms against the matrix-space oracle
+
+
+def _relative_error(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _assert_terms_match_oracle(datasets, tolerance):
+    """Every class under both approaches: the stacked theta trace, theta
+    log-determinant, Schur complement S and Y Y^T of each trial match the
+    oracle's to ``tolerance(h, approach, estimate, dataset)`` relative."""
+    stack = DatasetStack(datasets)
+    for approach in Approach:
+        prepared = prepare_estimates(stack, approach)
+        for h in Hypothesis:
+            info = information_terms(prepared[h], stack, approach)
+            assert not info.failures
+            for t, ds in enumerate(datasets):
+                est = prepared[h].at(t)
+                trace, logdet, schur = matrix_space_terms(est, ds, approach)
+                tol = tolerance(h, approach, est, ds)
+                errors = [
+                    _relative_error(info.theta_trace[t], trace),
+                    _relative_error(info.theta_logdet[t], logdet),
+                ]
+                if approach is Approach.A:
+                    errors += [
+                        _relative_error(info.schur[0][t], schur[0]),
+                        _relative_error(info.schur[1][t], schur[1]),
+                    ]
+                else:
+                    assert info.schur is None and schur is None
+                assert max(errors) <= tol, (h, approach, t, errors)
+
+
+def test_information_terms_match_oracle_on_white_data():
+    # Even and odd N, K from N+1 to 3N, random unit steering.
+    rng = np.random.default_rng(20261019)
+    for n in range(3, 10):
+        for k in range(n + 1, 3 * n + 1):
+            datasets = [random_dataset(rng, n, k) for _ in range(2)]
+            _assert_terms_match_oracle(datasets, lambda *_: 1e-10)
+
+
+def _case1_datasets(k, trials, seed):
+    """Case-1 draws (N = 13) cycling through the four truths."""
+    config = table_case(1)
+    out = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, k, t))
+        truth = truth_instance(Hypothesis(1 + t % 4), config, rng)
+        out.append(sample_dataset(truth, config, k, rng))
+    return out
+
+
+def test_information_terms_match_oracle_on_case1_draws():
+    for k in (20, 26, 45):
+        _assert_terms_match_oracle(_case1_datasets(k, 4, 11), lambda *_: 1e-10)
+
+
+def test_information_terms_match_oracle_at_k_n_plus_one():
+    # At K = N+1 the observed information is ill-conditioned (condition
+    # numbers up to ~1e12 on case-1 draws), and the two paths round
+    # differently; their gap stays below eps times the condition number.
+    def scaled(h, approach, est, ds):
+        observed = observed_fim(structure_model(h, ds.n), est, ds, approach)
+        return max(1e-10, np.finfo(float).eps * np.linalg.cond(observed))
+
+    _assert_terms_match_oracle(_case1_datasets(14, 4, 11), scaled)
+
+
+def _stack_with_bad_trial(data):
+    """Random white datasets, one of which may fail: a zero snapshot row
+    leaves every class's estimate singular, and a 1e8 data scale drives the
+    steering energy below its floor under approach A."""
+    n = data.draw(st.integers(3, 7), label="N")
+    k = data.draw(st.integers(n + 1, 3 * n), label="K")
+    trials = data.draw(st.integers(1, 4), label="T")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    datasets = [random_dataset(rng, n, k) for _ in range(trials)]
+    bad = data.draw(st.sampled_from(["none", "estimate", "alpha"]), label="bad trial")
+    if bad != "none":
+        ds = random_dataset(rng, n, k)
+        secondary = ds.secondary.copy()
+        if bad == "estimate":
+            secondary[1] = 0.0
+        else:
+            secondary *= 1e8
+        bad_ds = Dataset(secondary=secondary, cut=ds.cut, steering=ds.steering)
+        datasets.insert(data.draw(st.integers(0, trials), label="position"), bad_ds)
+    return datasets
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_information_terms_of_a_stack_equal_its_one_trial_slices(data):
+    datasets = _stack_with_bad_trial(data)
+    stack = DatasetStack(datasets)
+    for approach in Approach:
+        prepared = prepare_estimates(stack, approach)
+        for h in Hypothesis:
+            info = information_terms(prepared[h], stack, approach)
+            for t, ds in enumerate(datasets):
+                one = DatasetStack([ds])
+                alone = information_terms(prepare_estimates(one, approach)[h], one, approach)
+                assert info.theta_trace[t] == alone.theta_trace[0]
+                assert info.theta_logdet[t] == alone.theta_logdet[0]
+                if approach is Approach.A:
+                    for got, want in zip(info.schur, alone.schur):
+                        np.testing.assert_array_equal(got[t], want[0])
+                assert {u: str(e) for u, e in info.failures.items() if u == t} == {
+                    t: str(e) for e in alone.failures.values()
+                }
+                dead = t in prepared[h].failures or (
+                    approach is Approach.A and t in prepared[h].alpha_failures
+                )
+                if dead:
+                    assert info.theta_trace[t] == 0.0 and t not in info.failures
+                    if approach is Approach.A:
+                        np.testing.assert_array_equal(info.schur[0][t], np.eye(2))

@@ -83,19 +83,21 @@ def test_inverse_and_logdet_stack_matches_single_calls(rng):
     # calls bit for bit, and a failing matrix carries cholesky_pd's own error
     # while the others are untouched, on the breakdown and the pivot path.
     stack = np.stack([random_pd_matrix(rng, 5) for _ in range(4)])
-    x, logdet, errors = inverse_and_logdet_stack(stack)
-    assert errors == {}
+    x, logdet, errors, fell_back = inverse_and_logdet_stack(stack)
+    assert errors == {} and not fell_back
     for t, m in enumerate(stack):
         np.testing.assert_array_equal(x[t], invert_pd(m))
         assert logdet[t] == logdet_pd(m)
     indefinite = np.diag([1.0, -1.0, 2.0, 1.0, 1.0]).astype(complex)
     tiny_pivot = np.diag([1.0, 1e-14, 2.0, 1.0, 1.0]).astype(complex)
-    for bad in ({1: indefinite, 2: tiny_pivot}, {2: tiny_pivot}):
+    # Only a breakdown makes numpy refuse the stack; a small pivot does not.
+    for bad, falls_back in (({1: indefinite, 2: tiny_pivot}, True), ({2: tiny_pivot}, False)):
         broken = stack.copy()
         for t, m in bad.items():
             broken[t] = m
-        x_b, logdet_b, errors_b = inverse_and_logdet_stack(broken)
+        x_b, logdet_b, errors_b, fell_back_b = inverse_and_logdet_stack(broken)
         assert set(errors_b) == set(bad)
+        assert fell_back_b is falls_back
         for t, m in bad.items():
             with pytest.raises(NotPositiveDefiniteError) as info:
                 cholesky_pd(m)

@@ -2,11 +2,16 @@
 
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import covstruct
+import covstruct.criteria as criteria_module
 
 from covstruct.criteria import parse_criterion
 from covstruct.estimators import Approach
@@ -25,6 +30,8 @@ from covstruct.reporting import (
 )
 from covstruct.scenario import ScenarioConfig, table_case
 from covstruct.structures import Hypothesis
+
+from test_criteria import _with_singular_schur
 
 GOLDEN_HEADER = (
     "schema,criterion,approach,truth,K,trials,failed,"
@@ -175,6 +182,42 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
     assert first["chosen_counts"] == [1, 3, 0, 0]
     assert "cell_seconds" in first and "elapsed_seconds" in payload
     assert payload["failures"] == []
+
+
+def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
+    # One singular Schur block per (truth, K) block under H2: each of the two
+    # cells adds one TIC ridge retry and one fallback of BIC's stacked Cholesky.
+    monkeypatch.setattr(
+        criteria_module,
+        "information_terms",
+        _with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 0),
+    )
+    config = CampaignConfig(
+        scenario=ScenarioConfig(n=5),
+        k_grid=(11, 12),
+        trials=3,
+        criteria=(parse_criterion("tic"), parse_criterion("bic")),
+        approaches=(Approach.A, Approach.B),
+        truths=(Hypothesis.H2,),
+        master_seed=7,
+        workers=1,
+    )
+    path = tmp_path / "results.json"
+    write_results_json(run_campaign(config), path, package_version="0.1.0")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["fallbacks"] == [
+        {"criterion": "tic", "approach": "A", "ridge_retries": 2, "stack_fallbacks": 0},
+        {"criterion": "tic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 0},
+        {"criterion": "bic", "approach": "A", "ridge_retries": 0, "stack_fallbacks": 2},
+        {"criterion": "bic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 0},
+    ]
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(covstruct.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import covstruct, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_public_names_resolve():
