@@ -10,12 +10,14 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime failure.
 ``run`` builds its campaign from one experiment tree: the --config file (or
 an empty tree) with each given flag written over its key. So every setting
 is the flag, else the file's key, else the default (the case preset for the
-scenario, the CPU count for ``workers``, ``results`` for --out-dir).
+scenario, the CPUs the process may run on for ``workers``, ``results`` for
+--out-dir).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -320,7 +322,9 @@ def cmd_plot(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="covstruct",
         description="Classify interference covariance structure and run P_cc campaigns.",

@@ -107,27 +107,18 @@ _VECTOR_GROUPS = {
 }
 
 
-def _images(group, a: np.ndarray) -> np.ndarray:
-    """``g(a)`` for every element g of a vector group: a (..., N) stack of
-    vectors gives the (..., G, N) stack of their images."""
-    a_conj = a.conj()
-    images = []
-    for flip, conj in group:
-        image = a_conj if conj else a
-        images.append(image[..., ::-1] if flip else image)
-    return np.stack(images, axis=-2)
+def _image(element, a: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
+    """``g(a)`` for one element g of a vector group, as a view of ``a`` or of
+    its conjugate ``a_conj``; the same call with the two swapped gives
+    ``conj(g(a))``."""
+    flip, conj = element
+    image = a_conj if conj else a
+    return image[..., ::-1] if flip else image
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``sum_i a_i b_i`` along the last axis."""
     return np.einsum("...i,...i->...", a, b)
-
-
-def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a_j b`` for every vector a_j of a (T, J, G, N) stack against the
-    (T, N, P) matrix b of its trial: the (T, J, G, P) products."""
-    t, j, g, n = a.shape
-    return (a.reshape(t, j * g, n) @ b).reshape(t, j, g, b.shape[-1])
 
 
 def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,6 +157,10 @@ def information_terms(
     determinants and the positive-definiteness check, and one stacked solve
     applies their inverses.
 
+    The group means are summed one element at a time over the (at most
+    four) elements, so the temporaries hold one image of each row, never the
+    images under every element at once.
+
     Trials whose estimate failed (and, under A, whose amplitude did) are
     skipped and hold placeholders; see :class:`InfoTerms`.
     """
@@ -188,8 +183,8 @@ def information_terms(
     sandwich, failures, fallbacks = _sandwich_logdet(h, m_hat, logdet)
     logdet_f = basis_log_norm(h, n) - sandwich
     # Score rows: snapshot k in row k (z_k, w_k = X z_k), and under approach
-    # A the CUT's r = z - alpha v and X r in row K. With images g(row) along
-    # axis 2, q = g(row)^H (X row), whose mean |q|^2 - 2 Re q_id + N is
+    # A the CUT's r = z - alpha v and X r in row K. For each group element g,
+    # q_g = g(row)^H (X row), and mean_g |q_g|^2 - 2 Re q_id + N is
     # <P(D), M P(D) M> for the row's D = (X row)(X row)^H - X.
     z = pick(stack.secondary).swapaxes(-1, -2)
     if approach is Approach.B:
@@ -199,43 +194,44 @@ def information_terms(
         r = cut - alpha[:, None] * v
         rows = np.concatenate([z, r[:, None]], axis=1)
         x_rows = rows @ x.swapaxes(-1, -2)
-    images = _images(group, rows)
-    images_conj = images.conj()
-    q = _matvec(images_conj, x_rows)
-    quad = np.mean(np.abs(q) ** 2, axis=-1) - 2.0 * q[..., 0].real + n
+    rows_conj, size = rows.conj(), len(group)
+    q = _dot(rows_conj, x_rows)  # the identity comes first in every group
+    quad = n - 2.0 * q.real + np.abs(q) ** 2 / size
+    for element in group[1:]:
+        quad += np.abs(_dot(_image(element, rows_conj, rows), x_rows)) ** 2 / size
     if approach is Approach.B:
         terms = (np.sum(quad, axis=-1) / k, m * math.log(k) + logdet_f, None)
         return _place(terms, live, trials, failures, fallbacks)
 
-    xr, u = x_rows[:, k], _matvec(x, v)
-    km1, size = k - 1, len(group)
-    xr_u = np.stack([xr, u], axis=-1)
-    # Per row and element: g(row)^H X r and g(row)^H u; c = g(r)^H X r.
-    proj = _matmul_rows(images_conj, xr_u)
-    c, ru = proj[:, k, :, 0], proj[:, k, :, 1]
-
     # The alpha border and the capacitance columns are b' (X r)^H + X r b'^H
     # (halved for the capacitance) with M b' = b for the rows b of `basis`:
     # v, i v, the columns of M and i times them. M P(.) M X r is then
-    # mean_g g(b) c_g + g(r) g(b)^H X r.
+    # mean_g g(b) c_g + g(r) g(b)^H X r, with c_g = g(r)^H X r.
+    xr, u = x_rows[:, k], _matvec(x, v)
+    xr_u = np.stack([xr, u], axis=-1)
     columns = m_hat.swapaxes(-1, -2)
     basis = np.concatenate([v[:, None], 1j * v[:, None], columns, 1j * columns], axis=1)
-    b_images = _images(group, basis)
-    b_proj = _matmul_rows(b_images.conj(), xr_u)
-    b_tw = ((c[:, None, None] @ b_images)[:, :, 0] + b_proj[..., 0] @ images[:, k]) / (
-        size * km1
-    )
-
+    basis_conj = basis.conj()
     # Rows 0..K-1 the snapshots, K the CUT, K+1 and K+2 the alpha border:
-    # tw holds t_i X r with t_i = M P(D_i) M / (K-1), and wtu (X r)^H t_i u.
-    tw = ((proj[..., None, :, 0] @ images)[..., 0, :] / size - r[:, None]) / km1
-    tw = np.concatenate([tw, b_tw[:, :2]], axis=1)
-    wtu = np.mean(proj[..., 0].conj() * proj[..., 1], axis=-1) - _dot(xr.conj(), v)[:, None]
-    b_wtu = np.mean(
-        b_proj[:, :2, :, 0].conj() * ru[:, None] + c.conj()[:, None] * b_proj[:, :2, :, 1],
-        axis=-1,
-    )
-    wtu = np.concatenate([wtu, b_wtu], axis=1) / km1
+    # tw sums g(row) g(row)^H X r over g, towards t_i X r with
+    # t_i = M P(D_i) M / (K-1), and wtu sums (X r)^H g(row) g(row)^H u,
+    # towards (X r)^H t_i u; b_tw and b_wtu sum the same for the basis rows.
+    tw = wtu = b_tw = b_wtu = 0.0
+    for element in group:
+        image, image_conj = _image(element, rows, rows_conj), _image(element, rows_conj, rows)
+        b_image = _image(element, basis, basis_conj)
+        # g(row)^H X r and g(row)^H u per row, then c = g(r)^H X r.
+        proj = image_conj @ xr_u
+        b_proj = _image(element, basis_conj, basis) @ xr_u
+        c, ru = proj[:, k, 0], proj[:, k, 1]
+        tw += proj[..., :1] * image
+        wtu += proj[..., 0].conj() * proj[..., 1]
+        b_tw += c[:, None, None] * b_image + b_proj[..., :1] * image[:, None, k]
+        b_wtu += b_proj[:, :2, 0].conj() * ru[:, None] + c.conj()[:, None] * b_proj[:, :2, 1]
+    km1 = k - 1
+    b_tw /= size * km1
+    tw = np.concatenate([(tw / size - r[:, None]) / km1, b_tw[:, :2]], axis=1)
+    wtu = np.concatenate([wtu / size - _dot(xr.conj(), v)[:, None], b_wtu / size], axis=1) / km1
     a = np.concatenate([tw.real, tw.imag], axis=-1)
 
     cols = 0.5 * b_tw[:, 2:]

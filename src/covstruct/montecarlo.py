@@ -7,14 +7,16 @@ RNG streams are keyed by (master seed, truth, K, trial index), which makes
 the tallies independent of scheduling and worker count: any partition of the
 trials sums to the same counts.
 
-A chunk of trials draws each trial from its own stream, in trial order, and
-hands each block of drawn datasets to the classification engine
-(:func:`covstruct.criteria.classify_stack`) as one stack. A block holds a
-fixed budget of snapshot entries, so memory stays flat whatever N, K or the
-chunk size. Truths that draw nothing (H3, H4, or any truth with frozen
-channel errors) are built once per chunk. The engine's outcome for a trial
-does not depend on the stack it sits in, so neither the block size nor the
-chunk size nor the worker count changes a tally.
+A campaign's unit of work is a chunk: one engine block of one cell, at
+most ``_BLOCK_ENTRIES`` snapshot entries (N x K per trial), or one trial
+when N K is larger, so memory stays flat whatever N or K. The serial loop
+and the process pool run the same chunks. A chunk draws each trial from its
+own stream, in trial order, and hands the drawn datasets to the
+classification engine (:func:`covstruct.criteria.classify_stack`) as one
+stack. Truths that draw nothing (H3, H4, or any truth with frozen channel
+errors) are built once per chunk. The engine's outcome for a trial does not
+depend on the stack it sits in, so neither the block size nor the worker
+count changes a tally.
 
 A trial where every hypothesis fails numerically under some rule lands in
 that rule's "failed" bucket and leaves the P_cc denominator; partial
@@ -27,6 +29,7 @@ from __future__ import annotations
 import operator
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -59,8 +62,8 @@ DEFAULT_K_GRID: tuple[int, ...] = (20, 25, 30, 35, 40, 45)
 _TRIAL_STREAM = 1
 _FROZEN_STREAM = 2
 
-# Snapshot entries (N x K per trial) drawn and classified per block of a
-# chunk: memory stays flat however large N K or the chunk is.
+# Snapshot entries (N x K per trial) drawn and classified per chunk, so
+# memory stays flat however large N K or the trial count is.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -207,9 +210,11 @@ def _cell_key(criterion, approach, truth, k: int) -> tuple[str, str, int, int]:
 
 
 def _resolve_workers(config: CampaignConfig) -> int:
+    """The configured count, else the CPUs this process may run on."""
     if config.workers is not None:
         return config.workers
-    return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _trial_rng(master_seed: int, truth: Hypothesis, k: int, trial: int):
@@ -222,11 +227,25 @@ def _frozen_truth_rng(master_seed: int, truth: Hypothesis):
     return np.random.default_rng(seq)
 
 
+def _chunks(config: CampaignConfig) -> list[tuple]:
+    """Every chunk of the campaign as ``(config, truth, K, lo, hi)``: trials
+    [lo, hi) of one cell, one engine block each."""
+    tasks = []
+    for truth in config.truths:
+        for k in config.k_grid:
+            block = max(1, _BLOCK_ENTRIES // (config.scenario.n * k))
+            tasks += [
+                (config, int(truth), k, lo, min(lo + block, config.trials))
+                for lo in range(0, config.trials, block)
+            ]
+    return tasks
+
+
 def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:
     """Worker body: classify trials [lo, hi) of one cell, return raw tallies.
 
-    Trials draw one by one from their own streams, then each block of them
-    goes through the classification engine as one stack.
+    Trials draw one by one from their own streams, then go through the
+    classification engine as one stack.
     """
     config, truth_value, k, lo, hi = args
     truth = Hypothesis(truth_value)
@@ -243,40 +262,34 @@ def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:
     elif truth not in CHANNEL_ERROR_TRUTHS:
         shared = truth_instance(truth, scenario)
 
-    counts: dict[tuple[str, str], np.ndarray] = {
-        (c.key, a.value): np.zeros(5, dtype=np.int64)
-        for c in config.criteria
-        for a in config.approaches
-    }
-    fallbacks = {key: np.zeros(2, dtype=np.int64) for key in counts}
-    failures: list[FailureRecord] = []
+    datasets = []
+    for trial in range(lo, hi):
+        rng = _trial_rng(config.master_seed, truth, k, trial)
+        instance = shared if shared is not None else truth_instance(truth, scenario, rng)
+        datasets.append(sample_dataset(instance, scenario, k, rng))
+    scores = classify_stack(DatasetStack(datasets), config.approaches, config.criteria)
 
-    block = max(1, _BLOCK_ENTRIES // (scenario.n * k))
-    for start in range(lo, hi, block):
-        datasets = []
-        for trial in range(start, min(start + block, hi)):
-            rng = _trial_rng(config.master_seed, truth, k, trial)
-            instance = shared if shared is not None else truth_instance(truth, scenario, rng)
-            datasets.append(sample_dataset(instance, scenario, k, rng))
-        scores = classify_stack(DatasetStack(datasets), config.approaches, config.criteria)
-        for approach, by_rule in scores.items():
-            seen: set[tuple[tuple[int, int], str]] = set()
-            for criterion, outcome in by_rule.items():
-                key = (criterion.key, approach.value)
-                counts[key] += np.bincount(outcome.chosen, minlength=5)
-                fallbacks[key] += (outcome.ridge_retries, outcome.stack_fallbacks)
-                seen.update(outcome.failures.items())
-            failures.extend(
-                FailureRecord(
-                    truth=int(truth),
-                    k=k,
-                    trial=start + t,
-                    approach=approach.value,
-                    hypothesis=h,
-                    message=message,
-                )
-                for (h, t), message in seen
+    counts: dict[tuple[str, str], np.ndarray] = {}
+    fallbacks: dict[tuple[str, str], np.ndarray] = {}
+    failures: list[FailureRecord] = []
+    for approach, by_rule in scores.items():
+        seen: set[tuple[tuple[int, int], str]] = set()
+        for criterion, outcome in by_rule.items():
+            key = (criterion.key, approach.value)
+            counts[key] = np.bincount(outcome.chosen, minlength=5)
+            fallbacks[key] = np.array([outcome.ridge_retries, outcome.stack_fallbacks])
+            seen.update(outcome.failures.items())
+        failures.extend(
+            FailureRecord(
+                truth=int(truth),
+                k=k,
+                trial=lo + t,
+                approach=approach.value,
+                hypothesis=h,
+                message=message,
             )
+            for (h, t), message in seen
+        )
     return counts, failures, time.perf_counter() - started, (truth_value, k), fallbacks
 
 
@@ -284,25 +297,18 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
     """Run every cell of the campaign and tally the outcome.
 
     ``progress`` (optional) receives a line of text once all chunks of a
-    cell are in, naming the chunk count and the summed worker seconds.
-    Deterministic for a fixed master seed: results do not depend on the
-    worker count or on execution order.
+    cell are in, naming the cell's chunk count and the summed worker
+    seconds. Deterministic for a fixed master seed: results do not depend
+    on the worker count or on execution order.
     """
-    workers = _resolve_workers(config)
     started = time.perf_counter()
-
-    chunk = _chunk_size(config.trials, workers)
-    starts = range(0, config.trials, chunk)
-    tasks = [
-        (config, int(truth), k, lo, min(lo + chunk, config.trials))
-        for truth in config.truths
-        for k in config.k_grid
-        for lo in starts
-    ]
+    tasks = _chunks(config)
+    workers = min(_resolve_workers(config), len(tasks))
+    per_cell = Counter((truth, k) for _, truth, k, _, _ in tasks)
 
     sums: dict[tuple[str, str, int, int], np.ndarray] = {}
     seconds: dict[tuple[int, int], float] = {}
-    absorbed: dict[tuple[int, int], int] = {}
+    absorbed: Counter = Counter()
     failures: list[FailureRecord] = []
     fallbacks: dict[tuple[str, str], np.ndarray] = {}
 
@@ -312,17 +318,14 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
             fallbacks[key] = fallbacks.get(key, 0) + tally
         for (ckey, akey), tally in counts.items():
             key = (ckey, akey, cell[0], cell[1])
-            if key in sums:
-                sums[key] += tally
-            else:
-                sums[key] = tally.copy()
+            sums[key] = sums.get(key, 0) + tally
         failures.extend(fails)
         seconds[cell] = seconds.get(cell, 0.0) + elapsed
-        absorbed[cell] = absorbed.get(cell, 0) + 1
-        if progress is not None and absorbed[cell] == len(starts):
+        absorbed[cell] += 1
+        if progress is not None and absorbed[cell] == per_cell[cell]:
             truth, k = cell
             progress(
-                f"cell H{truth} K={k} done: {len(starts)} chunk(s), "
+                f"cell H{truth} K={k} done: {per_cell[cell]} chunk(s), "
                 f"{seconds[cell]:.1f}s worker time"
             )
 
@@ -365,12 +368,6 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
         elapsed_seconds=time.perf_counter() - started,
         fallbacks={key: (int(tally[0]), int(tally[1])) for key, tally in fallbacks.items()},
     )
-
-
-def _chunk_size(trials: int, workers: int) -> int:
-    if workers == 1:
-        return trials
-    return max(1, -(-trials // (workers * 4)))
 
 
 def confusion_histogram(

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from covstruct.cli import main
+from covstruct.cli import build_parser, main
 from covstruct.datafmt import write_dataset
 from covstruct.estimators import Dataset
 from covstruct.reporting import CSV_COLUMNS, config_sha256, parse_experiment
@@ -388,3 +388,23 @@ def test_version_flag(capsys):
         run_cli(["--version"])
     assert info.value.code == 0
     assert "covstruct" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_main_is_reentrant(tmp_path, capsys, h4_dataset):
+    assert build_parser() is build_parser()
+    data = tmp_path / "h4.txt"
+    write_dataset(h4_dataset, data)
+    argv = ["classify", "--data", data, "--approach", "B", "--criterion", "aic"]
+    assert run_cli(argv) == 0
+    first = capsys.readouterr().out
+    # A usage error, --help and other subcommands in between leave the shared
+    # parser as it was.
+    assert run_cli(["classify", "--data", data]) == 1
+    with pytest.raises(SystemExit) as info:
+        run_cli(["run", "--help"])
+    assert info.value.code == 0
+    assert "--workers" in capsys.readouterr().out
+    assert run_cli(["plot", "--results", tmp_path / "missing.csv"]) == 1
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == first

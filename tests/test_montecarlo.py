@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from covstruct import montecarlo
 from covstruct.criteria import Criterion, CriterionKind, parse_criterion
 from covstruct.estimators import Approach
 from covstruct.montecarlo import (
@@ -17,6 +18,7 @@ from covstruct.montecarlo import (
     confusion_histogram,
     run_campaign,
 )
+from covstruct.reporting import render_results_csv
 from covstruct.scenario import ScenarioConfig, table_case
 from covstruct.structures import Hypothesis
 
@@ -119,19 +121,81 @@ def test_worker_count_does_not_change_tallies():
     pooled = run_campaign(replace(config, workers=2), progress=pooled_lines.append)
     assert statistical_content(serial) == statistical_content(pooled)
     # One progress line per (truth, K) cell, sent once all its chunks are in:
-    # 6 trials over 2 workers make chunks of one trial.
-    for lines, chunks in ((serial_lines, 1), (pooled_lines, 6)):
+    # 6 trials of 5 x 11 or 5 x 12 entries fit one engine block, so each cell
+    # is one chunk whatever the worker count.
+    for lines in (serial_lines, pooled_lines):
         assert len(lines) == 2
         for line, k in zip(lines, (11, 12)):
-            assert line.startswith(f"cell H3 K={k} done: {chunks} chunk(s), ")
+            assert line.startswith(f"cell H3 K={k} done: 1 chunk(s), ")
+
+
+def test_chunks_are_engine_blocks_at_any_worker_count(monkeypatch):
+    # A budget of 120 entries holds two trials of 5 x 11 (K = 11: chunks of
+    # 2, 2 and 1 trials) and less than one of 5 x 25 (K = 25: one trial per
+    # chunk). Forked workers inherit the patched budget and the checked engine.
+    config = small_config(
+        trials=5,
+        k_grid=(11, 25),
+        truths=(Hypothesis.H1, Hypothesis.H4),
+        criteria=(AIC, parse_criterion("tic")),
+    )
+    whole = run_campaign(config)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 120)
+    engine = montecarlo.classify_stack
+
+    def checked(stack, *args):
+        assert len(stack) == 1 or len(stack) * stack.n * stack.k <= 120
+        return engine(stack, *args)
+
+    monkeypatch.setattr(montecarlo, "classify_stack", checked)
+    for workers in (1, 2, 3):
+        lines = []
+        report = run_campaign(replace(config, workers=workers), progress=lines.append)
+        assert statistical_content(report) == statistical_content(whole)
+        assert render_results_csv(report) == render_results_csv(whole)
+        assert sorted(line.split(" chunk(s)")[0] for line in lines) == [
+            f"cell H{truth} K={k} done: {chunks}"
+            for truth in (1, 4)
+            for k, chunks in ((11, 3), (25, 5))
+        ]
+
+
+def test_pool_is_sized_to_the_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    run_campaign(small_config(trials=1, truths=(Hypothesis.H1, Hypothesis.H3), workers=8))
+    assert sizes == [2]
+    run_campaign(small_config(trials=1, truths=(Hypothesis.H3,), workers=8))
+    assert sizes == [2]  # one chunk runs in process
 
 
 def test_worker_resolution_order(monkeypatch):
-    # The configured count wins; unset means the CPU count, whatever the
-    # environment holds (no variable overrides or clamps it).
+    # The configured count wins; unset means the CPUs this process may run
+    # on, else the CPU count, whatever the environment holds (no variable
+    # overrides or clamps it).
     monkeypatch.setenv("COVSTRUCT_WORKERS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     assert _resolve_workers(small_config(workers=2)) == 2
-    assert _resolve_workers(small_config(workers=None)) == (os.cpu_count() or 1)
+    assert _resolve_workers(small_config(workers=None)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _resolve_workers(small_config(workers=None)) == 16
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_workers(small_config(workers=None)) == 1
 
 
 def test_missing_cell_error():
