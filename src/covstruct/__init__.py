@@ -14,10 +14,8 @@ from .criteria import (
     Scorecard,
     TrialScores,
     classify,
-    classify_batch,
     classify_stack,
     parse_criterion,
-    prepare_estimates,
 )
 from .datafmt import DataFormatError, dumps_dataset, loads_dataset, read_dataset, write_dataset
 from .estimators import (
@@ -25,8 +23,6 @@ from .estimators import (
     Dataset,
     DatasetStack,
     DegenerateSteeringError,
-    EstimateSet,
-    estimate_alpha,
     estimate_covariance,
 )
 from .likelihood import information_terms
@@ -71,7 +67,6 @@ __all__ = [
     "Dataset",
     "DatasetStack",
     "DegenerateSteeringError",
-    "EstimateSet",
     "Hypothesis",
     "HypothesisScore",
     "NotPositiveDefiniteError",
@@ -84,17 +79,14 @@ __all__ = [
     "TrialScores",
     "TruthInstance",
     "classify",
-    "classify_batch",
     "classify_stack",
     "confusion_histogram",
     "dumps_dataset",
-    "estimate_alpha",
     "estimate_covariance",
     "information_terms",
     "loads_dataset",
     "param_count",
     "parse_criterion",
-    "prepare_estimates",
     "project",
     "read_dataset",
     "run_campaign",

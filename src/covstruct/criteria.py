@@ -43,8 +43,8 @@ argmin runs over the whole batch. TIC and BIC take one call of the
 information terms per class and approach. A trial that fails a check is
 excluded on its own, with the message a stack of one would give, and every
 stacked operation treats each trial alone, so a trial's outcome does not
-depend on the stack it sits in. :func:`classify_batch` and :func:`classify`
-are the engine on a stack of one.
+depend on the stack it sits in. :func:`classify` is the engine on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ __all__ = [
     "penalty",
     "prepare_estimates",
     "classify",
-    "classify_batch",
     "classify_stack",
 ]
 
@@ -117,7 +116,7 @@ class CriterionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Criterion:
-    """A selection rule; GIC carries its weight rho (rho >= 1)."""
+    """A selection rule; GIC carries its weight rho (finite, rho >= 1)."""
 
     kind: CriterionKind
     rho: float | None = None
@@ -126,8 +125,8 @@ class Criterion:
         if self.kind is CriterionKind.GIC:
             if self.rho is None:
                 raise ValueError("gic needs a rho value, e.g. 'gic:2'")
-            if not self.rho >= 1.0:
-                raise ValueError(f"gic rho must be >= 1, got {self.rho}")
+            if not 1.0 <= self.rho < math.inf:
+                raise ValueError(f"gic rho must be >= 1 and finite, got {self.rho}")
         elif self.rho is not None:
             raise ValueError(f"{self.kind.value} does not take a rho value")
 
@@ -190,17 +189,12 @@ def penalty(
     k: int,
     n: int,
     approach: Approach,
-    info: InfoTerms | None = None,
-) -> float | np.ndarray:
-    """Penalty term of one rule for one hypothesis.
+) -> float:
+    """Penalty term of one closed-form rule for one hypothesis.
 
     ``n_params`` is the full likelihood parameter count (m_params + 2 under
     approach A), ``k``/``n`` the snapshot count and vector size. TIC and BIC
-    require ``info`` (see :func:`covstruct.likelihood.information_terms`),
-    give one penalty per trial of its stack and raise the first trial's
-    failure; the others ignore it and give one float. The 2 x 2 Schur pair,
-    present under approach A, adds its trace and log-determinant to the theta
-    terms.
+    take the information terms instead (:func:`_information_penalty`).
     """
     kind = criterion.kind
     if kind is CriterionKind.AIC:
@@ -218,18 +212,16 @@ def penalty(
         return 2.0 * n_params * data_count / denom
     if kind is CriterionKind.ASYMPTOTIC_BIC:
         return m_params * math.log(k)
-    if info is None:
-        raise ValueError(f"{criterion.key} needs the information-matrix terms")
-    values, errors, _ = _information_penalty(criterion, info)
-    if errors:
-        raise errors[min(errors)]
-    return values
+    raise ValueError(f"{criterion.key} needs the information-matrix terms")
 
 
 def _information_penalty(
     criterion: Criterion, info: InfoTerms
 ) -> tuple[np.ndarray, dict[int, FimSingularError], tuple[int, int]]:
-    """TIC or BIC penalties of a stack of information terms.
+    """TIC or BIC penalties of a stack of information terms (see
+    :func:`covstruct.likelihood.information_terms`). The 2 x 2 Schur pair,
+    present under approach A, adds its trace and log-determinant to the theta
+    terms.
 
     Returns the (T,) penalties, the failure of each trial whose Schur block
     is unusable (its penalty is a placeholder), and the counts of TIC ridge
@@ -433,19 +425,17 @@ def _argmin_batch(
     return np.where(failed.all(axis=0), NONE_CHOSEN, chosen)
 
 
-def prepare_estimates(data: "Dataset | DatasetStack", approach: Approach) -> dict:
-    """Per-hypothesis plug-in estimates; one stacked Cholesky per class gives
-    X and log det and is the one positive-definiteness check.
+def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
+    """Per-hypothesis :class:`EstimateStack` of a stack; one stacked Cholesky
+    per class gives X and log det and is the one positive-definiteness check.
 
-    For a :class:`DatasetStack` each value is an :class:`EstimateStack`. For
-    one :class:`Dataset` it is that dataset's :class:`EstimateSet`, or the
-    failure message when the estimate is not positive definite. Under
-    approach A a degenerate steering energy is kept as the alpha failure:
-    the covariance estimates stay valid for the secondary-only likelihood,
-    and only the joint-likelihood rules lose that hypothesis.
+    A trial whose estimate is not positive definite keeps the failure
+    message. Under approach A a degenerate steering energy is kept as the
+    alpha failure: the covariance estimates stay valid for the
+    secondary-only likelihood, and only the joint-likelihood rules lose that
+    hypothesis.
     """
     approach = Approach.parse(approach)
-    stack = data if isinstance(data, DatasetStack) else DatasetStack((data,))
     out: dict[Hypothesis, EstimateStack] = {}
     for h in Hypothesis:
         m_hat = estimate_covariance(h, stack)
@@ -465,9 +455,7 @@ def prepare_estimates(data: "Dataset | DatasetStack", approach: Approach) -> dic
             },
             fallbacks=int(fell_back),
         )
-    if isinstance(data, DatasetStack):
-        return out
-    return {h: est.at(0) for h, est in out.items()}
+    return out
 
 
 def classify(
@@ -475,21 +463,11 @@ def classify(
     approach: Approach,
     criterion: Criterion,
 ) -> Scorecard:
-    """Classify one dataset with one rule. See :func:`classify_batch`."""
+    """Classify one dataset with one rule: the engine (:func:`classify_stack`)
+    on a stack of one."""
     approach = Approach.parse(approach)
-    return classify_batch(dataset, (approach,), (criterion,))[approach][criterion]
-
-
-def classify_batch(
-    dataset: Dataset, approaches, criteria
-) -> dict[Approach, dict[Criterion, Scorecard]]:
-    """Classify one dataset under every approach and rule: the engine
-    (:func:`classify_stack`) on a stack of one."""
-    scores = classify_stack(DatasetStack((dataset,)), approaches, criteria)
-    return {
-        approach: {criterion: s.scorecard(0) for criterion, s in by_rule.items()}
-        for approach, by_rule in scores.items()
-    }
+    scores = classify_stack(DatasetStack((dataset,)), (approach,), (criterion,))
+    return scores[approach][criterion].scorecard(0)
 
 
 def classify_stack(

@@ -6,10 +6,10 @@ estimate is ``S / K``; the structured variants are its exact projections onto
 each hypothesis, so the nesting relations hold bit-for-bit (e.g. the
 centrosymmetric estimate equals the real part of the centrohermitian one).
 
-The estimators work on one dataset or on a :class:`DatasetStack` of T
-datasets of one shape, whose arrays carry a leading trial axis. Every
-stacked operation treats each trial on its own, so a trial's estimates are
-bit-identical whatever stack it sits in.
+The estimators work on a :class:`DatasetStack` of T datasets of one shape,
+whose arrays carry a leading trial axis; one dataset is a stack of one.
+Every stacked operation treats each trial on its own, so a trial's
+estimates are bit-identical whatever stack it sits in.
 
 The signal amplitude ``alpha`` is estimated from the cell under test with the
 ICM estimate plugged in. Under the flip-symmetric hypotheses the cell under
@@ -33,11 +33,9 @@ __all__ = [
     "Approach",
     "Dataset",
     "DatasetStack",
-    "EstimateSet",
     "EstimateStack",
     "DegenerateSteeringError",
     "estimate_covariance",
-    "estimate_alpha",
     "estimate_alpha_stack",
 ]
 
@@ -184,25 +182,6 @@ class DatasetStack:
 
 
 @dataclass(frozen=True)
-class EstimateSet:
-    """Plug-in estimates for one hypothesis.
-
-    ``x_hat`` is the inverse of ``m_hat`` and ``logdet`` its log-determinant,
-    both from the same Cholesky factorization. ``alpha_hat`` is None under
-    approach B, and also when amplitude estimation degenerated; in the latter
-    case ``alpha_failure`` carries the reason while the covariance estimates
-    stay usable for the rules that never touch the cell under test.
-    """
-
-    hypothesis: Hypothesis
-    m_hat: np.ndarray
-    x_hat: np.ndarray
-    logdet: float
-    alpha_hat: complex | None = None
-    alpha_failure: str | None = None
-
-
-@dataclass(frozen=True)
 class EstimateStack:
     """Plug-in estimates for one hypothesis over a :class:`DatasetStack`.
 
@@ -223,22 +202,6 @@ class EstimateStack:
     alpha_failures: dict[int, str]
     fallbacks: int = 0
 
-    def at(self, trial: int) -> "EstimateSet | str":
-        """One trial's estimate set (views into the stacks), or its failure."""
-        if trial in self.failures:
-            return self.failures[trial]
-        alpha = None
-        if self.alpha_hat is not None and trial not in self.alpha_failures:
-            alpha = complex(self.alpha_hat[trial])
-        return EstimateSet(
-            hypothesis=self.hypothesis,
-            m_hat=self.m_hat[trial],
-            x_hat=self.x_hat[trial],
-            logdet=float(self.logdet[trial]),
-            alpha_hat=alpha,
-            alpha_failure=self.alpha_failures.get(trial),
-        )
-
 
 def estimate_covariance(
     hypothesis: Hypothesis, dataset: "Dataset | DatasetStack"
@@ -253,44 +216,22 @@ def estimate_covariance(
     return project(hypothesis, dataset.scatter / dataset.k)
 
 
-def estimate_alpha(
-    hypothesis: Hypothesis,
-    x_hat: np.ndarray,
-    cut: np.ndarray,
-    steering: np.ndarray,
-) -> complex:
-    """Plug-in amplitude estimate of the CUT signal under one hypothesis.
-
-    ``x_hat`` is the inverse of the hypothesis's ICM estimate. H1 and H2 give
-    ``v^H X z / v^H X v``; a real X makes this the H2 estimate over the
-    stacked real and imaginary parts. H3 and H4 split the CUT into its
-    conjugate-even and conjugate-odd parts, which carry the real and the
-    imaginary amplitude components. Raises DegenerateSteeringError when the
-    steering energy through ``x_hat`` falls at or below 1e-14. One trial of
-    :func:`estimate_alpha_stack`.
-    """
-    alpha, errors = estimate_alpha_stack(
-        hypothesis,
-        np.asarray(x_hat)[None],
-        np.asarray(cut, dtype=complex)[None],
-        np.asarray(steering, dtype=complex)[None],
-    )
-    if errors:
-        raise errors[0]
-    return complex(alpha[0])
-
-
 def estimate_alpha_stack(
     hypothesis: Hypothesis,
     x_hat: np.ndarray,
     cut: np.ndarray,
     steering: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, DegenerateSteeringError]]:
-    """Amplitude estimates over a stack: (T, N, N) ``x_hat``, (T, N) CUTs and
-    steering vectors. Returns the (T,) estimates and, per trial whose
-    steering energy is at or below the floor, the error
-    :func:`estimate_alpha` raises for it; those trials' estimates are
-    placeholders.
+    """Plug-in amplitude estimates of the CUT signal under one hypothesis.
+
+    Takes (T, N, N) ``x_hat``, the inverses of the hypothesis's ICM
+    estimates, and (T, N) CUTs and steering vectors. H1 and H2 give
+    ``v^H X z / v^H X v``; a real X makes this the H2 estimate over the
+    stacked real and imaginary parts. H3 and H4 split the CUT into its
+    conjugate-even and conjugate-odd parts, which carry the real and the
+    imaginary amplitude components. Returns the (T,) estimates and, per
+    trial whose steering energy through ``x_hat`` is at or below 1e-14, a
+    DegenerateSteeringError; those trials' estimates are placeholders.
     """
     h = Hypothesis(hypothesis)
     vx = _rowdot(steering.conj(), x_hat)

@@ -20,9 +20,6 @@ __all__ = [
     "exchange",
     "hermitian_part",
     "cholesky_pd",
-    "logdet_pd",
-    "invert_pd",
-    "inverse_and_logdet",
     "cholesky_stack",
     "logdet_from_cholesky",
     "inverse_and_logdet_stack",
@@ -60,76 +57,29 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def cholesky_pd(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive-definite matrix.
-
-    Parameters
-    ----------
-    m : ndarray
-        Hermitian matrix (only its lower triangle is referenced).
-
-    Returns
-    -------
-    ndarray
-        Lower-triangular L with ``L @ L^H == m``.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the factorization breaks down, or any pivot falls at or below
-        ``1e-12`` times the largest diagonal entry of ``m``.
-    """
-    m = np.asarray(m)
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"Cholesky breakdown on {m.shape[0]}x{m.shape[1]} matrix: {exc}"
-        ) from None
-    diag_max = float(np.max(m.diagonal().real)) if m.shape[0] else 0.0
-    pivot = float(np.min(low.diagonal().real ** 2)) if m.shape[0] else np.inf
-    if pivot <= _PIVOT_RTOL * diag_max:
-        raise _pivot_error(pivot, diag_max)
-    return low
-
-
-def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
-    return NotPositiveDefiniteError(
-        f"Cholesky pivot {pivot:.3e} at or below "
-        f"{_PIVOT_RTOL:.0e} * max diagonal ({diag_max:.3e})"
-    )
-
-
-def logdet_pd(m: np.ndarray) -> float:
-    """log-determinant of a Hermitian positive-definite matrix via Cholesky."""
-    return float(logdet_from_cholesky(cholesky_pd(m)))
-
-
-def invert_pd(m: np.ndarray) -> np.ndarray:
-    """Hermitian inverse of a Hermitian positive-definite matrix."""
-    return inverse_and_logdet(m)[0]
-
-
-def inverse_and_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian inverse and log-determinant of a Hermitian PD matrix; raises
-    NotPositiveDefiniteError as :func:`cholesky_pd` does. One matrix of
-    :func:`inverse_and_logdet_stack`."""
-    x, logdet, errors, _ = inverse_and_logdet_stack(np.asarray(m)[None])
+    """Lower Cholesky factor of one Hermitian positive-definite matrix; raises
+    the :class:`NotPositiveDefiniteError` that :func:`cholesky_stack` reports
+    for it. One matrix of :func:`cholesky_stack`."""
+    low, errors, _ = cholesky_stack(np.asarray(m)[None])
     if errors:
         raise errors[0]
-    return x[0], float(logdet[0])
+    return low[0]
 
 
 def cholesky_stack(
     m: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError], bool]:
-    """Lower Cholesky factors of a (T, N, N) stack, checked as :func:`cholesky_pd`.
+    """Lower Cholesky factors of a (T, N, N) stack of Hermitian matrices.
 
-    Returns ``(low, errors, fell_back)``. ``errors`` maps the index of each
-    matrix that fails the check to the error :func:`cholesky_pd` raises for
-    it alone; that matrix's factor is the identity. numpy refuses the whole
-    stack when any one factor breaks down, and then the stack is factored
-    matrix by matrix; ``fell_back`` says so. Either way each matrix is
-    factored on its own, so every factor is bit-identical to a stack of one.
+    Only the lower triangles are referenced. Returns ``(low, errors,
+    fell_back)``. ``errors`` maps the index of each matrix that is not
+    positive definite to its error: the factorization breaks down, or a
+    pivot falls at or below ``1e-12`` times the largest diagonal entry of
+    that matrix. A failing matrix's factor is the identity. numpy refuses
+    the whole stack when any one factor breaks down, and then the stack is
+    factored matrix by matrix; ``fell_back`` says so. Either way each matrix
+    is factored on its own, so every factor and error is bit-identical to a
+    stack of one.
     """
     m = np.asarray(m)
     errors: dict[int, NotPositiveDefiniteError] = {}
@@ -138,20 +88,28 @@ def cholesky_stack(
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         fell_back = True
-        low = np.empty_like(m)
+        low = np.zeros_like(m)
         for t, matrix in enumerate(m):
             try:
-                low[t] = cholesky_pd(matrix)
-            except NotPositiveDefiniteError as exc:
-                errors[t] = exc
-    else:
-        diag_max = np.max(m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
-        pivot = np.min(low.diagonal(axis1=-2, axis2=-1).real ** 2, axis=-1)
-        for t in np.flatnonzero(pivot <= _PIVOT_RTOL * diag_max):
-            errors[int(t)] = _pivot_error(pivot[t], diag_max[t])
+                low[t] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError as exc:
+                errors[t] = NotPositiveDefiniteError(
+                    f"Cholesky breakdown on {m.shape[-2]}x{m.shape[-1]} matrix: {exc}"
+                )
+    diag_max = m.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
+    pivot = (low.diagonal(axis1=-2, axis2=-1).real ** 2).min(axis=-1)
+    for t in (pivot <= _PIVOT_RTOL * diag_max).nonzero()[0]:
+        errors.setdefault(int(t), _pivot_error(pivot[t], diag_max[t]))
     if errors:
         low[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
-    return low, errors, fell_back
+    return low, dict(sorted(errors.items())), fell_back
+
+
+def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"Cholesky pivot {pivot:.3e} at or below "
+        f"{_PIVOT_RTOL:.0e} * max diagonal ({diag_max:.3e})"
+    )
 
 
 def logdet_from_cholesky(low: np.ndarray) -> np.ndarray:

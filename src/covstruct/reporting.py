@@ -321,6 +321,6 @@ def write_results_json(report: PccReport, path, package_version: str) -> None:
         "failures": [dataclasses.asdict(f) for f in report.failures],
         "fallbacks": fallbacks,
     }
+    # One write: json.dump would write once per token.
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2) + "\n")

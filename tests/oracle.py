@@ -15,16 +15,17 @@ Derivatives follow two branches: the Hermitian one (H1, H3), where the
 basis columns pair with the adjoint of C, and the real-symmetric one (H2,
 H4), where the plain transpose appears and X is real. The tests check these
 against finite differences, and the engine's fit terms and TIC/BIC
-penalties against them.
+penalties against them. The information matrices take one trial of an
+:class:`~covstruct.estimators.EstimateStack`: the stack and a trial index.
 
 Matrix-space path. :func:`information_terms` is the form that the package's
 ``information_terms`` reduces to group means of vector inner products. It
 builds every score, border and capacitance matrix as an N x N matrix,
 projects the (K+3+2N, N, N) stack onto the class, and applies the
-capacitance inverse through ``scipy.linalg.cho_solve``. It takes one
-trial's :class:`~covstruct.estimators.EstimateSet` and
-:class:`~covstruct.estimators.Dataset` and returns float terms and 2 x 2
-Schur pairs.
+capacitance inverse through ``scipy.linalg.cho_solve``. It takes an
+:class:`~covstruct.estimators.EstimateStack`, a trial index and that
+trial's :class:`~covstruct.estimators.Dataset`, and returns float terms and
+2 x 2 Schur pairs.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from covstruct.estimators import Approach, Dataset, EstimateSet
+from covstruct.estimators import Approach, Dataset, EstimateStack
 from covstruct.likelihood import grad_alpha
-from covstruct.linalg import cholesky_pd, inverse_and_logdet, logdet_pd, vec
+from covstruct.linalg import cholesky_pd, logdet_from_cholesky, vec
 from covstruct.structures import (
     Hypothesis,
     StructureModel,
@@ -85,7 +86,9 @@ def loglik_cut(
     steering: np.ndarray,
 ) -> float:
     """Log-likelihood of the CUT alone at (theta, alpha)."""
-    x, logdet = inverse_and_logdet(model.decode(theta))
+    m = model.decode(theta)
+    logdet = float(logdet_from_cholesky(cholesky_pd(m)))
+    x = np.linalg.inv(m)
     alpha = complex(alpha)
     r = np.asarray(cut, dtype=complex) - alpha * np.asarray(steering, dtype=complex)
     return -model.n * _LOG_PI - logdet - _quad_form(x, r)
@@ -95,7 +98,9 @@ def loglik_secondary(model: StructureModel, theta: np.ndarray, secondary: np.nda
     """Log-likelihood of the secondary snapshots at theta."""
     z = np.asarray(secondary, dtype=complex)
     k = z.shape[1]
-    x, logdet = inverse_and_logdet(model.decode(theta))
+    m = model.decode(theta)
+    logdet = float(logdet_from_cholesky(cholesky_pd(m)))
+    x = np.linalg.inv(m)
     s = z @ z.conj().T
     return -k * (model.n * _LOG_PI + logdet) - _trace_product(x, s)
 
@@ -210,7 +215,8 @@ class FimPair:
 
 def observed_fim(
     model: StructureModel,
-    estimate: EstimateSet,
+    estimate: EstimateStack,
+    trial: int,
     dataset: Dataset,
     approach: Approach,
 ) -> np.ndarray:
@@ -220,7 +226,7 @@ def observed_fim(
     terms; approach B keeps theta only with K terms.
     """
     approach = Approach.parse(approach)
-    x = estimate.x_hat
+    x = estimate.x_hat[trial]
     s = dataset.scatter
 
     if approach is Approach.B:
@@ -228,9 +234,9 @@ def observed_fim(
         return -h_tt
 
     cut, steering = dataset.require_cut()
-    alpha = estimate.alpha_hat
-    if alpha is None:
-        raise ValueError("approach A needs alpha_hat on the estimate set")
+    if estimate.alpha_hat is None:
+        raise ValueError("approach A needs alpha_hat on the estimate stack")
+    alpha = complex(estimate.alpha_hat[trial])
     resid = cut - alpha * steering
     s_a = np.outer(resid, resid.conj())
     h_tt = hessian_theta_theta(model, x, s + s_a, float(dataset.k + 1))
@@ -247,7 +253,8 @@ def observed_fim(
 
 def sample_fim(
     model: StructureModel,
-    estimate: EstimateSet,
+    estimate: EstimateStack,
+    trial: int,
     dataset: Dataset,
     approach: Approach,
 ) -> np.ndarray:
@@ -259,15 +266,15 @@ def sample_fim(
     (m+2) x (K+1).
     """
     approach = Approach.parse(approach)
-    x = estimate.x_hat
+    x = estimate.x_hat[trial]
     if approach is Approach.B:
         g = snapshot_scores(model, x, dataset.secondary)
         return g @ g.T
 
     cut, steering = dataset.require_cut()
-    alpha = estimate.alpha_hat
-    if alpha is None:
-        raise ValueError("approach A needs alpha_hat on the estimate set")
+    if estimate.alpha_hat is None:
+        raise ValueError("approach A needs alpha_hat on the estimate stack")
+    alpha = complex(estimate.alpha_hat[trial])
     resid = cut - alpha * steering
     m, k = model.m, dataset.k
     g = np.zeros((m + 2, k + 1))
@@ -278,14 +285,15 @@ def sample_fim(
 
 def fim_pair(
     model: StructureModel,
-    estimate: EstimateSet,
+    estimate: EstimateStack,
+    trial: int,
     dataset: Dataset,
     approach: Approach,
 ) -> FimPair:
     """Observed and sample information matrices for one hypothesis."""
     return FimPair(
-        observed=observed_fim(model, estimate, dataset, approach),
-        sample=sample_fim(model, estimate, dataset, approach),
+        observed=observed_fim(model, estimate, trial, dataset, approach),
+        sample=sample_fim(model, estimate, trial, dataset, approach),
     )
 
 
@@ -295,13 +303,14 @@ def fim_pair(
 
 
 
-def information_terms(estimate, dataset, approach):
+def information_terms(estimate, trial, dataset, approach):
     """``(theta_trace, theta_logdet, schur)`` of one trial; ``schur`` is the
     pair ``(S, Y Y^T)`` under approach A and None under B."""
     approach = Approach.parse(approach)
     h, n, k = estimate.hypothesis, dataset.n, dataset.k
-    m, m_hat, x = param_count(h, n), estimate.m_hat, estimate.x_hat
-    logdet_f = basis_log_norm(h, n) - _sandwich_logdet(h, m_hat, estimate.logdet)
+    m, m_hat, x = param_count(h, n), estimate.m_hat[trial], estimate.x_hat[trial]
+    logdet = float(estimate.logdet[trial])
+    logdet_f = basis_log_norm(h, n) - _sandwich_logdet(h, m_hat, logdet)
     w = x @ dataset.secondary
     if approach is Approach.B:
         p = project(h, np.einsum("ik,jk->kij", w, w.conj()) - x)
@@ -309,7 +318,7 @@ def information_terms(estimate, dataset, approach):
         return float(np.sum(quad)) / k, m * math.log(k) + logdet_f, None
 
     cut, steering = dataset.require_cut()
-    alpha = estimate.alpha_hat
+    alpha = complex(estimate.alpha_hat[trial])
     w_cut = x @ (cut - alpha * steering)
     u = x @ steering
     # Rows 0..K are the score matrices, K+1 and K+2 the alpha border, then
@@ -351,7 +360,7 @@ def information_terms(estimate, dataset, approach):
         m * math.log(k - 1)
         + logdet_f
         + 2 * n * math.log(2.0)
-        - 2.0 * estimate.logdet
+        - 2.0 * logdet
         + logdet_cap
     )
     return float(np.sum(quad)), theta_logdet, (0.5 * (schur + schur.T), y @ y.T)
@@ -387,6 +396,6 @@ def _sandwich_logdet(hypothesis, m_hat, logdet):
     if n % 2:
         even = np.column_stack([even, eye[:, half]])
     return sum(
-        (basis.shape[1] + 1) * logdet_pd(basis.T @ m_hat @ basis)
+        (basis.shape[1] + 1) * np.linalg.slogdet(basis.T @ m_hat @ basis)[1]
         for basis in (even, odd)
     )

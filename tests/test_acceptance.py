@@ -32,7 +32,8 @@ from oracle import (
 from test_structures import C_H1_N3, expected_param_count
 
 from covstruct.criteria import (
-    classify_batch,
+    _information_penalty,
+    classify_stack,
     parse_criterion,
     penalty,
     prepare_estimates,
@@ -180,8 +181,9 @@ def test_acceptance_3_criterion_identities():
     datasets = [random_dataset(rng, 6, 14) for _ in range(50)]
     bit_equal = True
     for ds in datasets:
-        for result in classify_batch(ds, (Approach.A, Approach.B), (aic, gic1)).values():
-            card_a, card_g = result[aic], result[gic1]
+        stack = DatasetStack([ds])
+        for result in classify_stack(stack, (Approach.A, Approach.B), (aic, gic1)).values():
+            card_a, card_g = result[aic].scorecard(0), result[gic1].scorecard(0)
             bit_equal = bit_equal and card_a.chosen == card_g.chosen
             for h in Hypothesis:
                 sa, sg = card_a.scores[h], card_g.scores[h]
@@ -232,24 +234,18 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
             )
             truth = truth_instance(h, config, rng)
             ds = Dataset(secondary=gaussian_snapshots(rng, truth.m_true, k))
-            est = prepare_estimates(ds, Approach.B)[h]
-            pair = fim_pair(model, est, ds, Approach.B)
             stack = DatasetStack([ds])
+            est = prepare_estimates(stack, Approach.B)[h]
+            pair = fim_pair(model, est, 0, ds, Approach.B)
             rels.append(
                 np.linalg.norm(pair.sample - pair.observed)
                 / np.linalg.norm(pair.observed)
             )
-            got = penalty(
-                tic,
-                n_params=model.m,
-                m_params=model.m,
-                k=k,
-                n=n,
-                approach=Approach.B,
-                info=information_terms(
-                    prepare_estimates(stack, Approach.B)[h], stack, Approach.B
-                ),
-            )[0]
+            got, errors, _ = _information_penalty(
+                tic, information_terms(est, stack, Approach.B)
+            )
+            assert not errors
+            got = got[0]
             tic_offsets.append(abs(got / (2.0 * model.m) - 1.0))
     elapsed = time.perf_counter() - started
     mean_rel = float(np.mean(rels))

@@ -123,6 +123,7 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     for flags, message in (
         (["--K", "5"], "exceed N"),
         (["--criteria", "mdl"], "unknown criterion"),
+        (["--criteria", "gic:inf"], "gic rho must be >= 1 and finite, got inf"),
         (["--truths", "H9"], "bad hypothesis"),
         (["--n", "12", "--approach", "B"], "N must be odd"),
         (["--K", "26,26"], "duplicate K 26"),
@@ -140,6 +141,7 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
     for tree, message in (
         ({"trials": "5"}, "'trials' must be an integer, got '5'"),
         ({"k_grid": 26}, "'k_grid' must be an array, got 26"),
+        ({"criteria": ["gic:inf"]}, "gic rho must be >= 1 and finite, got inf"),
         ({"scenario": {"seed": 0}}, "unknown key 'seed' in 'scenario'"),
         ({"scenario": {"sources": 5}}, "'sources' in 'scenario' must be an array"),
         ({"scenario": {"snr_db": "x"}}, "'snr_db' in 'scenario' must be a number, got 'x'"),

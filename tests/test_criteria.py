@@ -25,13 +25,13 @@ from covstruct.criteria import (
     Scorecard,
     _argmin_batch,
     _HYPOTHESIS_FAILURES,
+    _information_penalty,
     classify,
-    classify_batch,
     classify_stack,
     parse_criterion,
     penalty,
 )
-from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateSet
+from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.likelihood import InfoTerms
 from covstruct.linalg import cholesky_pd
 from covstruct.scenario import ScenarioConfig, SourceParams, complex_normal, truth_instance
@@ -71,6 +71,8 @@ def test_parse_criterion_rejects_bad_input():
         parse_criterion("gic:big")
     with pytest.raises(ValueError, match="rho must be >= 1"):
         Criterion(CriterionKind.GIC, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        parse_criterion("gic:inf")
     with pytest.raises(ValueError, match="needs a rho"):
         Criterion(CriterionKind.GIC)
     with pytest.raises(ValueError, match="does not take a rho"):
@@ -160,19 +162,23 @@ def _schur_only(observed, sample):
 
 def test_tic_ridge_recovers_singular_observed():
     observed = np.diag([1.0, 1.0, 0.0])
-    info = _schur_only(observed, np.eye(3))
-    got = penalty(TIC, n_params=3, m_params=3, k=10, n=3, approach=Approach.B, info=info)
-    assert np.isfinite(got) and got > 0.0
+    got, errors, (retries, _) = _information_penalty(TIC, _schur_only(observed, np.eye(3)))
+    assert not errors and retries == 1
+    assert np.isfinite(got[0]) and got[0] > 0.0
     # The ridge scales with trace(I)/n, so an all-zero FIM stays singular.
     dead = _schur_only(np.zeros((3, 3)), np.eye(3))
-    with pytest.raises(FimSingularError, match="ridge"):
-        penalty(TIC, n_params=3, m_params=3, k=10, n=3, approach=Approach.B, info=dead)
+    _, errors, _ = _information_penalty(TIC, dead)
+    assert list(errors) == [0]
+    assert isinstance(errors[0], FimSingularError)
+    assert "ridge" in str(errors[0])
 
 
 def test_bic_rejects_non_pd_observed():
     info = _schur_only(np.diag([1.0, -1.0]), np.eye(2))
-    with pytest.raises(FimSingularError, match="positive definite"):
-        penalty(BIC, n_params=2, m_params=2, k=10, n=3, approach=Approach.B, info=info)
+    _, errors, _ = _information_penalty(BIC, info)
+    assert list(errors) == [0]
+    assert isinstance(errors[0], FimSingularError)
+    assert "positive definite" in str(errors[0])
 
 
 def _with_singular_schur(real_info, hypothesis, trial):
@@ -232,27 +238,29 @@ def test_scorecard_totals_and_fit_cross_check(data):
     k = data.draw(st.integers(n + 1, 3 * n), label="K")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ds = random_dataset(np.random.default_rng(seed), n, k)
+    stack = DatasetStack([ds])
     for approach in Approach:
-        cards = classify_batch(ds, (approach,), (AIC, TIC, BIC))[approach]
+        outcomes = classify_stack(stack, (approach,), (AIC, TIC, BIC))[approach]
+        cards = {criterion: outcome.scorecard(0) for criterion, outcome in outcomes.items()}
         card = cards[AIC]
         assert isinstance(card, Scorecard)
         assert card.approach is approach
         assert not card.all_failed
-        prepared = criteria_module.prepare_estimates(ds, approach)
+        prepared = criteria_module.prepare_estimates(stack, approach)
         for h in Hypothesis:
             score = card.scores[h]
             assert not score.failed
             assert score.total == score.fit + score.penalty
             model = structure_model(h, ds.n)
-            theta = model.encode(prepared[h].m_hat)
+            theta = model.encode(prepared[h].m_hat[0])
             if approach is Approach.A:
                 want = loglik_full(
-                    model, theta, prepared[h].alpha_hat, ds.cut, ds.secondary, ds.steering
+                    model, theta, prepared[h].alpha_hat[0], ds.cut, ds.secondary, ds.steering
                 )
             else:
                 want = loglik_secondary(model, theta, ds.secondary)
             assert score.fit == pytest.approx(-2.0 * want, rel=1e-9)
-            ref = fim_pair(model, prepared[h], ds, approach)
+            ref = fim_pair(model, prepared[h], 0, ds, approach)
             ref_tic = 2.0 * np.trace(np.linalg.solve(ref.observed, ref.sample))
             sign, ref_bic = np.linalg.slogdet(ref.observed)
             assert sign == 1.0
@@ -347,21 +355,23 @@ def test_aic_equals_gic_rho_one_bitwise(rng):
         with_cut = trial % 5 == 0
         ds = random_dataset(rng, 4, 9, with_cut=with_cut)
         approach = Approach.A if with_cut else Approach.B
-        cards = classify_batch(ds, (approach,), (AIC, gic1))[approach]
-        assert cards[AIC].chosen is cards[gic1].chosen
+        outcomes = classify_stack(DatasetStack([ds]), (approach,), (AIC, gic1))[approach]
+        aic, gic = outcomes[AIC].scorecard(0), outcomes[gic1].scorecard(0)
+        assert aic.chosen is gic.chosen
         for h in Hypothesis:
-            assert cards[AIC].scores[h].total == cards[gic1].scores[h].total
+            assert aic.scores[h].total == gic.scores[h].total
 
 
 def test_batch_matches_single_calls(rng):
     for _ in range(50):
         ds = random_dataset(rng, 4, 9)
-        cards = classify_batch(ds, (Approach.B,), DEFAULT_CRITERIA)[Approach.B]
+        outcomes = classify_stack(DatasetStack([ds]), (Approach.B,), DEFAULT_CRITERIA)
         for crit in DEFAULT_CRITERIA:
+            card = outcomes[Approach.B][crit].scorecard(0)
             single = classify(ds, Approach.B, crit)
-            assert cards[crit].chosen is single.chosen
+            assert card.chosen is single.chosen
             for h in Hypothesis:
-                got, want = cards[crit].scores[h], single.scores[h]
+                got, want = card.scores[h], single.scores[h]
                 assert got.total == want.total
                 assert got.failure == want.failure
 
@@ -383,7 +393,7 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
     monkeypatch.setattr(criteria_module, "estimate_covariance", counting_estimate)
     monkeypatch.setattr(criteria_module, "information_terms", counting_info)
     ds = random_dataset(rng, 4, 9)
-    classify_batch(ds, (Approach.A, Approach.B), DEFAULT_CRITERIA)
+    classify_stack(DatasetStack([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
     # Seven rules, two approaches, four hypotheses: one estimate per
     # hypothesis shared by both approaches, and one set of information terms
     # per hypothesis and approach shared by every rule that needs it.
@@ -396,13 +406,14 @@ def test_prepared_estimates_feed_batch(rng):
     # must score exactly as a B-only classify that prepared its own.
     for _ in range(5):
         ds = random_dataset(rng, 4, 9)
-        batch = classify_batch(ds, (Approach.A, Approach.B), DEFAULT_CRITERIA)
+        batch = classify_stack(DatasetStack([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
         for approach in Approach:
             for crit in DEFAULT_CRITERIA:
+                card = batch[approach][crit].scorecard(0)
                 single = classify(ds, approach, crit)
-                assert batch[approach][crit].chosen is single.chosen
+                assert card.chosen is single.chosen
                 for h in Hypothesis:
-                    got, want = batch[approach][crit].scores[h], single.scores[h]
+                    got, want = card.scores[h], single.scores[h]
                     assert got.total == want.total
                     assert got.failure == want.failure
 
@@ -451,31 +462,42 @@ def reference_classify(ds, approach, criteria):
             r = z - alpha * v
             fit += n * math.log(math.pi) + logdet + float((r.conj() @ x @ r).real)
         fits[h] = 2.0 * fit
-        estimates[h] = EstimateSet(h, m_hat, x, logdet, alpha)
+        estimates[h] = EstimateStack(
+            hypothesis=h,
+            m_hat=m_hat[None],
+            x_hat=x[None],
+            logdet=np.array([logdet]),
+            alpha_hat=None if alpha is None else np.array([alpha]),
+            failures={},
+            alpha_failures={},
+        )
     out = {}
     for criterion in criteria:
         totals = {}
         for h, fit in fits.items():
             m = param_count(h, n)
             try:
-                info = None
                 if criterion.needs_fim:
-                    trace, logdet, schur = matrix_space_terms(estimates[h], ds, approach)
+                    trace, logdet, schur = matrix_space_terms(estimates[h], 0, ds, approach)
                     if schur is not None:
                         schur = (schur[0][None], schur[1][None])
                     info = InfoTerms(np.array([trace]), np.array([logdet]), schur)
-                pen = penalty(
-                    criterion,
-                    n_params=m + (2 if approach is Approach.A else 0),
-                    m_params=m,
-                    k=k,
-                    n=n,
-                    approach=approach,
-                    info=info,
-                )
-                totals[h] = fit + (float(pen[0]) if criterion.needs_fim else pen)
+                    pen, errors, _ = _information_penalty(criterion, info)
+                    if errors:
+                        continue
+                    pen = float(pen[0])
+                else:
+                    pen = penalty(
+                        criterion,
+                        n_params=m + (2 if approach is Approach.A else 0),
+                        m_params=m,
+                        k=k,
+                        n=n,
+                        approach=approach,
+                    )
             except _HYPOTHESIS_FAILURES:
-                pass
+                continue
+            totals[h] = fit + pen
         chosen = min(
             totals, key=lambda h: (totals[h], param_count(h, n), int(h)), default=None
         )
@@ -539,7 +561,7 @@ def test_failures_inside_a_block_match_the_dataset_alone(rng):
     # Cholesky breaks down and the block factors matrix by matrix); a near-
     # copy of a row fails only the pivot floor; a 1e8 data scale drives the
     # steering energy under approach A below its floor. Each failing trial
-    # reports what classify_batch reports for it alone, and every other
+    # reports what a stack of one reports for it alone, and every other
     # trial's outcome is unchanged.
     n, k = 5, 12
     good = [random_dataset(rng, n, k) for _ in range(3)]
@@ -569,11 +591,14 @@ def test_failures_inside_a_block_match_the_dataset_alone(rng):
         }
         assert any(m.startswith(text) for m in messages)
         assert any(m.startswith("DegenerateSteeringError: steering energy") for m in messages)
-        alone = [classify_batch(ds, tuple(Approach), DEFAULT_CRITERIA) for ds in datasets]
+        alone = [
+            classify_stack(DatasetStack([ds]), tuple(Approach), DEFAULT_CRITERIA)
+            for ds in datasets
+        ]
         for approach, by_rule in stacked.items():
             for criterion, outcome in by_rule.items():
-                for t, cards in enumerate(alone):
-                    assert outcome.scorecard(t) == cards[approach][criterion]
+                for t, outcomes in enumerate(alone):
+                    assert outcome.scorecard(t) == outcomes[approach][criterion].scorecard(0)
                 for u, t in enumerate(clean_index):
                     assert outcome.chosen[t] == clean[approach][criterion].chosen[u]
                     np.testing.assert_array_equal(

@@ -7,11 +7,12 @@ from covstruct.criteria import prepare_estimates
 from covstruct.estimators import (
     Approach,
     Dataset,
+    DatasetStack,
     DegenerateSteeringError,
-    estimate_alpha,
+    estimate_alpha_stack,
     estimate_covariance,
 )
-from covstruct.linalg import exchange, invert_pd
+from covstruct.linalg import exchange, inverse_and_logdet_stack
 from covstruct.scenario import complex_normal, steering_vector
 from covstruct.structures import Hypothesis, satisfies_structure
 
@@ -58,7 +59,7 @@ def test_trace_identity_at_h1_mle(rng):
         ds = random_dataset(rng, n, k)
         s = ds.secondary @ ds.secondary.conj().T
         for h in Hypothesis:
-            x = invert_pd(estimate_covariance(h, ds))
+            x = inverse_and_logdet_stack(estimate_covariance(h, ds)[None])[0][0]
             value = np.trace(x @ s).real
             assert abs(value - k * n) <= 1e-10 * k * n, h
 
@@ -119,7 +120,9 @@ def test_alpha_estimates_match_ls_oracle_at_identity(rng):
             x = x_eye.real if h.is_real else x_eye
             for _ in range(5):
                 z = complex_normal(rng, (n,))
-                a_hat = estimate_alpha(h, x, z, v)
+                a_hat, errors = estimate_alpha_stack(h, x[None], z[None], v[None])
+                assert not errors
+                a_hat = a_hat[0]
                 a_orc = alpha_ls_oracle(h, z, v)
                 assert abs(a_hat - a_orc) <= 1e-10 * max(1.0, abs(a_orc))
 
@@ -132,25 +135,29 @@ def test_alpha_recovers_clean_target(rng):
     z = alpha * v
     for h in Hypothesis:
         x = np.eye(n) if h.is_real else np.eye(n, dtype=complex)
-        a_hat = estimate_alpha(h, x, z, v)
-        assert abs(a_hat - alpha) <= 1e-10
+        a_hat, errors = estimate_alpha_stack(h, x[None], z[None], v[None])
+        assert not errors
+        assert abs(a_hat[0] - alpha) <= 1e-10
 
 
 def test_alpha_h1_formula(rng):
     ds = random_dataset(rng, 5, 16)
-    x = invert_pd(estimate_covariance(Hypothesis.H1, ds))
-    expected = np.vdot(ds.steering, x @ ds.cut) / np.vdot(ds.steering, x @ ds.steering)
-    got = estimate_alpha(Hypothesis.H1, x, ds.cut, ds.steering)
+    stack = DatasetStack([ds])
+    x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
+    expected = np.vdot(ds.steering, x[0] @ ds.cut) / np.vdot(ds.steering, x[0] @ ds.steering)
+    got = estimate_alpha_stack(Hypothesis.H1, x, *stack.require_cut())[0][0]
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_alpha_steering_phase_consistency(rng):
     # Rotating z by a unit phase rotates the H1 estimate by the same phase.
     ds = random_dataset(rng, 5, 16)
-    x = invert_pd(estimate_covariance(Hypothesis.H1, ds))
+    stack = DatasetStack([ds])
+    x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
+    cut, steering = stack.require_cut()
     phase = np.exp(1j * 0.73)
-    a0 = estimate_alpha(Hypothesis.H1, x, ds.cut, ds.steering)
-    a1 = estimate_alpha(Hypothesis.H1, x, phase * ds.cut, ds.steering)
+    a0 = estimate_alpha_stack(Hypothesis.H1, x, cut, steering)[0][0]
+    a1 = estimate_alpha_stack(Hypothesis.H1, x, phase * cut, steering)[0][0]
     assert abs(a1 - phase * a0) <= 1e-10 * max(1.0, abs(a0))
 
 
@@ -161,8 +168,9 @@ def test_degenerate_steering_raises():
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     # An enormous covariance (a tiny inverse) drives v'Xv below the floor.
-    with pytest.raises(DegenerateSteeringError):
-        estimate_alpha(Hypothesis.H1, 1e-16 * x, z, v)
+    _, errors = estimate_alpha_stack(Hypothesis.H1, 1e-16 * x[None], z[None], v[None])
+    assert list(errors) == [0]
+    assert isinstance(errors[0], DegenerateSteeringError)
 
 
 def test_degenerate_steering_message_ignores_the_last_bits():
@@ -173,23 +181,25 @@ def test_degenerate_steering_message_ignores_the_last_bits():
     assert nudged != energy
     messages = []
     for value in (energy, nudged):
-        with pytest.raises(DegenerateSteeringError) as info:
-            estimate_alpha(Hypothesis.H1, value * np.eye(3), np.ones(3), np.eye(3)[0])
-        messages.append(str(info.value))
+        _, errors = estimate_alpha_stack(
+            Hypothesis.H1, value * np.eye(3)[None], np.ones((1, 3)), np.eye(3)[:1]
+        )
+        messages.append(str(errors[0]))
     assert messages[0] == messages[1]
     assert "3.700e-17" in messages[0]
 
 
 def test_estimate_all_shapes(rng):
     ds = random_dataset(rng, 5, 14)
-    full = prepare_estimates(ds, Approach.A)
+    full = prepare_estimates(DatasetStack([ds]), Approach.A)
     assert set(full) == set(Hypothesis)
     for h, est in full.items():
         assert est.hypothesis is h
-        assert est.m_hat.shape == (5, 5)
-        assert est.alpha_hat is not None
-        assert np.isfinite(est.logdet)
-    b_only = prepare_estimates(Dataset(secondary=ds.secondary), Approach.B)
+        assert est.m_hat.shape == (1, 5, 5)
+        assert est.alpha_hat.shape == (1,)
+        assert np.isfinite(est.logdet[0])
+        assert not est.failures and not est.alpha_failures
+    b_only = prepare_estimates(DatasetStack([Dataset(secondary=ds.secondary)]), Approach.B)
     for h, est in b_only.items():
         assert est.alpha_hat is None
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from covstruct.criteria import prepare_estimates
 from covstruct.estimators import Approach, Dataset, DatasetStack
 from covstruct.likelihood import grad_alpha, information_terms
-from covstruct.linalg import invert_pd, logdet_pd
 from covstruct.scenario import (
     complex_normal,
     sample_dataset,
@@ -109,7 +108,7 @@ def test_grad_theta_matches_fd(rng, hypothesis):
     def f(theta):
         return loglik_secondary(model, theta, z[:, None])
 
-    x0 = invert_pd(model.decode(theta0))
+    x0 = np.linalg.inv(model.decode(theta0))
     analytic = snapshot_scores(model, x0, z[:, None])[:, 0]
     numeric = fd_gradient(f, theta0)
     scale = max(1.0, float(np.abs(numeric).max()))
@@ -122,7 +121,7 @@ def test_grad_alpha_matches_fd(rng):
     z = complex_normal(rng, (n,))
     v = steering_vector(n, 0.01)
     alpha0 = np.array([0.8, -0.3])
-    x0 = invert_pd(model.decode(theta0))
+    x0 = np.linalg.inv(model.decode(theta0))
 
     def f(a):
         return loglik_cut(model, theta0, complex(a[0], a[1]), z, v)
@@ -135,9 +134,9 @@ def test_grad_alpha_matches_fd(rng):
 
 def test_grad_alpha_zero_at_h1_alpha_hat(rng):
     ds = random_dataset(rng, 5, 17)
-    estimates = prepare_estimates(ds, Approach.A)
+    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
     est = estimates[Hypothesis.H1]
-    g = grad_alpha(est.x_hat, est.alpha_hat, ds.cut, ds.steering)
+    g = grad_alpha(est.x_hat[0], est.alpha_hat[0], ds.cut, ds.steering)
     assert np.abs(g).max() <= 1e-8
 
 
@@ -158,7 +157,7 @@ def test_hessian_blocks_match_fd(rng, hypothesis):
             model, p[:m_theta], complex(p[m_theta], p[m_theta + 1]), z, z_all, v
         )
 
-    x0 = invert_pd(model.decode(theta0))
+    x0 = np.linalg.inv(model.decode(theta0))
     alpha_c = complex(alpha0[0], alpha0[1])
     s = z_all @ z_all.conj().T
     diff = z - alpha_c * v
@@ -177,16 +176,17 @@ def test_hessian_blocks_match_fd(rng, hypothesis):
 
 def test_observed_fim_symmetry_and_size(rng):
     ds = random_dataset(rng, 5, 14)
-    estimates = prepare_estimates(ds, Approach.A)
+    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        fim = observed_fim(model, estimates[h], ds, Approach.A)
+        fim = observed_fim(model, estimates[h], 0, ds, Approach.A)
         assert fim.shape == (model.m + 2, model.m + 2)
         assert np.abs(fim - fim.T).max() <= 1e-8 * max(1.0, np.abs(fim).max())
-    b_estimates = prepare_estimates(Dataset(secondary=ds.secondary), Approach.B)
+    b_only = DatasetStack([Dataset(secondary=ds.secondary)])
+    b_estimates = prepare_estimates(b_only, Approach.B)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        fim = observed_fim(model, b_estimates[h], ds, Approach.B)
+        fim = observed_fim(model, b_estimates[h], 0, ds, Approach.B)
         assert fim.shape == (model.m, model.m)
 
 
@@ -195,14 +195,14 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
     # the two-branch formula; at the secondary-only MLE the result also
     # reduces to K C'(X* (x) X)C because X S X = K X there.
     ds = random_dataset(rng, 4, 12, with_cut=False)
-    estimates = prepare_estimates(ds, Approach.B)
+    estimates = prepare_estimates(DatasetStack([ds]), Approach.B)
     s = ds.secondary @ ds.secondary.conj().T
     s = 0.5 * (s + s.conj().T)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         est = estimates[h]
-        fim = observed_fim(model, est, ds, Approach.B)
-        x = est.x_hat.astype(complex)
+        fim = observed_fim(model, est, 0, ds, Approach.B)
+        x = est.x_hat[0].astype(complex)
         c = model.constraint
         xsx = x @ s @ x
         if h.is_real:
@@ -221,10 +221,10 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
 
 def test_sample_fim_psd_and_rank(rng):
     ds = random_dataset(rng, 4, 11)
-    estimates = prepare_estimates(ds, Approach.A)
+    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        fim = sample_fim(model, estimates[h], ds, Approach.A)
+        fim = sample_fim(model, estimates[h], 0, ds, Approach.A)
         eigs = np.linalg.eigvalsh(0.5 * (fim + fim.T))
         assert eigs.min() >= -1e-9 * max(1.0, eigs.max())
 
@@ -235,24 +235,21 @@ def test_sample_fim_single_snapshot_rank_one(rng):
     secondary = complex_normal(rng, (3, 7))
     ds = Dataset(secondary=secondary)
     model = structure_model(Hypothesis.H1, 3)
-    estimates = prepare_estimates(ds, Approach.B)
+    estimates = prepare_estimates(DatasetStack([ds]), Approach.B)
     est = estimates[Hypothesis.H1]
     one_col = SimpleNamespace(secondary=secondary[:, :1], cut=None, steering=None)
-    fim = sample_fim(model, est, one_col, Approach.B)
+    fim = sample_fim(model, est, 0, one_col, Approach.B)
     assert np.linalg.matrix_rank(fim, tol=1e-8 * float(np.abs(fim).max())) <= 1
 
 
 def test_fim_pair_consistency(rng):
     ds = random_dataset(rng, 4, 13)
-    estimates = prepare_estimates(ds, Approach.A)
+    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
     model = structure_model(Hypothesis.H2, 4)
-    pair = fim_pair(model, estimates[Hypothesis.H2], ds, Approach.A)
-    np.testing.assert_array_equal(
-        pair.observed, observed_fim(model, estimates[Hypothesis.H2], ds, Approach.A)
-    )
-    np.testing.assert_array_equal(
-        pair.sample, sample_fim(model, estimates[Hypothesis.H2], ds, Approach.A)
-    )
+    est = estimates[Hypothesis.H2]
+    pair = fim_pair(model, est, 0, ds, Approach.A)
+    np.testing.assert_array_equal(pair.observed, observed_fim(model, est, 0, ds, Approach.A))
+    np.testing.assert_array_equal(pair.sample, sample_fim(model, est, 0, ds, Approach.A))
     assert pair.n_params == model.m + 2
 
 
@@ -287,7 +284,8 @@ def _relative_error(got, want) -> float:
 def _assert_terms_match_oracle(datasets, tolerance):
     """Every class under both approaches: the stacked theta trace, theta
     log-determinant, Schur complement S and Y Y^T of each trial match the
-    oracle's to ``tolerance(h, approach, estimate, dataset)`` relative."""
+    oracle's to ``tolerance(h, approach, estimate, trial, dataset)``
+    relative."""
     stack = DatasetStack(datasets)
     for approach in Approach:
         prepared = prepare_estimates(stack, approach)
@@ -295,9 +293,8 @@ def _assert_terms_match_oracle(datasets, tolerance):
             info = information_terms(prepared[h], stack, approach)
             assert not info.failures
             for t, ds in enumerate(datasets):
-                est = prepared[h].at(t)
-                trace, logdet, schur = matrix_space_terms(est, ds, approach)
-                tol = tolerance(h, approach, est, ds)
+                trace, logdet, schur = matrix_space_terms(prepared[h], t, ds, approach)
+                tol = tolerance(h, approach, prepared[h], t, ds)
                 errors = [
                     _relative_error(info.theta_trace[t], trace),
                     _relative_error(info.theta_logdet[t], logdet),
@@ -341,8 +338,8 @@ def test_information_terms_match_oracle_at_k_n_plus_one():
     # At K = N+1 the observed information is ill-conditioned (condition
     # numbers up to ~1e12 on case-1 draws), and the two paths round
     # differently; their gap stays below eps times the condition number.
-    def scaled(h, approach, est, ds):
-        observed = observed_fim(structure_model(h, ds.n), est, ds, approach)
+    def scaled(h, approach, est, t, ds):
+        observed = observed_fim(structure_model(h, ds.n), est, t, ds, approach)
         return max(1e-10, np.finfo(float).eps * np.linalg.cond(observed))
 
     _assert_terms_match_oracle(_case1_datasets(14, 4, 11), scaled)

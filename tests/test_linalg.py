@@ -6,11 +6,11 @@ import pytest
 from covstruct.linalg import (
     NotPositiveDefiniteError,
     cholesky_pd,
+    cholesky_stack,
     exchange,
     hermitian_part,
     inverse_and_logdet_stack,
-    invert_pd,
-    logdet_pd,
+    logdet_from_cholesky,
     unvec,
     vec,
 )
@@ -66,28 +66,32 @@ def test_logdet_matches_eigenvalue_oracle(rng):
     for _ in range(10):
         m = random_pd_matrix(rng, 6)
         oracle = float(np.sum(np.log(np.linalg.eigvalsh(m))))
-        assert abs(logdet_pd(m) - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        got = float(inverse_and_logdet_stack(m[None])[1][0])
+        assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        assert logdet_from_cholesky(cholesky_pd(m)) == got
 
 
-def test_invert_pd_residual(rng):
+def test_inverse_and_logdet_stack_residual(rng):
     for _ in range(10):
         m = random_pd_matrix(rng, 7)
-        x = invert_pd(m)
+        x = inverse_and_logdet_stack(m[None])[0][0]
         residual = np.abs(m @ x - np.eye(7)).max()
         assert residual <= 1e-10 * max(1.0, float(np.abs(m).max()))
         np.testing.assert_array_equal(x, x.conj().T)
 
 
 def test_inverse_and_logdet_stack_matches_single_calls(rng):
-    # Each matrix of a stack is factored on its own: results equal one-matrix
-    # calls bit for bit, and a failing matrix carries cholesky_pd's own error
+    # Each matrix of a stack is factored on its own: results equal stacks of
+    # one bit for bit, and a failing matrix carries cholesky_pd's own error
     # while the others are untouched, on the breakdown and the pivot path.
     stack = np.stack([random_pd_matrix(rng, 5) for _ in range(4)])
     x, logdet, errors, fell_back = inverse_and_logdet_stack(stack)
     assert errors == {} and not fell_back
     for t, m in enumerate(stack):
-        np.testing.assert_array_equal(x[t], invert_pd(m))
-        assert logdet[t] == logdet_pd(m)
+        x_one, logdet_one, _, _ = inverse_and_logdet_stack(m[None])
+        np.testing.assert_array_equal(x[t], x_one[0])
+        assert logdet[t] == logdet_one[0]
+        np.testing.assert_array_equal(cholesky_stack(stack)[0][t], cholesky_pd(m))
     indefinite = np.diag([1.0, -1.0, 2.0, 1.0, 1.0]).astype(complex)
     tiny_pivot = np.diag([1.0, 1e-14, 2.0, 1.0, 1.0]).astype(complex)
     # Only a breakdown makes numpy refuse the stack; a small pivot does not.
@@ -127,5 +131,6 @@ def test_cholesky_rejects_tiny_pivot():
 
 
 def test_logdet_rejects_non_pd():
-    with pytest.raises(NotPositiveDefiniteError):
-        logdet_pd(np.diag([1.0, 0.0]).astype(complex))
+    m = np.diag([1.0, 0.0]).astype(complex)
+    _, _, errors, _ = inverse_and_logdet_stack(m[None])
+    assert isinstance(errors[0], NotPositiveDefiniteError)
