@@ -59,14 +59,12 @@ from .estimators import (
     Approach,
     Dataset,
     DatasetStack,
-    DegenerateSteeringError,
     EstimateStack,
     estimate_alpha_stack,
     estimate_covariance,
 )
 from .likelihood import InfoTerms, information_terms
 from .linalg import (
-    NotPositiveDefiniteError,
     cholesky_stack,
     hermitian_part,
     inverse_and_logdet_stack,
@@ -132,11 +130,12 @@ class Criterion:
 
     @property
     def key(self) -> str:
-        """Stable identifier used in configs, CSV, and report cells."""
+        """Stable identifier used in configs, CSV, and report cells; GIC's
+        rho is written as its shortest round-trip ``repr``, without a
+        trailing ``.0``, so the key parses back to the same rule."""
         if self.kind is CriterionKind.GIC:
-            rho = self.rho
-            text = f"{rho:g}" if rho != int(rho) else f"{int(rho)}"
-            return f"gic:{text}"
+            text = repr(float(self.rho))
+            return f"gic:{text.removesuffix('.0')}"
         return self.kind.value
 
     @property
@@ -333,14 +332,6 @@ class Scorecard:
         return self.chosen is None
 
 
-# Exceptions that disqualify one hypothesis without aborting classification.
-_HYPOTHESIS_FAILURES = (
-    NotPositiveDefiniteError,
-    FimSingularError,
-    AiccDegenerateError,
-    DegenerateSteeringError,
-)
-
 # Column of the "every hypothesis failed" bucket in ``TrialScores.chosen``.
 NONE_CHOSEN = len(Hypothesis)
 
@@ -354,9 +345,10 @@ class TrialScores:
     """One (approach, criterion) outcome over a stack of T trials.
 
     ``fit``, ``penalty`` and ``total`` are (4, T) arrays, row i for
-    hypothesis H(i+1); a failed entry holds NaN where it has no value.
-    ``failures`` maps (hypothesis number, trial) to the failure that
-    excluded that hypothesis. ``chosen`` holds, per trial, the row of the
+    hypothesis H(i+1). A failed entry's penalty and total are NaN, and so
+    is its fit when its estimate or amplitude failed. ``failures`` maps
+    (hypothesis number, trial) to the failure text that excluded that
+    hypothesis. ``chosen`` holds, per trial, the row of the
     chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
     ``ridge_retries`` counts the trials and hypotheses whose TIC solve was
     retried with a ridge; ``stack_fallbacks`` counts the stacked
@@ -429,30 +421,30 @@ def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
     """Per-hypothesis :class:`EstimateStack` of a stack; one stacked Cholesky
     per class gives X and log det and is the one positive-definiteness check.
 
-    A trial whose estimate is not positive definite keeps the failure
-    message. Under approach A a degenerate steering energy is kept as the
-    alpha failure: the covariance estimates stay valid for the
-    secondary-only likelihood, and only the joint-likelihood rules lose that
-    hypothesis.
+    A trial whose estimate is not positive definite keeps its error, and
+    its rows of M and X are the identity. Under approach A a degenerate
+    steering energy is kept as the alpha failure: the covariance estimates
+    stay valid for the secondary-only likelihood, and only the
+    joint-likelihood rules lose that hypothesis.
     """
     approach = Approach.parse(approach)
     out: dict[Hypothesis, EstimateStack] = {}
     for h in Hypothesis:
         m_hat = estimate_covariance(h, stack)
         x_hat, logdet, errors, fell_back = inverse_and_logdet_stack(m_hat)
+        if errors:
+            m_hat[list(errors)] = np.eye(stack.n)
         alpha, alpha_errors = None, {}
         if approach is Approach.A:
-            alpha, alpha_errors = estimate_alpha_stack(h, x_hat, *stack.require_cut())
+            alpha, alpha_errors = estimate_alpha_stack(x_hat, *stack.require_cut())
         out[h] = EstimateStack(
             hypothesis=h,
             m_hat=m_hat,
             x_hat=x_hat,
             logdet=logdet,
             alpha_hat=alpha,
-            failures={t: _failure_text(exc) for t, exc in errors.items()},
-            alpha_failures={
-                t: _failure_text(exc) for t, exc in alpha_errors.items() if t not in errors
-            },
+            failures=errors,
+            alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
             fallbacks=int(fell_back),
         )
     return out
@@ -500,14 +492,14 @@ def _evaluate(
     alpha_params = 2 if approach is Approach.A else 0
 
     fit = np.empty((len(counts), trials))
-    broken: dict[tuple[int, int], str] = {}
+    lost: dict[tuple[int, int], Exception] = {}
     for i, (h, est) in enumerate(prepared.items()):
         fit[i] = _fit_terms(est, stack, approach)
-        lost = est.failures
+        dead = est.failures
         if approach is Approach.A:
-            lost = {**lost, **est.alpha_failures}
-        for t, message in lost.items():
-            broken[(int(h), t)] = message
+            dead = {**dead, **est.alpha_failures}
+        for t, exc in dead.items():
+            lost[(int(h), t)] = exc
             fit[i, t] = np.nan
 
     infos: dict[Hypothesis, InfoTerms] = {}
@@ -517,8 +509,8 @@ def _evaluate(
 
     out: dict[Criterion, TrialScores] = {}
     for criterion in criteria:
-        pen = np.full_like(fit, np.nan)
-        failures = dict(broken)
+        pen = np.empty_like(fit)
+        failures = dict(lost)
         retries, fallbacks = 0, estimate_fallbacks
         for i, h in enumerate(Hypothesis):
             if criterion.needs_fim:
@@ -527,7 +519,7 @@ def _evaluate(
                 retries += retried
                 fallbacks += info.fallbacks + fell_back
                 for t, exc in {**errors, **info.failures}.items():
-                    failures.setdefault((int(h), t), _failure_text(exc))
+                    failures.setdefault((int(h), t), exc)
                 continue
             try:
                 pen[i] = penalty(
@@ -538,14 +530,13 @@ def _evaluate(
                     n=n,
                     approach=approach,
                 )
-            except _HYPOTHESIS_FAILURES as exc:
+            except AiccDegenerateError as exc:
                 for t in range(trials):
-                    failures.setdefault((int(h), t), _failure_text(exc))
+                    failures.setdefault((int(h), t), exc)
         failed = np.zeros(fit.shape, dtype=bool)
         for h, t in failures:
             failed[h - 1, t] = True
-        if criterion.needs_fim:
-            pen[failed] = np.nan
+        pen[failed] = np.nan
         total = fit + pen
         out[criterion] = TrialScores(
             criterion=criterion,
@@ -553,7 +544,7 @@ def _evaluate(
             fit=fit,
             penalty=pen,
             total=total,
-            failures=failures,
+            failures={key: _failure_text(exc) for key, exc in failures.items()},
             chosen=_argmin_batch(total, failed, counts),
             ridge_retries=retries,
             stack_fallbacks=fallbacks,

@@ -1,8 +1,8 @@
 """Closed-form plug-in estimators for each hypothesis.
 
 The interference covariance is estimated from secondary snapshots only. With
-``S = Z Z^H`` (``Dataset.scatter``, formed once per dataset) the unstructured
-estimate is ``S / K``; the structured variants are its exact projections onto
+``S = Z Z^H`` (``DatasetStack.scatter``, formed once per stack) the
+unstructured estimate is ``S / K``; the structured variants are its exact projections onto
 each hypothesis, so the nesting relations hold bit-for-bit (e.g. the
 centrosymmetric estimate equals the real part of the centrohermitian one).
 
@@ -12,10 +12,9 @@ Every stacked operation treats each trial on its own, so a trial's
 estimates are bit-identical whatever stack it sits in.
 
 The signal amplitude ``alpha`` is estimated from the cell under test with the
-ICM estimate plugged in. Under the flip-symmetric hypotheses the cell under
-test splits into conjugate-even and conjugate-odd parts
-``z_e = (z + J conj(z))/2`` and ``z_o = (z - J conj(z))/2`` which carry the
-real and imaginary amplitude components separately.
+ICM estimate X plugged in: the ML amplitude ``v^H X z / v^H X v`` minimises
+``(z - alpha v)^H X (z - alpha v)`` over complex alpha for every class and
+every steering vector.
 """
 
 from __future__ import annotations
@@ -116,29 +115,13 @@ class Dataset:
     def k(self) -> int:
         return self.secondary.shape[1]
 
-    @functools.cached_property
-    def scatter(self) -> np.ndarray:
-        """Hermitian part of ``S = Z Z^H``, formed on first use and kept."""
-        return _scatter(self.secondary)
-
-    def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
-        """CUT and steering, or a clear error naming what approach A misses."""
-        if self.cut is None:
-            raise ValueError("approach A needs a cell under test ('cut')")
-        if self.steering is None:
-            raise ValueError("approach A needs a steering vector ('steering')")
-        return self.cut, self.steering
-
-
-def _scatter(secondary: np.ndarray) -> np.ndarray:
-    return hermitian_part(secondary @ secondary.conj().swapaxes(-1, -2))
-
 
 class DatasetStack:
     """T datasets of one N x K shape, stacked along a leading trial axis.
 
     ``secondary`` is the (T, N, K) stack and ``scatter`` the (T, N, N) stack
-    of ``S = Z Z^H``, formed by one stacked matmul on first use.
+    of the Hermitian parts of ``S = Z Z^H``, formed by one stacked matmul on
+    first use and kept.
     ``datasets`` keeps the per-trial :class:`Dataset` objects.
     """
 
@@ -168,17 +151,24 @@ class DatasetStack:
 
     @functools.cached_property
     def scatter(self) -> np.ndarray:
-        return _scatter(self.secondary)
+        return hermitian_part(self.secondary @ self.secondary.conj().swapaxes(-1, -2))
 
     def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, N) stacks of the CUTs and steering vectors; raises as
-        :meth:`Dataset.require_cut` does for the first dataset missing one."""
+        """(T, N) stacks of the CUTs and steering vectors, or a clear error
+        naming what approach A misses in the first dataset missing one."""
         return self._cut_pair
 
     @functools.cached_property
     def _cut_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [d.require_cut() for d in self.datasets]
-        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+        for d in self.datasets:
+            if d.cut is None:
+                raise ValueError("approach A needs a cell under test ('cut')")
+            if d.steering is None:
+                raise ValueError("approach A needs a steering vector ('steering')")
+        return (
+            np.stack([d.cut for d in self.datasets]),
+            np.stack([d.steering for d in self.datasets]),
+        )
 
 
 @dataclass(frozen=True)
@@ -186,11 +176,12 @@ class EstimateStack:
     """Plug-in estimates for one hypothesis over a :class:`DatasetStack`.
 
     The arrays carry the trial axis first. ``failures`` maps each trial whose
-    estimate failed its Cholesky check to the failure message; that trial's
-    rows are placeholders. ``alpha_failures`` does the same for a degenerate
-    steering energy under approach A, where ``alpha_hat`` is set; under
-    approach B it is None. ``fallbacks`` counts the stacked factorizations
-    that fell back to matrix by matrix.
+    estimate failed its Cholesky check to its error; that trial's rows are
+    placeholders, with the identity in ``m_hat`` and ``x_hat``.
+    ``alpha_failures`` maps each trial whose steering energy is degenerate
+    under approach A, where ``alpha_hat`` is set, to its error; under
+    approach B ``alpha_hat`` is None. ``fallbacks`` counts the stacked
+    factorizations that fell back to matrix by matrix.
     """
 
     hypothesis: Hypothesis
@@ -198,42 +189,35 @@ class EstimateStack:
     x_hat: np.ndarray
     logdet: np.ndarray
     alpha_hat: np.ndarray | None
-    failures: dict[int, str]
-    alpha_failures: dict[int, str]
+    failures: dict[int, Exception]
+    alpha_failures: dict[int, Exception]
     fallbacks: int = 0
 
 
-def estimate_covariance(
-    hypothesis: Hypothesis, dataset: "Dataset | DatasetStack"
-) -> np.ndarray:
-    """Structured ML estimate of the ICM from the secondary snapshots.
+def estimate_covariance(hypothesis: Hypothesis, stack: DatasetStack) -> np.ndarray:
+    """Structured ML estimates of the ICM from the secondary snapshots, as a
+    (T, N, N) stack.
 
     H1: S/K. H2: Re(S)/K. H3: (S/K + J conj(S/K) J)/2. H4: real part of H3.
     All are exact projections of S/K, hence positive definite whenever S is.
     The caller's Cholesky of the result is the positive-definiteness check.
-    A :class:`DatasetStack` gives the (T, N, N) stack of estimates.
     """
-    return project(hypothesis, dataset.scatter / dataset.k)
+    return project(hypothesis, stack.scatter / stack.k)
 
 
 def estimate_alpha_stack(
-    hypothesis: Hypothesis,
-    x_hat: np.ndarray,
-    cut: np.ndarray,
-    steering: np.ndarray,
+    x_hat: np.ndarray, cut: np.ndarray, steering: np.ndarray
 ) -> tuple[np.ndarray, dict[int, DegenerateSteeringError]]:
-    """Plug-in amplitude estimates of the CUT signal under one hypothesis.
+    """ML amplitude estimates of the CUT signal with the ICM estimate plugged in.
 
-    Takes (T, N, N) ``x_hat``, the inverses of the hypothesis's ICM
-    estimates, and (T, N) CUTs and steering vectors. H1 and H2 give
-    ``v^H X z / v^H X v``; a real X makes this the H2 estimate over the
-    stacked real and imaginary parts. H3 and H4 split the CUT into its
-    conjugate-even and conjugate-odd parts, which carry the real and the
-    imaginary amplitude components. Returns the (T,) estimates and, per
-    trial whose steering energy through ``x_hat`` is at or below 1e-14, a
+    Takes (T, N, N) ``x_hat``, the inverses of one class's ICM estimates,
+    and (T, N) CUTs and steering vectors. ``v^H X z / v^H X v`` minimises
+    ``(z - a v)^H X (z - a v)`` over complex a for any Hermitian positive
+    definite X, so it is the estimate under every class and for every
+    steering vector. Returns the (T,) estimates and, per trial whose
+    steering energy through ``x_hat`` is at or below 1e-14, a
     DegenerateSteeringError; those trials' estimates are placeholders.
     """
-    h = Hypothesis(hypothesis)
     vx = _rowdot(steering.conj(), x_hat)
     denom = _rowdot(vx, steering).real
     errors = {
@@ -241,14 +225,7 @@ def estimate_alpha_stack(
         for t in np.flatnonzero(~(denom > _STEERING_FLOOR))
     }
     denom = np.where(denom > _STEERING_FLOOR, denom, 1.0)
-    if h in (Hypothesis.H1, Hypothesis.H2):
-        return _rowdot(vx, cut) / denom, errors
-
-    cut_flip = cut[:, ::-1].conj()
-    alpha = np.empty(len(cut), dtype=complex)
-    alpha.real = _rowdot(vx, 0.5 * (cut + cut_flip)).real / denom
-    alpha.imag = (-1j * _rowdot(vx, 0.5 * (cut - cut_flip))).real / denom
-    return alpha, errors
+    return _rowdot(vx, cut) / denom, errors
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

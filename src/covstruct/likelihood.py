@@ -21,7 +21,14 @@ theta-theta observed information is ``K F`` under approach B and
 and ``F^{-1}`` acts on the class as ``U -> M U M``. The score of snapshot k is
 the class component of ``D_k = X z_k z_k^H X - X``. Under A the rank-2N term
 is handled by Woodbury and the determinant lemma and the amplitude block by a
-2 x 2 Schur complement, so neither information matrix is formed.
+2 x 2 Schur complement, so neither information matrix is formed. The
+amplitude is the ML estimate, so the CUT's amplitude score, the real and
+imaginary parts of ``2 v^H X (z - alpha v)``, is zero and drops out of
+every term.
+
+Every step runs on all T trials. A trial whose estimate failed carries the
+identity as its M and X, and its rows of the result, like those of a trial
+whose amplitude or terms failed, are placeholders.
 
 ``P_h`` is the mean over a group acting on vectors: ``{id}`` (H1),
 ``{id, conj}`` (H2), ``{id, J conj}`` (H3) and ``{id, conj, J, J conj}``
@@ -31,8 +38,9 @@ N-vector inner products, and no N x N matrix per score is built.
 
 The test suite's oracle (``tests/oracle.py``) keeps the direct forms: the
 same terms from the projected N x N matrices of one trial, and the
-theta-basis log-likelihoods, their analytic derivatives and the observed
-and sample information matrices, checked against finite differences.
+theta-basis log-likelihoods, their analytic derivatives (the amplitude score
+among them) and the observed and sample information matrices, checked
+against finite differences.
 """
 
 from __future__ import annotations
@@ -46,25 +54,7 @@ from .estimators import Approach, DatasetStack, EstimateStack
 from .linalg import cholesky_stack, logdet_from_cholesky
 from .structures import Hypothesis, basis_log_norm, param_count
 
-__all__ = ["InfoTerms", "information_terms", "grad_alpha"]
-
-
-def grad_alpha(
-    x: np.ndarray, alpha, cut: np.ndarray, steering: np.ndarray
-) -> np.ndarray:
-    """Score of the CUT w.r.t. [Re alpha, Im alpha], shape (..., 2).
-
-    Takes one trial or a stack: (..., N, N) ``x``, (...) ``alpha`` and
-    (..., N) ``cut`` and ``steering``.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    v = np.asarray(steering, dtype=complex)
-    u = _matvec(np.asarray(x), v)
-    energy = _dot(v.conj(), u).real
-    zxv = _dot(np.asarray(cut, dtype=complex).conj(), u)
-    return 2.0 * np.stack(
-        [-alpha.real * energy + zxv.real, -alpha.imag * energy - zxv.imag], axis=-1
-    )
+__all__ = ["InfoTerms", "information_terms"]
 
 
 @dataclass(frozen=True)
@@ -78,15 +68,17 @@ class InfoTerms:
     and ``theta_logdet`` holds ``log det Q``, both (T,). Under approach A,
     ``schur`` is the pair of (T, 2, 2) stacks ``(S, Y Y^T)``: S is the Schur
     complement ``2 (v^H X v) I_2 - B^T Q^{-1} B`` of Q, with B the
-    theta-alpha block of I, and ``Y = B^T Q^{-1} G_theta - G_alpha``. Then
+    theta-alpha block of I, and ``Y = B^T Q^{-1} G_theta - G_alpha``, where
+    the amplitude scores ``G_alpha`` are zero at the ML amplitude. Then
     ``Tr(J I^{-1}) = theta_trace + Tr(S^{-1} Y Y^T)`` and
     ``log det I = theta_logdet + log det S``. Under approach B, I = Q and
     ``schur`` is None.
 
     ``failures`` maps each trial whose terms could not be formed to its
-    error. Those trials, and the trials whose estimate had already failed,
-    hold placeholders: zero terms and the pair ``(I_2, 0)``. ``fallbacks``
-    counts the stacked factorizations that fell back to matrix by matrix.
+    error. Those trials, and the trials whose estimate (or, under A,
+    amplitude) had already failed, hold placeholder rows: zero terms and
+    the pair ``(I_2, 0)``. ``fallbacks`` counts the stacked factorizations
+    that fell back to matrix by matrix.
     """
 
     theta_trace: np.ndarray
@@ -161,37 +153,33 @@ def information_terms(
     four) elements, so the temporaries hold one image of each row, never the
     images under every element at once.
 
-    Trials whose estimate failed (and, under A, whose amplitude did) are
-    skipped and hold placeholders; see :class:`InfoTerms`.
+    Every trial is computed. The rows of the trials whose estimate failed
+    (its rows of ``m_hat`` and ``x_hat`` are the identity) and, under A,
+    whose amplitude did are then overwritten with placeholders, and their
+    failures dropped; see :class:`InfoTerms`.
     """
     approach = Approach.parse(approach)
-    h, n, k, trials = estimate.hypothesis, stack.n, stack.k, len(stack)
+    h, n, k = estimate.hypothesis, stack.n, stack.k
     dead = set(estimate.failures)
     if approach is Approach.A:
         if estimate.alpha_hat is None:
             raise ValueError("approach A needs alpha_hat on the estimate stack")
-        cut, steering = stack.require_cut()
+        cut, v = stack.require_cut()
         dead |= set(estimate.alpha_failures)
-    live = np.array([t for t in range(trials) if t not in dead], dtype=int)
-    if len(live) == trials:
-        pick = lambda a: a  # noqa: E731
-    else:
-        pick = lambda a: a[live]  # noqa: E731
 
     m, group = param_count(h, n), _VECTOR_GROUPS[h]
-    m_hat, x, logdet = pick(estimate.m_hat), pick(estimate.x_hat), pick(estimate.logdet)
-    sandwich, failures, fallbacks = _sandwich_logdet(h, m_hat, logdet)
+    m_hat, x = estimate.m_hat, estimate.x_hat
+    sandwich, failures, fallbacks = _sandwich_logdet(h, m_hat, estimate.logdet)
     logdet_f = basis_log_norm(h, n) - sandwich
     # Score rows: snapshot k in row k (z_k, w_k = X z_k), and under approach
     # A the CUT's r = z - alpha v and X r in row K. For each group element g,
     # q_g = g(row)^H (X row), and mean_g |q_g|^2 - 2 Re q_id + N is
     # <P(D), M P(D) M> for the row's D = (X row)(X row)^H - X.
-    z = pick(stack.secondary).swapaxes(-1, -2)
+    z = stack.secondary.swapaxes(-1, -2)
     if approach is Approach.B:
         rows, x_rows = z, z @ x.swapaxes(-1, -2)
     else:
-        cut, v, alpha = pick(cut), pick(steering), pick(estimate.alpha_hat)
-        r = cut - alpha[:, None] * v
+        r = cut - estimate.alpha_hat[:, None] * v
         rows = np.concatenate([z, r[:, None]], axis=1)
         x_rows = rows @ x.swapaxes(-1, -2)
     rows_conj, size = rows.conj(), len(group)
@@ -200,8 +188,8 @@ def information_terms(
     for element in group[1:]:
         quad += np.abs(_dot(_image(element, rows_conj, rows), x_rows)) ** 2 / size
     if approach is Approach.B:
-        terms = (np.sum(quad, axis=-1) / k, m * math.log(k) + logdet_f, None)
-        return _place(terms, live, trials, failures, fallbacks)
+        trace, logdet = np.sum(quad, axis=-1) / k, m * math.log(k) + logdet_f
+        return _with_placeholders(trace, logdet, None, failures, fallbacks, dead)
 
     # The alpha border and the capacitance columns are b' (X r)^H + X r b'^H
     # (halved for the capacitance) with M b' = b for the rows b of `basis`:
@@ -216,6 +204,8 @@ def information_terms(
     # tw sums g(row) g(row)^H X r over g, towards t_i X r with
     # t_i = M P(D_i) M / (K-1), and wtu sums (X r)^H g(row) g(row)^H u,
     # towards (X r)^H t_i u; b_tw and b_wtu sum the same for the basis rows.
+    # The -X part of D_i would add -(X r)^H v / (K-1) to (X r)^H t_i u; that
+    # is zero at the ML amplitude.
     tw = wtu = b_tw = b_wtu = 0.0
     for element in group:
         image, image_conj = _image(element, rows, rows_conj), _image(element, rows_conj, rows)
@@ -231,7 +221,7 @@ def information_terms(
     km1 = k - 1
     b_tw /= size * km1
     tw = np.concatenate([(tw / size - r[:, None]) / km1, b_tw[:, :2]], axis=1)
-    wtu = np.concatenate([wtu / size - _dot(xr.conj(), v)[:, None], b_wtu / size], axis=1) / km1
+    wtu = np.concatenate([wtu, b_wtu], axis=1) / (size * km1)
     a = np.concatenate([tw.real, tw.imag], axis=-1)
 
     cols = 0.5 * b_tw[:, 2:]
@@ -251,40 +241,33 @@ def information_terms(
     )
     cross = np.stack([2.0 * wtu.real, -2.0 * wtu.imag], axis=1) - a[:, k + 1 :] @ solved
     schur = 2.0 * _dot(v.conj(), u).real[:, None, None] * np.eye(2) - cross[..., k + 1 :]
-    y = cross[..., scores].copy()
-    y[..., k] -= grad_alpha(x, alpha, cut, v)
+    # The CUT's amplitude score is zero at the ML amplitude, so Y is
+    # B^T Q^{-1} G_theta alone.
+    y = cross[..., scores]
     theta_logdet = (
         m * math.log(km1)
         + logdet_f
         + 2 * n * math.log(2.0)
-        - 2.0 * logdet
+        - 2.0 * estimate.logdet
         + logdet_from_cholesky(low)
     )
-    terms = (
-        theta_trace,
-        theta_logdet,
-        (0.5 * (schur + schur.swapaxes(-1, -2)), y @ y.swapaxes(-1, -2)),
+    schur = (0.5 * (schur + schur.swapaxes(-1, -2)), y @ y.swapaxes(-1, -2))
+    return _with_placeholders(
+        theta_trace, theta_logdet, schur, {**errors, **failures}, fallbacks + fell_back, dead
     )
-    return _place(terms, live, trials, {**errors, **failures}, fallbacks + fell_back)
 
 
-def _place(terms, live, trials, failures, fallbacks) -> InfoTerms:
-    """InfoTerms over all T trials from the terms of the ``live`` ones, with
-    placeholders for the others and for the live trials in ``failures``."""
-    trace, logdet, schur = terms
-    failures = {int(live[t]): exc for t, exc in failures.items()}
-    if len(live) == trials and not failures:
-        return InfoTerms(trace, logdet, schur, {}, int(fallbacks))
-    ok = np.setdiff1d(live, list(failures))
-    rows = np.isin(live, ok)
-    full_trace, full_logdet = np.zeros(trials), np.zeros(trials)
-    full_trace[ok], full_logdet[ok] = trace[rows], logdet[rows]
-    if schur is not None:
-        observed = np.broadcast_to(np.eye(2), (trials, 2, 2)).copy()
-        sample = np.zeros((trials, 2, 2))
-        observed[ok], sample[ok] = schur[0][rows], schur[1][rows]
-        schur = (observed, sample)
-    return InfoTerms(full_trace, full_logdet, schur, failures, int(fallbacks))
+def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoTerms:
+    """InfoTerms whose rows of the ``dead`` trials (estimate or amplitude
+    failed) and of the trials in ``failures`` hold placeholders; failures of
+    dead trials are dropped."""
+    failures = {t: exc for t, exc in failures.items() if t not in dead}
+    placeholders = [*dead, *failures]
+    if placeholders:
+        trace[placeholders] = logdet[placeholders] = 0.0
+        if schur is not None:
+            schur[0][placeholders], schur[1][placeholders] = np.eye(2), 0.0
+    return InfoTerms(trace, logdet, schur, failures, int(fallbacks))
 
 
 def _real_form(a: np.ndarray) -> np.ndarray:

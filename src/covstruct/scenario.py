@@ -171,8 +171,8 @@ def clutter_covariance(
 def steering_vector(n: int, f_v: float) -> np.ndarray:
     """Unit-norm symmetric phase ramp e^{j 2 pi f_v k}/sqrt(n), k centered at 0.
 
-    Conjugate-flip symmetric (J conj(v) = v), which is what lets the
-    amplitude estimators under H3/H4 split the CUT into even and odd parts.
+    Conjugate-flip symmetric (J conj(v) = v). The amplitude estimator does
+    not depend on this: it is the ML amplitude for any unit steering vector.
     Odd n only.
     """
     if n % 2 == 0:

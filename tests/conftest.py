@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ def random_dataset(rng, n, k, with_cut=True):
     steering = complex_normal(rng, (n,))
     steering = steering / np.linalg.norm(steering)
     return Dataset(secondary=secondary, cut=cut, steering=steering)
+
+
+def with_singular_schur(real_info, hypothesis, trial):
+    """information_terms, except that ``hypothesis`` gets a singular 2 x 2
+    Schur complement at ``trial`` of each stack."""
+
+    def patched(estimate, stack, approach):
+        info = real_info(estimate, stack, approach)
+        if estimate.hypothesis is not hypothesis or info.schur is None:
+            return info
+        observed = info.schur[0].copy()
+        observed[trial] = [[1.0, 1.0], [1.0, 1.0]]
+        return dataclasses.replace(info, schur=(observed, info.schur[1]))
+
+    return patched
 
 
 @pytest.fixture

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from covstruct.estimators import Approach, Dataset, EstimateStack
-from covstruct.likelihood import grad_alpha
+from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.linalg import cholesky_pd, logdet_from_cholesky, vec
 from covstruct.structures import (
     Hypothesis,
@@ -201,6 +200,31 @@ def hessian_alpha_alpha(x: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return -2.0 * _quad_form(x, v) * np.eye(2)
 
 
+def grad_alpha(
+    x: np.ndarray, alpha, cut: np.ndarray, steering: np.ndarray
+) -> np.ndarray:
+    """Score of the CUT w.r.t. [Re alpha, Im alpha], shape (..., 2).
+
+    Takes one trial or a stack: (..., N, N) ``x``, (...) ``alpha`` and
+    (..., N) ``cut`` and ``steering``. The package's amplitude is the ML
+    estimate, where this score is zero, so only the oracle computes it.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    v = np.asarray(steering, dtype=complex)
+    u = (np.asarray(x) @ v[..., None])[..., 0]
+    energy = np.einsum("...i,...i->...", v.conj(), u).real
+    zxv = np.einsum("...i,...i->...", np.asarray(cut, dtype=complex).conj(), u)
+    return 2.0 * np.stack(
+        [-alpha.real * energy + zxv.real, -alpha.imag * energy - zxv.imag], axis=-1
+    )
+
+
+def _cut_pair(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """CUT and steering of one dataset, through a stack of one."""
+    cut, steering = DatasetStack([dataset]).require_cut()
+    return cut[0], steering[0]
+
+
 @dataclass(frozen=True)
 class FimPair:
     """Observed and sample information matrices at the plug-in estimates."""
@@ -227,13 +251,13 @@ def observed_fim(
     """
     approach = Approach.parse(approach)
     x = estimate.x_hat[trial]
-    s = dataset.scatter
+    s = DatasetStack([dataset]).scatter[0]
 
     if approach is Approach.B:
         h_tt = hessian_theta_theta(model, x, s, float(dataset.k))
         return -h_tt
 
-    cut, steering = dataset.require_cut()
+    cut, steering = _cut_pair(dataset)
     if estimate.alpha_hat is None:
         raise ValueError("approach A needs alpha_hat on the estimate stack")
     alpha = complex(estimate.alpha_hat[trial])
@@ -271,7 +295,7 @@ def sample_fim(
         g = snapshot_scores(model, x, dataset.secondary)
         return g @ g.T
 
-    cut, steering = dataset.require_cut()
+    cut, steering = _cut_pair(dataset)
     if estimate.alpha_hat is None:
         raise ValueError("approach A needs alpha_hat on the estimate stack")
     alpha = complex(estimate.alpha_hat[trial])
@@ -317,7 +341,7 @@ def information_terms(estimate, trial, dataset, approach):
         quad = _inner(p, m_hat @ p @ m_hat)
         return float(np.sum(quad)) / k, m * math.log(k) + logdet_f, None
 
-    cut, steering = dataset.require_cut()
+    cut, steering = _cut_pair(dataset)
     alpha = complex(estimate.alpha_hat[trial])
     w_cut = x @ (cut - alpha * steering)
     u = x @ steering

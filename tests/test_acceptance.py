@@ -22,6 +22,7 @@ from conftest import (
 )
 from oracle import (
     fim_pair,
+    grad_alpha,
     hessian_alpha_alpha,
     hessian_alpha_theta,
     hessian_theta_theta,
@@ -39,7 +40,7 @@ from covstruct.criteria import (
     prepare_estimates,
 )
 from covstruct.estimators import Approach, Dataset, DatasetStack, estimate_covariance
-from covstruct.likelihood import grad_alpha, information_terms
+from covstruct.likelihood import information_terms
 from covstruct.montecarlo import CampaignConfig, confusion_histogram, run_campaign
 from covstruct.reporting import render_results_csv
 from covstruct.scenario import complex_normal, table_case, truth_instance
@@ -151,7 +152,7 @@ def test_acceptance_2_structured_estimates_and_parameter_counts():
     structure_ok = True
     for n in (4, 5, 8, 13):
         for h in Hypothesis:
-            m_hat = estimate_covariance(h, Dataset(complex_normal(rng, (n, 3 * n))))
+            m_hat = estimate_covariance(h, DatasetStack([Dataset(complex_normal(rng, (n, 3 * n)))]))[0]
             structure_ok = structure_ok and satisfies_structure(h, m_hat)
             residual_max = max(residual_max, structure_residual(h, m_hat))
     counts_ok = all(

@@ -5,7 +5,6 @@ slack; they are asserted against fixed seeds, so failures mean regressions,
 not sampling noise.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +23,6 @@ from covstruct.criteria import (
     FimSingularError,
     Scorecard,
     _argmin_batch,
-    _HYPOTHESIS_FAILURES,
     _information_penalty,
     classify,
     classify_stack,
@@ -33,11 +31,11 @@ from covstruct.criteria import (
 )
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.likelihood import InfoTerms
-from covstruct.linalg import cholesky_pd
+from covstruct.linalg import NotPositiveDefiniteError, cholesky_pd
 from covstruct.scenario import ScenarioConfig, SourceParams, complex_normal, truth_instance
 from covstruct.structures import Hypothesis, param_count, project, structure_model
 
-from conftest import gaussian_snapshots, random_dataset, random_pd_matrix
+from conftest import gaussian_snapshots, random_dataset, random_pd_matrix, with_singular_schur
 from oracle import fim_pair, loglik_full, loglik_secondary
 from oracle import information_terms as matrix_space_terms
 
@@ -53,10 +51,16 @@ ABIC = Criterion(CriterionKind.ASYMPTOTIC_BIC)
 
 
 def test_parse_criterion_round_trips():
-    for text in ("aic", "tic", "aicc", "bic", "asymptotic-bic", "gic:2", "gic:4"):
+    # A GIC key is the shortest repr of rho without a trailing ".0": short for
+    # huge weights, distinct for weights that agree in their first six
+    # digits, and unchanged for the integral weights below 1e16 (gic:2, gic:4).
+    gic_keys = ("gic:3.14159265", "gic:3.14159", "gic:123456789.5", "gic:1000000000000000",
+                "gic:1e+16", "gic:1e+300")
+    for text in ("aic", "tic", "aicc", "bic", "asymptotic-bic", "gic:2", "gic:4") + gic_keys:
         crit = parse_criterion(text)
         assert crit.key == text
         assert parse_criterion(crit.key) == crit
+    assert parse_criterion("gic:1e300").key == "gic:1e+300"
     assert parse_criterion(" GIC:2.5 ").key == "gic:2.5"
     assert parse_criterion("gic:2.5").rho == 2.5
     assert parse_criterion("AIC") == AIC
@@ -181,21 +185,6 @@ def test_bic_rejects_non_pd_observed():
     assert "positive definite" in str(errors[0])
 
 
-def _with_singular_schur(real_info, hypothesis, trial):
-    """information_terms, except that ``hypothesis`` gets a singular 2 x 2
-    Schur complement at ``trial`` of each stack."""
-
-    def patched(estimate, stack, approach):
-        info = real_info(estimate, stack, approach)
-        if estimate.hypothesis is not hypothesis or info.schur is None:
-            return info
-        observed = info.schur[0].copy()
-        observed[trial] = [[1.0, 1.0], [1.0, 1.0]]
-        return dataclasses.replace(info, schur=(observed, info.schur[1]))
-
-    return patched
-
-
 def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     # One singular Schur block in a stack of four: TIC retries exactly that
     # trial with a ridge and counts it once; every other penalty keeps its
@@ -207,7 +196,7 @@ def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     monkeypatch.setattr(
         criteria_module,
         "information_terms",
-        _with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 2),
+        with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 2),
     )
     patched = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
     tic, bic = patched[TIC], patched[BIC]
@@ -422,6 +411,11 @@ def test_prepared_estimates_feed_batch(rng):
 # The trial-batched engine against a per-dataset reference
 
 
+# The exceptions that exclude one hypothesis in the per-dataset reference: a
+# failed Cholesky (estimate or capacitance) and a degenerate AICc denominator.
+_REFERENCE_FAILURES = (NotPositiveDefiniteError, AiccDegenerateError)
+
+
 def reference_classify(ds, approach, criteria):
     """Per-dataset reference loop over the hypotheses.
 
@@ -439,7 +433,7 @@ def reference_classify(ds, approach, criteria):
         m_hat = project(h, scatter / k)
         try:
             low = cholesky_pd(m_hat)
-        except _HYPOTHESIS_FAILURES:
+        except _REFERENCE_FAILURES:
             continue
         x = scipy.linalg.cho_solve((low, True), np.eye(n))
         x = 0.5 * (x + x.conj().T)
@@ -451,14 +445,7 @@ def reference_classify(ds, approach, criteria):
             energy = float((v.conj() @ x @ v).real)
             if not energy > 1e-14:
                 continue
-            if h in (Hypothesis.H1, Hypothesis.H2):
-                alpha = complex(v.conj() @ x @ z / energy)
-            else:
-                flip = z[::-1].conj()
-                alpha = complex(
-                    (v.conj() @ x @ (z + flip)).real / (2 * energy),
-                    (v.conj() @ x @ (z - flip)).imag / (2 * energy),
-                )
+            alpha = complex(v.conj() @ x @ z / energy)
             r = z - alpha * v
             fit += n * math.log(math.pi) + logdet + float((r.conj() @ x @ r).real)
         fits[h] = 2.0 * fit
@@ -495,7 +482,7 @@ def reference_classify(ds, approach, criteria):
                         n=n,
                         approach=approach,
                     )
-            except _HYPOTHESIS_FAILURES:
+            except _REFERENCE_FAILURES:
                 continue
             totals[h] = fit + pen
         chosen = min(

@@ -38,15 +38,20 @@ def test_dataset_validation(rng):
 def test_require_cut_names_missing_pieces(rng):
     secondary = complex_normal(rng, (4, 9))
     with pytest.raises(ValueError, match="cut"):
-        Dataset(secondary=secondary).require_cut()
+        DatasetStack([Dataset(secondary=secondary)]).require_cut()
     with_cut = Dataset(secondary=secondary, cut=complex_normal(rng, (4,)))
     with pytest.raises(ValueError, match="steering"):
-        with_cut.require_cut()
+        DatasetStack([with_cut]).require_cut()
+
+
+def _estimate(h, ds):
+    """The class's ICM estimate of one dataset, through a stack of one."""
+    return estimate_covariance(h, DatasetStack([ds]))[0]
 
 
 def test_h1_estimate_is_sample_covariance(rng):
     ds = random_dataset(rng, 5, 12)
-    m1 = estimate_covariance(Hypothesis.H1, ds)
+    m1 = _estimate(Hypothesis.H1, ds)
     s = ds.secondary @ ds.secondary.conj().T
     np.testing.assert_allclose(m1, 0.5 * (s + s.conj().T) / ds.k, rtol=0, atol=1e-14)
 
@@ -59,7 +64,7 @@ def test_trace_identity_at_h1_mle(rng):
         ds = random_dataset(rng, n, k)
         s = ds.secondary @ ds.secondary.conj().T
         for h in Hypothesis:
-            x = inverse_and_logdet_stack(estimate_covariance(h, ds)[None])[0][0]
+            x = inverse_and_logdet_stack(_estimate(h, ds)[None])[0][0]
             value = np.trace(x @ s).real
             assert abs(value - k * n) <= 1e-10 * k * n, h
 
@@ -68,14 +73,14 @@ def test_estimates_satisfy_exact_structure(rng):
     for n in (4, 5):
         ds = random_dataset(rng, n, 3 * n)
         for h in Hypothesis:
-            m = estimate_covariance(h, ds)
+            m = _estimate(h, ds)
             assert satisfies_structure(h, m)
 
 
 def test_estimate_nesting_identities(rng):
     # Restricted estimates are exact projections of the unstructured one.
     ds = random_dataset(rng, 5, 15)
-    m1, m2, m3, m4 = (estimate_covariance(h, ds) for h in Hypothesis)
+    m1, m2, m3, m4 = (_estimate(h, ds) for h in Hypothesis)
     j = exchange(5)
     np.testing.assert_array_equal(m2, m1.real)
     np.testing.assert_array_equal(m3, 0.5 * (m1 + j @ m1.conj() @ j))
@@ -85,46 +90,51 @@ def test_estimate_nesting_identities(rng):
     np.testing.assert_array_equal(m4, j @ m4 @ j)
 
 
-def alpha_ls_oracle(hypothesis, z, v):
-    """Least-squares amplitude at M = I under the hypothesis's constraints.
-
-    For the unstructured and real hypotheses the projection is v'z directly;
-    for the conjugate-symmetric hypotheses the even/odd split of z carries
-    the real and imaginary parts separately.
-    """
-    j = exchange(z.size)
-    if hypothesis is Hypothesis.H1:
-        return np.vdot(v, z) / np.vdot(v, v)
-    if hypothesis is Hypothesis.H2:
-        vr = np.concatenate([v.real, v.imag])
-        zr = np.concatenate([z.real, z.imag])
-        zi = np.concatenate([z.imag, -z.real])
-        denom = vr @ vr
-        return complex(vr @ zr / denom, vr @ zi / denom)
-    z_even = 0.5 * (z + j @ z.conj())
-    z_odd = 0.5 * (z - j @ z.conj())
-    denom = np.vdot(v, v).real
-    a_re = np.vdot(v, z_even).real / denom
-    a_im = (-1j * np.vdot(v, z_odd)).real / denom
+def alpha_ls_oracle(z, v):
+    """Least-squares amplitude min |z - a v|^2, solved over (Re a, Im a) on
+    the stacked real form [Re z; Im z] = [[Re v, -Im v], [Im v, Re v]] a."""
+    design = np.block([[v.real[:, None], -v.imag[:, None]], [v.imag[:, None], v.real[:, None]]])
+    (a_re, a_im), *_ = np.linalg.lstsq(design, np.concatenate([z.real, z.imag]), rcond=None)
     return complex(a_re, a_im)
+
+
+def _steerings(rng, n):
+    """The symmetric campaign steering, and a random non-symmetric unit
+    vector as a dataset file may carry."""
+    v_random = complex_normal(rng, (n,))
+    return steering_vector(n, 0.01), v_random / np.linalg.norm(v_random)
 
 
 def test_alpha_estimates_match_ls_oracle_at_identity(rng):
     n = 7
-    # The symmetric campaign steering, and a random non-symmetric unit vector
-    # as a dataset file may carry.
-    v_random = complex_normal(rng, (n,))
     x_eye = np.eye(n, dtype=complex)
-    for v in (steering_vector(n, 0.01), v_random / np.linalg.norm(v_random)):
+    for v in _steerings(rng, n):
         for h in Hypothesis:
             x = x_eye.real if h.is_real else x_eye
             for _ in range(5):
                 z = complex_normal(rng, (n,))
-                a_hat, errors = estimate_alpha_stack(h, x[None], z[None], v[None])
+                a_hat, errors = estimate_alpha_stack(x[None], z[None], v[None])
                 assert not errors
                 a_hat = a_hat[0]
-                a_orc = alpha_ls_oracle(h, z, v)
+                a_orc = alpha_ls_oracle(z, v)
                 assert abs(a_hat - a_orc) <= 1e-10 * max(1.0, abs(a_orc))
+
+
+def test_alpha_minimises_the_cut_fit_under_every_class(rng):
+    # The amplitude is the ML estimate: it minimises the CUT's fit term
+    # (z - a v)^H X (z - a v) = |L^H (z - a v)|^2, with X = L L^H the class's
+    # estimated ICM inverse, under every class and both steerings.
+    n, k = 7, 20
+    for v in _steerings(rng, n):
+        for h in Hypothesis:
+            for _ in range(5):
+                ds = random_dataset(rng, n, k)
+                ds = Dataset(secondary=ds.secondary, cut=ds.cut, steering=v)
+                est = prepare_estimates(DatasetStack([ds]), Approach.A)[h]
+                low_h = np.linalg.cholesky(est.x_hat[0]).conj().T
+                a_orc = alpha_ls_oracle(low_h @ ds.cut, low_h @ v)
+                a_hat = est.alpha_hat[0]
+                assert abs(a_hat - a_orc) <= 1e-10 * max(1.0, abs(a_orc)), h
 
 
 def test_alpha_recovers_clean_target(rng):
@@ -135,7 +145,7 @@ def test_alpha_recovers_clean_target(rng):
     z = alpha * v
     for h in Hypothesis:
         x = np.eye(n) if h.is_real else np.eye(n, dtype=complex)
-        a_hat, errors = estimate_alpha_stack(h, x[None], z[None], v[None])
+        a_hat, errors = estimate_alpha_stack(x[None], z[None], v[None])
         assert not errors
         assert abs(a_hat[0] - alpha) <= 1e-10
 
@@ -145,7 +155,7 @@ def test_alpha_h1_formula(rng):
     stack = DatasetStack([ds])
     x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
     expected = np.vdot(ds.steering, x[0] @ ds.cut) / np.vdot(ds.steering, x[0] @ ds.steering)
-    got = estimate_alpha_stack(Hypothesis.H1, x, *stack.require_cut())[0][0]
+    got = estimate_alpha_stack(x, *stack.require_cut())[0][0]
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -156,8 +166,8 @@ def test_alpha_steering_phase_consistency(rng):
     x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
     cut, steering = stack.require_cut()
     phase = np.exp(1j * 0.73)
-    a0 = estimate_alpha_stack(Hypothesis.H1, x, cut, steering)[0][0]
-    a1 = estimate_alpha_stack(Hypothesis.H1, x, phase * cut, steering)[0][0]
+    a0 = estimate_alpha_stack(x, cut, steering)[0][0]
+    a1 = estimate_alpha_stack(x, phase * cut, steering)[0][0]
     assert abs(a1 - phase * a0) <= 1e-10 * max(1.0, abs(a0))
 
 
@@ -168,7 +178,7 @@ def test_degenerate_steering_raises():
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     # An enormous covariance (a tiny inverse) drives v'Xv below the floor.
-    _, errors = estimate_alpha_stack(Hypothesis.H1, 1e-16 * x[None], z[None], v[None])
+    _, errors = estimate_alpha_stack(1e-16 * x[None], z[None], v[None])
     assert list(errors) == [0]
     assert isinstance(errors[0], DegenerateSteeringError)
 
@@ -181,9 +191,7 @@ def test_degenerate_steering_message_ignores_the_last_bits():
     assert nudged != energy
     messages = []
     for value in (energy, nudged):
-        _, errors = estimate_alpha_stack(
-            Hypothesis.H1, value * np.eye(3)[None], np.ones((1, 3)), np.eye(3)[:1]
-        )
+        _, errors = estimate_alpha_stack(value * np.eye(3)[None], np.ones((1, 3)), np.eye(3)[:1])
         messages.append(str(errors[0]))
     assert messages[0] == messages[1]
     assert "3.700e-17" in messages[0]

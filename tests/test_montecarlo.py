@@ -61,6 +61,9 @@ def test_campaign_config_validation():
         small_config(trials=0)
     with pytest.raises(ValueError, match="duplicate criterion"):
         small_config(criteria=(AIC, Criterion(CriterionKind.AIC)))
+    # Two GIC weights that agree in their first six digits are two rules.
+    close = (parse_criterion("gic:3.14159265"), parse_criterion("gic:3.14159"))
+    assert small_config(criteria=close).criteria == close
     with pytest.raises(ValueError, match="k_grid"):
         small_config(k_grid=())
     with pytest.raises(ValueError, match="criterion"):

@@ -31,7 +31,7 @@ from covstruct.reporting import (
 from covstruct.scenario import ScenarioConfig, table_case
 from covstruct.structures import Hypothesis
 
-from test_criteria import _with_singular_schur
+from conftest import with_singular_schur
 
 GOLDEN_HEADER = (
     "schema,criterion,approach,truth,K,trials,failed,"
@@ -190,7 +190,7 @@ def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
     monkeypatch.setattr(
         criteria_module,
         "information_terms",
-        _with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 0),
+        with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 0),
     )
     config = CampaignConfig(
         scenario=ScenarioConfig(n=5),
