@@ -38,6 +38,7 @@ from .scenario import (
     ScenarioConfig,
     SourceParams,
     TruthInstance,
+    draw_stack,
     sample_dataset,
     steering_vector,
     table_case,
@@ -81,6 +82,7 @@ __all__ = [
     "classify",
     "classify_stack",
     "confusion_histogram",
+    "draw_stack",
     "dumps_dataset",
     "estimate_covariance",
     "information_terms",

@@ -32,8 +32,8 @@ retried alone with a ridge, and the retries are counted.
 The classifier picks the smallest total, ties going to the smaller
 parameter count and then the lower index; a hypothesis whose numerics break
 (singular information matrix, degenerate AICc denominator, failed
-factorization) is excluded and the failure recorded, and the argmin runs over
-the survivors.
+factorization, a total that is not finite) is excluded and the failure
+recorded, and the argmin runs over the survivors.
 
 One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
 datasets at once: the estimates come from stacked projections, one stacked
@@ -77,6 +77,7 @@ __all__ = [
     "Criterion",
     "FimSingularError",
     "AiccDegenerateError",
+    "NonFiniteScoreError",
     "HypothesisScore",
     "Scorecard",
     "TrialScores",
@@ -101,6 +102,10 @@ class FimSingularError(ValueError):
 
 class AiccDegenerateError(ValueError):
     """AICc denominator is non-positive: parameters meet or exceed the data."""
+
+
+class NonFiniteScoreError(ValueError):
+    """A hypothesis's total score is not finite, so no argmin may pick it."""
 
 
 class CriterionKind(enum.Enum):
@@ -458,7 +463,7 @@ def classify(
     """Classify one dataset with one rule: the engine (:func:`classify_stack`)
     on a stack of one."""
     approach = Approach.parse(approach)
-    scores = classify_stack(DatasetStack((dataset,)), (approach,), (criterion,))
+    scores = classify_stack(DatasetStack.of((dataset,)), (approach,), (criterion,))
     return scores[approach][criterion].scorecard(0)
 
 
@@ -538,6 +543,12 @@ def _evaluate(
             failed[h - 1, t] = True
         pen[failed] = np.nan
         total = fit + pen
+        for i, t in np.argwhere(~np.isfinite(total) & ~failed):
+            failures[(int(i) + 1, int(t))] = NonFiniteScoreError(
+                f"total {float(total[i, t])!r} is not finite "
+                f"(fit {float(fit[i, t])!r}, penalty {float(pen[i, t])!r})"
+            )
+            failed[i, t], pen[i, t], total[i, t] = True, np.nan, np.nan
         out[criterion] = TrialScores(
             criterion=criterion,
             approach=approach,

@@ -66,6 +66,33 @@ class DegenerateSteeringError(ValueError):
     """Steering energy through the estimated ICM is numerically zero."""
 
 
+def _checked(secondary, cut, steering, lead: int) -> tuple:
+    """The one validation rule of :class:`Dataset` (``lead`` 0) and
+    :class:`DatasetStack` (``lead`` 1, a leading trial axis): K > N
+    snapshots, a CUT and steering vector (each optional) of length N, and a
+    unit-norm steering vector. Returns the arrays as complex."""
+    sec = np.asarray(secondary, dtype=complex)
+    if sec.ndim != lead + 2:
+        what = "a T x N x K stack" if lead else "an N x K matrix"
+        raise ValueError(f"secondary must be {what}, got shape {sec.shape}")
+    *head, n, k = sec.shape
+    if k <= n:
+        raise ValueError(f"need K > N secondary snapshots, got K={k}, N={n}")
+    vectors = []
+    for name, x in (("cut", cut), ("steering", steering)):
+        if x is not None:
+            x = np.asarray(x, dtype=complex)
+            if x.shape != (*head, n):
+                raise ValueError(f"{name} must have shape {(*head, n)}, got {x.shape}")
+        vectors.append(x)
+    if steering is not None:
+        norms = np.atleast_1d(np.linalg.norm(vectors[1], axis=-1))
+        bad = ~(np.abs(norms - 1.0) <= 1e-12)  # NaN is not unit norm
+        if bad.any():
+            raise ValueError(f"steering must be unit norm, got |v| = {float(norms[bad][0])!r}")
+    return sec, *vectors
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One classification problem: secondary snapshots plus optional CUT.
@@ -86,26 +113,9 @@ class Dataset:
     steering: np.ndarray | None = None
 
     def __post_init__(self):
-        sec = np.asarray(self.secondary, dtype=complex)
-        if sec.ndim != 2:
-            raise ValueError(f"secondary must be an N x K matrix, got shape {sec.shape}")
-        n, k = sec.shape
-        if k <= n:
-            raise ValueError(f"need K > N secondary snapshots, got K={k}, N={n}")
-        object.__setattr__(self, "secondary", sec)
-        if self.cut is not None:
-            cut = np.asarray(self.cut, dtype=complex)
-            if cut.shape != (n,):
-                raise ValueError(f"cut must have shape ({n},), got {cut.shape}")
-            object.__setattr__(self, "cut", cut)
-        if self.steering is not None:
-            v = np.asarray(self.steering, dtype=complex)
-            if v.shape != (n,):
-                raise ValueError(f"steering must have shape ({n},), got {v.shape}")
-            norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"steering must be unit norm, got |v| = {norm!r}")
-            object.__setattr__(self, "steering", v)
+        arrays = _checked(self.secondary, self.cut, self.steering, lead=0)
+        for name, value in zip(("secondary", "cut", "steering"), arrays):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -117,29 +127,37 @@ class Dataset:
 
 
 class DatasetStack:
-    """T datasets of one N x K shape, stacked along a leading trial axis.
+    """T datasets of one N x K shape, as arrays with a leading trial axis.
 
-    ``secondary`` is the (T, N, K) stack and ``scatter`` the (T, N, N) stack
-    of the Hermitian parts of ``S = Z Z^H``, formed by one stacked matmul on
-    first use and kept.
-    ``datasets`` keeps the per-trial :class:`Dataset` objects.
+    ``secondary`` is the (T, N, K) stack; ``cut`` and ``steering`` are
+    (T, N) stacks or None. The arrays pass the validation rule of
+    :class:`Dataset` once for the whole stack. ``scatter`` is the (T, N, N)
+    stack of the Hermitian parts of ``S = Z Z^H``, formed by one stacked
+    matmul on first use and kept. :meth:`of` stacks :class:`Dataset`
+    objects.
     """
 
-    def __init__(self, datasets):
-        self.datasets = tuple(datasets)
-        if not self.datasets:
+    def __init__(self, secondary, cut=None, steering=None):
+        self.secondary, self.cut, self.steering = _checked(secondary, cut, steering, lead=1)
+        if not len(self.secondary):
             raise ValueError("a dataset stack needs at least one dataset")
-        shape = self.datasets[0].secondary.shape
-        for dataset in self.datasets:
-            if dataset.secondary.shape != shape:
-                raise ValueError(
-                    f"stacked datasets must share one N x K shape, got "
-                    f"{dataset.secondary.shape} and {shape}"
-                )
-        self.secondary = np.stack([d.secondary for d in self.datasets])
+
+    @classmethod
+    def of(cls, datasets) -> "DatasetStack":
+        """The stack of one or more datasets of one N x K shape. It has a CUT
+        (or steering vector) only when every dataset has one."""
+        datasets = tuple(datasets)
+        if len({d.secondary.shape for d in datasets}) != 1:
+            raise ValueError("a dataset stack needs one or more datasets of one N x K shape")
+
+        def stacked(name):
+            parts = [getattr(d, name) for d in datasets]
+            return None if any(p is None for p in parts) else np.stack(parts)
+
+        return cls(stacked("secondary"), stacked("cut"), stacked("steering"))
 
     def __len__(self) -> int:
-        return len(self.datasets)
+        return len(self.secondary)
 
     @property
     def n(self) -> int:
@@ -155,20 +173,12 @@ class DatasetStack:
 
     def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, N) stacks of the CUTs and steering vectors, or a clear error
-        naming what approach A misses in the first dataset missing one."""
-        return self._cut_pair
-
-    @functools.cached_property
-    def _cut_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        for d in self.datasets:
-            if d.cut is None:
-                raise ValueError("approach A needs a cell under test ('cut')")
-            if d.steering is None:
-                raise ValueError("approach A needs a steering vector ('steering')")
-        return (
-            np.stack([d.cut for d in self.datasets]),
-            np.stack([d.steering for d in self.datasets]),
-        )
+        naming what approach A misses."""
+        if self.cut is None:
+            raise ValueError("approach A needs a cell under test ('cut')")
+        if self.steering is None:
+            raise ValueError("approach A needs a steering vector ('steering')")
+        return self.cut, self.steering
 
 
 @dataclass(frozen=True)

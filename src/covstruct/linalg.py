@@ -25,9 +25,9 @@ __all__ = [
     "inverse_and_logdet_stack",
 ]
 
-# Relative pivot floor: a Cholesky pivot at or below this fraction of the
-# largest diagonal entry is treated as a positive-definiteness failure even
-# when the factorization itself does not break down.
+# Relative pivot floor: a Cholesky pivot not above this fraction of the
+# largest diagonal entry (NaN included) is treated as a positive-definiteness
+# failure even when the factorization itself does not break down.
 _PIVOT_RTOL = 1e-12
 
 
@@ -74,10 +74,10 @@ def cholesky_stack(
     Only the lower triangles are referenced. Returns ``(low, errors,
     fell_back)``. ``errors`` maps the index of each matrix that is not
     positive definite to its error: the factorization breaks down, or a
-    pivot falls at or below ``1e-12`` times the largest diagonal entry of
-    that matrix. A failing matrix's factor is the identity. numpy refuses
-    the whole stack when any one factor breaks down, and then the stack is
-    factored matrix by matrix; ``fell_back`` says so. Either way each matrix
+    pivot is not above ``1e-12`` times the largest diagonal entry of that
+    matrix (a NaN pivot is not). A failing matrix's factor is the identity.
+    numpy refuses the whole stack when any one factor breaks down, and then
+    the stack is factored matrix by matrix; ``fell_back`` says so. Either way each matrix
     is factored on its own, so every factor and error is bit-identical to a
     stack of one.
     """
@@ -98,7 +98,7 @@ def cholesky_stack(
                 )
     diag_max = m.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
     pivot = (low.diagonal(axis1=-2, axis2=-1).real ** 2).min(axis=-1)
-    for t in (pivot <= _PIVOT_RTOL * diag_max).nonzero()[0]:
+    for t in np.flatnonzero(~(pivot > _PIVOT_RTOL * diag_max)):  # NaN fails too
         errors.setdefault(int(t), _pivot_error(pivot[t], diag_max[t]))
     if errors:
         low[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
@@ -106,6 +106,10 @@ def cholesky_stack(
 
 
 def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
+    if not (np.isfinite(pivot) and np.isfinite(diag_max)):
+        return NotPositiveDefiniteError(
+            f"Cholesky pivot {pivot:.3e} or max diagonal ({diag_max:.3e}) is not finite"
+        )
     return NotPositiveDefiniteError(
         f"Cholesky pivot {pivot:.3e} at or below "
         f"{_PIVOT_RTOL:.0e} * max diagonal ({diag_max:.3e})"

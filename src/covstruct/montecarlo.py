@@ -10,11 +10,14 @@ trials sums to the same counts.
 A campaign's unit of work is a chunk: one engine block of one cell, at
 most ``_BLOCK_ENTRIES`` snapshot entries (N x K per trial), or one trial
 when N K is larger, so memory stays flat whatever N or K. The serial loop
-and the process pool run the same chunks. A chunk draws each trial from its
-own stream, in trial order, and hands the drawn datasets to the
-classification engine (:func:`covstruct.criteria.classify_stack`) as one
-stack. Truths that draw nothing (H3, H4, or any truth with frozen channel
-errors) are built once per chunk. The engine's outcome for a trial does not
+and the process pool run the same chunks. Each trial of a chunk draws from
+its own stream, in a fixed order (channel errors, CUT phase, CUT noise,
+secondary noise); only those draws run trial by trial, and the chunk's
+truths, factors and datasets are formed as arrays
+(:func:`covstruct.scenario.draw_stack`) and go to the classification
+engine (:func:`covstruct.criteria.classify_stack`) as one validated stack.
+Truths that draw nothing (H3, H4, or any truth with frozen channel errors)
+are built once per chunk. The engine's outcome for a trial does not
 depend on the stack it sits in, so neither the block size nor the worker
 count changes a tally.
 
@@ -36,13 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import DEFAULT_CRITERIA, Criterion, classify_stack
-from .estimators import Approach, DatasetStack
-from .scenario import (
-    CHANNEL_ERROR_TRUTHS,
-    ScenarioConfig,
-    sample_dataset,
-    truth_instance,
-)
+from .estimators import Approach
+from .scenario import ScenarioConfig, draw_stack, truth_instance
 from .structures import Hypothesis
 
 __all__ = [
@@ -241,33 +239,31 @@ def _chunks(config: CampaignConfig) -> list[tuple]:
     return tasks
 
 
-def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:
-    """Worker body: classify trials [lo, hi) of one cell, return raw tallies.
-
-    Trials draw one by one from their own streams, then go through the
-    classification engine as one stack.
-    """
-    config, truth_value, k, lo, hi = args
-    truth = Hypothesis(truth_value)
+def _draw_chunk(config: CampaignConfig, truth: Hypothesis, k: int, lo: int, hi: int):
+    """The datasets of trials [lo, hi) of one cell, as one stack; each trial
+    draws from its own stream (:func:`covstruct.scenario.draw_stack`)."""
     scenario = config.scenario
-    started = time.perf_counter()
-
-    # A frozen truth is drawn once; a truth without channel errors draws
-    # nothing, so one instance serves every trial either way.
-    shared = None
+    shared = None  # a frozen truth is drawn once and serves every trial
     if scenario.freeze_channel_errors:
         shared = truth_instance(
             truth, scenario, _frozen_truth_rng(config.master_seed, truth)
         )
-    elif truth not in CHANNEL_ERROR_TRUTHS:
-        shared = truth_instance(truth, scenario)
+    rngs = [_trial_rng(config.master_seed, truth, k, trial) for trial in range(lo, hi)]
+    return draw_stack(truth, scenario, k, rngs, shared)
 
-    datasets = []
-    for trial in range(lo, hi):
-        rng = _trial_rng(config.master_seed, truth, k, trial)
-        instance = shared if shared is not None else truth_instance(truth, scenario, rng)
-        datasets.append(sample_dataset(instance, scenario, k, rng))
-    scores = classify_stack(DatasetStack(datasets), config.approaches, config.criteria)
+
+def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:
+    """Worker body: classify trials [lo, hi) of one cell, return raw tallies.
+
+    The trials are drawn as one stack (:func:`_draw_chunk`) and go through
+    the classification engine as that stack.
+    """
+    config, truth_value, k, lo, hi = args
+    truth = Hypothesis(truth_value)
+    started = time.perf_counter()
+
+    stack = _draw_chunk(config, truth, k, lo, hi)
+    scores = classify_stack(stack, config.approaches, config.criteria)
 
     counts: dict[tuple[str, str], np.ndarray] = {}
     fallbacks: dict[tuple[str, str], np.ndarray] = {}

@@ -26,17 +26,25 @@ the computation stays in real arithmetic throughout.
 The cell under test carries amplitude ``alpha = sqrt(10^(SNR_dB/10)) e^{j phi}``
 with a uniform random phase, on the symmetric phase-ramp steering vector
 (odd N only).
+
+A campaign chunk is drawn as one stack (:func:`draw_stack`): each trial's
+generator draws, in order, its channel errors (H1/H2), the CUT phase, the
+CUT noise and the secondary noise into preallocated buffers, and the
+truths, their Cholesky factors, ``cut = alpha v + L g`` and ``Z = L G`` are
+then formed for the whole stack. :func:`truth_instance` and
+:func:`sample_dataset` are the same formulas on one generator.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import Dataset
-from .linalg import cholesky_pd, hermitian_part
+from .estimators import Dataset, DatasetStack
+from .linalg import cholesky_pd, cholesky_stack, hermitian_part
 from .structures import Hypothesis, project
 
 __all__ = [
@@ -53,6 +61,7 @@ __all__ = [
     "steering_vector",
     "truth_instance",
     "sample_dataset",
+    "draw_stack",
     "complex_normal",
 ]
 
@@ -70,10 +79,18 @@ class SourceParams:
     doppler: float
 
     def __post_init__(self):
+        _require_finite(self, "cnr_db")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"one-lag correlation must be in (0, 1), got {self.rho}")
         if not abs(self.doppler) < 0.5:
             raise ValueError(f"normalized Doppler must satisfy |f| < 0.5, got {self.doppler}")
+
+
+def _require_finite(params, *names: str) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def case1_sources() -> tuple[SourceParams, ...]:
@@ -107,6 +124,7 @@ class ScenarioConfig:
             raise ValueError(f"need at least 2 channels, got {self.n}")
         if not self.sources:
             raise ValueError("need at least one clutter source")
+        _require_finite(self, "sigma_d", "sigma_n2", "snr_db", "f_v")
         if self.sigma_d < 0:
             raise ValueError(f"channel-error std must be >= 0, got {self.sigma_d}")
         if self.sigma_n2 <= 0:
@@ -196,26 +214,41 @@ def truth_instance(
     projected onto the exact structure of the hypothesis, which never moves
     the matrix by more than floating-point noise but makes the structure
     checks exact. ``r_clutter`` is shared by every instance of one scenario
-    and is read-only.
+    and is read-only. The formulas are those of :func:`draw_stack`.
     """
     h = Hypothesis(hypothesis)
-    n = config.n
-    r = _cached_clutter(config.sources, n, h in (Hypothesis.H2, Hypothesis.H4))
-
     if h not in CHANNEL_ERROR_TRUTHS:
-        a = np.eye(n)
+        a = np.eye(config.n)
     elif rng is None:
         raise ValueError(f"an {h.name} truth draws channel errors and needs a generator")
-    elif h is Hypothesis.H1:
-        a = np.eye(n) + config.sigma_d * complex_normal(rng, (n, n))
     else:
-        a = np.eye(n) + config.sigma_d * rng.standard_normal((n, n))
+        a = _channel_factors(h, config, (rng,))[0]
+    return TruthInstance(
+        hypothesis=h,
+        m_true=_truth_covariance(h, config, a),
+        a_factor=a,
+        r_clutter=_cached_clutter(config.sources, config.n, h.is_real),
+    )
 
-    m_raw = a @ r @ a.conj().T + config.sigma_n2 * np.eye(n)
-    m_true = project(h, hermitian_part(m_raw))
-    if h.is_real:
-        assert not np.iscomplexobj(m_true)
-    return TruthInstance(hypothesis=h, m_true=m_true, a_factor=a, r_clutter=r)
+
+def _channel_factors(h: Hypothesis, config: ScenarioConfig, rngs) -> np.ndarray:
+    """(T, N, N) channel-error factors ``A = I + sigma_d W`` of an H1 or H2
+    truth, W drawn from each generator in turn: complex normal for H1 (real
+    parts, then imaginary parts), real normal for H2."""
+    n = config.n
+    raw = np.empty((len(rngs), 2 if h is Hypothesis.H1 else 1, n, n))
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=raw[t])
+    w = _complex(raw[:, 0], raw[:, 1]) if h is Hypothesis.H1 else raw[:, 0]
+    return np.eye(n) + config.sigma_d * w
+
+
+def _truth_covariance(h: Hypothesis, config: ScenarioConfig, a: np.ndarray) -> np.ndarray:
+    """``project(hermitian_part(A R A^H + sigma_n^2 I))`` for one factor A or
+    a stack of them."""
+    r = _cached_clutter(config.sources, config.n, h.is_real)
+    m_raw = a @ r @ a.conj().swapaxes(-1, -2) + config.sigma_n2 * np.eye(config.n)
+    return project(h, hermitian_part(m_raw))
 
 
 @functools.lru_cache(maxsize=32)
@@ -236,7 +269,21 @@ def _cached_steering(n: int, f_v: float) -> np.ndarray:
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circular complex normal: unit variance split across re/im."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _complex(rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+_ROOT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Circular complex normals ``(re + j im) / sqrt(2)`` from standard normal
+    real and imaginary parts. numpy divides a complex number by a real one
+    as a product with its reciprocal, so scaling each part in place gives
+    the bits of that division without its complex temporaries."""
+    out = np.empty(np.shape(re), dtype=complex)
+    np.multiply(re, _ROOT_HALF, out=out.real)
+    np.multiply(im, _ROOT_HALF, out=out.imag)
+    return out
 
 
 def sample_dataset(
@@ -249,14 +296,64 @@ def sample_dataset(
 
     Fixed draw order (phase, CUT noise, secondary block) so a given stream
     yields a bit-identical dataset. Snapshots are ``L g`` with L the lower
-    Cholesky factor of the truth (``truth.low``) and g standard complex normal.
+    Cholesky factor of the truth (``truth.low``) and g standard complex
+    normal. The formulas are those of :func:`draw_stack`.
     """
-    n = config.n
-    low = truth.low
-    amplitude = np.sqrt(db_to_linear(config.snr_db))
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    alpha = amplitude * np.exp(1j * phase)
-    v = _cached_steering(n, config.f_v)
-    cut = alpha * v + low @ complex_normal(rng, n)
-    secondary = low @ complex_normal(rng, (n, k))
-    return Dataset(secondary=secondary, cut=cut, steering=v)
+    cut, secondary = _coloured(truth.low, config, *_noise(config.n, k, (rng,)))
+    v = _cached_steering(config.n, config.f_v)
+    return Dataset(secondary=secondary[0], cut=cut[0], steering=v)
+
+
+def draw_stack(
+    hypothesis: Hypothesis,
+    config: ScenarioConfig,
+    k: int,
+    rngs,
+    truth: TruthInstance | None = None,
+) -> DatasetStack:
+    """One dataset per generator, as one stack: a campaign chunk.
+
+    Generator t is trial t's stream and draws what :func:`truth_instance`
+    and :func:`sample_dataset` would, in their order: the channel-error
+    matrix (H1/H2, unless ``truth`` is one truth shared by every trial),
+    then the CUT phase and noise and the secondary noise. The truths, their
+    factors and the datasets are then formed for the whole stack,
+    bit-identical to the one-trial functions. A truth that is not positive
+    definite raises its first trial's NotPositiveDefiniteError.
+    """
+    h = Hypothesis(hypothesis)
+    if truth is None and h not in CHANNEL_ERROR_TRUTHS:
+        truth = truth_instance(h, config)
+    if truth is not None:
+        low = truth.low
+    else:
+        a = _channel_factors(h, config, rngs)
+        low, errors, _ = cholesky_stack(_truth_covariance(h, config, a))
+        if errors:
+            raise next(iter(errors.values()))
+    cut, secondary = _coloured(low, config, *_noise(config.n, k, rngs))
+    v = _cached_steering(config.n, config.f_v)
+    return DatasetStack(secondary, cut, np.broadcast_to(v, cut.shape).copy())
+
+
+def _noise(n: int, k: int, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each generator's CUT phase, then the real and imaginary parts of its
+    CUT noise, then those of its secondary noise: (T,), (T, 2, N) and
+    (T, 2, N, K) standard normal draws."""
+    size = len(rngs)
+    phase, cut_raw, raw = np.empty(size), np.empty((size, 2, n)), np.empty((size, 2, n, k))
+    for t, rng in enumerate(rngs):
+        phase[t] = rng.uniform(0.0, 2.0 * np.pi)
+        rng.standard_normal(out=cut_raw[t])
+        rng.standard_normal(out=raw[t])
+    return phase, cut_raw, raw
+
+
+def _coloured(low, config: ScenarioConfig, phase, cut_raw, raw) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N) CUTs ``alpha v + L g`` and (T, N, K) snapshots ``Z = L G`` from
+    :func:`_noise`'s draws, with ``alpha = sqrt(SNR) e^{j phase}`` and L one
+    lower Cholesky factor or a stack of them."""
+    g = _complex(cut_raw[:, 0], cut_raw[:, 1])
+    alpha = np.sqrt(db_to_linear(config.snr_db)) * np.exp(1j * phase)
+    cut = alpha[:, None] * _cached_steering(config.n, config.f_v) + (low @ g[..., None])[..., 0]
+    return cut, low @ _complex(raw[:, 0], raw[:, 1])

@@ -1,5 +1,5 @@
-"""Test oracles for the likelihood terms: direct forms of one trial that the
-package computes another way.
+"""Test oracles: direct forms of one trial that the package computes another
+way, for the likelihood terms and for the draw.
 
 Theta-basis path. The log-likelihoods of ``covstruct.likelihood``'s data
 model at a parameter vector theta (``vec(M) = C theta``), their analytic
@@ -38,6 +38,7 @@ import scipy.linalg
 
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.linalg import cholesky_pd, logdet_from_cholesky, vec
+from covstruct.scenario import clutter_covariance, steering_vector
 from covstruct.structures import (
     Hypothesis,
     StructureModel,
@@ -221,7 +222,7 @@ def grad_alpha(
 
 def _cut_pair(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """CUT and steering of one dataset, through a stack of one."""
-    cut, steering = DatasetStack([dataset]).require_cut()
+    cut, steering = DatasetStack.of([dataset]).require_cut()
     return cut[0], steering[0]
 
 
@@ -251,7 +252,7 @@ def observed_fim(
     """
     approach = Approach.parse(approach)
     x = estimate.x_hat[trial]
-    s = DatasetStack([dataset]).scatter[0]
+    s = DatasetStack.of([dataset]).scatter[0]
 
     if approach is Approach.B:
         h_tt = hessian_theta_theta(model, x, s, float(dataset.k))
@@ -423,3 +424,44 @@ def _sandwich_logdet(hypothesis, m_hat, logdet):
         (basis.shape[1] + 1) * np.linalg.slogdet(basis.T @ m_hat @ basis)[1]
         for basis in (even, odd)
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-trial draw
+#
+# The campaign draw as it was before it was stacked: one truth, one Cholesky
+# factor and one dataset per trial, each drawn from the trial's generator in
+# the fixed order channel errors (H1/H2), CUT phase, CUT noise, secondary
+# noise. ``covstruct.scenario`` forms the same numbers for a whole chunk.
+
+
+def _complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def truth_instance(hypothesis, config, rng=None):
+    """One ground truth ``(m_true, a_factor)``, drawn matrix by matrix."""
+    h = Hypothesis(hypothesis)
+    n = config.n
+    r = clutter_covariance(config.sources, n, h in (Hypothesis.H2, Hypothesis.H4))
+    if h in (Hypothesis.H3, Hypothesis.H4):
+        a = np.eye(n)
+    elif h is Hypothesis.H1:
+        a = np.eye(n) + config.sigma_d * _complex_normal(rng, (n, n))
+    else:
+        a = np.eye(n) + config.sigma_d * rng.standard_normal((n, n))
+    m_raw = a @ r @ a.conj().T + config.sigma_n2 * np.eye(n)
+    return project(h, 0.5 * (m_raw + m_raw.conj().T)), a
+
+
+def sample_dataset(m_true, config, k, rng):
+    """One dataset under the truth ``m_true``."""
+    n = config.n
+    low = cholesky_pd(m_true)
+    amplitude = np.sqrt(10.0 ** (config.snr_db / 10.0))
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    alpha = amplitude * np.exp(1j * phase)
+    v = steering_vector(n, config.f_v)
+    cut = alpha * v + low @ _complex_normal(rng, n)
+    secondary = low @ _complex_normal(rng, (n, k))
+    return Dataset(secondary=secondary, cut=cut, steering=v)

@@ -152,7 +152,7 @@ def test_acceptance_2_structured_estimates_and_parameter_counts():
     structure_ok = True
     for n in (4, 5, 8, 13):
         for h in Hypothesis:
-            m_hat = estimate_covariance(h, DatasetStack([Dataset(complex_normal(rng, (n, 3 * n)))]))[0]
+            m_hat = estimate_covariance(h, DatasetStack(complex_normal(rng, (1, n, 3 * n))))[0]
             structure_ok = structure_ok and satisfies_structure(h, m_hat)
             residual_max = max(residual_max, structure_residual(h, m_hat))
     counts_ok = all(
@@ -182,7 +182,7 @@ def test_acceptance_3_criterion_identities():
     datasets = [random_dataset(rng, 6, 14) for _ in range(50)]
     bit_equal = True
     for ds in datasets:
-        stack = DatasetStack([ds])
+        stack = DatasetStack.of([ds])
         for result in classify_stack(stack, (Approach.A, Approach.B), (aic, gic1)).values():
             card_a, card_g = result[aic].scorecard(0), result[gic1].scorecard(0)
             bit_equal = bit_equal and card_a.chosen == card_g.chosen
@@ -235,7 +235,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
             )
             truth = truth_instance(h, config, rng)
             ds = Dataset(secondary=gaussian_snapshots(rng, truth.m_true, k))
-            stack = DatasetStack([ds])
+            stack = DatasetStack.of([ds])
             est = prepare_estimates(stack, Approach.B)[h]
             pair = fim_pair(model, est, 0, ds, Approach.B)
             rels.append(

@@ -11,6 +11,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # The span targets that the tracer resolves; the others in ``spans.TARGETS``
 # name functions the package no longer has, and their layers read 0.
+# ``montecarlo`` draws a chunk through ``scenario.draw_stack``, which no
+# target names, and calls ``truth_instance`` only for a frozen truth.
 LIVE_TARGETS = {
     ("covstruct.cli", "run_campaign"),
     ("covstruct.cli", "read_dataset"),
@@ -19,7 +21,6 @@ LIVE_TARGETS = {
     ("covstruct.cli", "write_results_json"),
     ("covstruct.cli", "render_pcc_svg"),
     ("covstruct.montecarlo", "truth_instance"),
-    ("covstruct.montecarlo", "sample_dataset"),
     ("covstruct.criteria", "prepare_estimates"),
     ("covstruct.criteria", "penalty"),
 }

@@ -133,6 +133,10 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         (["--K", "12,x"], "--K: invalid literal for int()"),
         (["--K", ","], "empty --K list"),
         (["--trials", "x"], "argument --trials: invalid int value"),
+        (["--snr-db", "nan"], "snr_db must be finite, got nan"),
+        (["--snr-db", "inf"], "snr_db must be finite, got inf"),
+        (["--f-v", "nan"], "f_v must be finite, got nan"),
+        (["--sigma-d", "nan"], "sigma_d must be finite, got nan"),
     ):
         assert run_cli(base + flags) == 1, flags
         assert message in capsys.readouterr().err, flags
@@ -157,6 +161,9 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         ({"case": True}, "'case' must be an integer, got True"),
         ({"scenario": {"case_id": "x"}}, "'case_id' in 'scenario' must be an integer or null"),
         ({"output": {"plots": "no"}}, "'plots' in 'output' must be true or false, got 'no'"),
+        ({"scenario": {"sigma_n2": float("inf")}}, "sigma_n2 must be finite, got inf"),
+        ({"scenario": {"sources": [{"cnr_db": float("nan"), "rho": 0.9, "doppler": 0.1}]}},
+         "source #0: cnr_db must be finite, got nan"),
     ):
         config.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli(["run", "--config", config, "--out-dir", out]) == 1, tree
@@ -294,6 +301,22 @@ def test_classify_approach_a_needs_steering(tmp_path, capsys, h4_dataset):
     assert "steering" in capsys.readouterr().err
     # Approach B never needs it.
     assert run_cli(["classify", "--data", data, "--approach", "B", "--criterion", "aic"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classify_chooses_nothing_from_non_finite_scores(tmp_path, capsys, h4_dataset):
+    # Every entry is finite, so the file is accepted, but the scatter
+    # overflows: every hypothesis fails and none is chosen.
+    secondary = h4_dataset.secondary.copy()
+    secondary[2, 4] = 1e300
+    data = tmp_path / "huge.txt"
+    write_dataset(Dataset(secondary, h4_dataset.cut, h4_dataset.steering), data)
+    for approach in ("A", "B"):
+        assert run_cli(["classify", "--data", data, "--approach", approach,
+                        "--criterion", "aic"]) == 2, approach
+        out = capsys.readouterr().out
+        assert "chosen: none" in out and "total" not in out, approach
+        assert out.count("failed (NotPositiveDefiniteError") == 4, approach
 
 
 def test_classify_rejects_malformed_input(tmp_path, capsys):

@@ -190,7 +190,7 @@ def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     # trial with a ridge and counts it once; every other penalty keeps its
     # bits. BIC refuses the block for that trial alone, after its stacked
     # Cholesky fell back to matrix by matrix.
-    stack = DatasetStack([random_dataset(rng, 4, 9) for _ in range(4)])
+    stack = DatasetStack.of([random_dataset(rng, 4, 9) for _ in range(4)])
     clean = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
     assert clean[TIC].ridge_retries == clean[TIC].stack_fallbacks == 0
     monkeypatch.setattr(
@@ -227,7 +227,7 @@ def test_scorecard_totals_and_fit_cross_check(data):
     k = data.draw(st.integers(n + 1, 3 * n), label="K")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ds = random_dataset(np.random.default_rng(seed), n, k)
-    stack = DatasetStack([ds])
+    stack = DatasetStack.of([ds])
     for approach in Approach:
         outcomes = classify_stack(stack, (approach,), (AIC, TIC, BIC))[approach]
         cards = {criterion: outcome.scorecard(0) for criterion, outcome in outcomes.items()}
@@ -282,6 +282,56 @@ def test_classify_records_failures_and_survivors(rng):
     assert card_s.all_failed
     for score in card_s.scores.values():
         assert score.failure.startswith("NotPositiveDefiniteError: Cholesky")
+
+
+def huge_entry_dataset(rng, n=5, k=11):
+    """A finite dataset with one 1e300 snapshot entry: its scatter overflows."""
+    secondary = complex_normal(rng, (n, k))
+    secondary[2, 4] = 1e300
+    steering = np.ones(n) / np.sqrt(n)
+    return Dataset(secondary=secondary, cut=complex_normal(rng, (n,)), steering=steering)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("approach", list(Approach))
+def test_non_finite_scatter_fails_every_hypothesis(rng, approach):
+    # The scatter holds inf and NaN, so every estimate's Cholesky breaks down
+    # or has a NaN pivot: a failed estimate, never a NaN total that the
+    # argmin picks.
+    card = classify(huge_entry_dataset(rng), approach, AIC)
+    assert card.chosen is None
+    for score in card.scores.values():
+        assert score.failure.startswith("NotPositiveDefiniteError: Cholesky")
+        assert score.total is None
+
+
+def test_non_finite_total_is_a_failure(rng, monkeypatch):
+    ds = random_dataset(rng, 5, 11)
+    clean = classify(ds, Approach.B, AIC)
+    fit_terms = criteria_module._fit_terms
+
+    def poisoned(estimate, stack, approach):
+        fit = fit_terms(estimate, stack, approach)
+        return np.full_like(fit, np.inf) if estimate.hypothesis is clean.chosen else fit
+
+    monkeypatch.setattr(criteria_module, "_fit_terms", poisoned)
+    for approach in Approach:
+        card = classify(ds, approach, AIC)
+        lost = card.scores[clean.chosen]
+        expected = penalty(
+            AIC,
+            n_params=param_count(clean.chosen, 5) + (2 if approach is Approach.A else 0),
+            m_params=param_count(clean.chosen, 5),
+            k=11,
+            n=5,
+            approach=approach,
+        )
+        assert lost.failure == (
+            f"NonFiniteScoreError: total inf is not finite (fit inf, penalty {expected!r})"
+        )
+        assert lost.total is None and card.chosen not in (None, clean.chosen)
+        for h, score in card.scores.items():
+            assert score.failed is (h is clean.chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +394,7 @@ def test_aic_equals_gic_rho_one_bitwise(rng):
         with_cut = trial % 5 == 0
         ds = random_dataset(rng, 4, 9, with_cut=with_cut)
         approach = Approach.A if with_cut else Approach.B
-        outcomes = classify_stack(DatasetStack([ds]), (approach,), (AIC, gic1))[approach]
+        outcomes = classify_stack(DatasetStack.of([ds]), (approach,), (AIC, gic1))[approach]
         aic, gic = outcomes[AIC].scorecard(0), outcomes[gic1].scorecard(0)
         assert aic.chosen is gic.chosen
         for h in Hypothesis:
@@ -354,7 +404,7 @@ def test_aic_equals_gic_rho_one_bitwise(rng):
 def test_batch_matches_single_calls(rng):
     for _ in range(50):
         ds = random_dataset(rng, 4, 9)
-        outcomes = classify_stack(DatasetStack([ds]), (Approach.B,), DEFAULT_CRITERIA)
+        outcomes = classify_stack(DatasetStack.of([ds]), (Approach.B,), DEFAULT_CRITERIA)
         for crit in DEFAULT_CRITERIA:
             card = outcomes[Approach.B][crit].scorecard(0)
             single = classify(ds, Approach.B, crit)
@@ -382,7 +432,7 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
     monkeypatch.setattr(criteria_module, "estimate_covariance", counting_estimate)
     monkeypatch.setattr(criteria_module, "information_terms", counting_info)
     ds = random_dataset(rng, 4, 9)
-    classify_stack(DatasetStack([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
+    classify_stack(DatasetStack.of([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
     # Seven rules, two approaches, four hypotheses: one estimate per
     # hypothesis shared by both approaches, and one set of information terms
     # per hypothesis and approach shared by every rule that needs it.
@@ -395,7 +445,7 @@ def test_prepared_estimates_feed_batch(rng):
     # must score exactly as a B-only classify that prepared its own.
     for _ in range(5):
         ds = random_dataset(rng, 4, 9)
-        batch = classify_stack(DatasetStack([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
+        batch = classify_stack(DatasetStack.of([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
         for approach in Approach:
             for crit in DEFAULT_CRITERIA:
                 card = batch[approach][crit].scorecard(0)
@@ -527,9 +577,9 @@ def test_engine_matches_per_dataset_reference(data):
     trials = data.draw(st.integers(1, 5), label="T")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     datasets = _scenario_datasets(np.random.default_rng(seed), n, k, cnr_db, trials)
-    stacked = classify_stack(DatasetStack(datasets), tuple(Approach), DEFAULT_CRITERIA)
+    stacked = classify_stack(DatasetStack.of(datasets), tuple(Approach), DEFAULT_CRITERIA)
     for t, ds in enumerate(datasets):
-        alone = classify_stack(DatasetStack([ds]), tuple(Approach), DEFAULT_CRITERIA)
+        alone = classify_stack(DatasetStack.of([ds]), tuple(Approach), DEFAULT_CRITERIA)
         for approach in Approach:
             reference = reference_classify(ds, approach, DEFAULT_CRITERIA)
             for criterion in DEFAULT_CRITERIA:
@@ -567,8 +617,8 @@ def test_failures_inside_a_block_match_the_dataset_alone(rng):
         datasets = list(good)
         for t, ds in sorted(bad.items()):
             datasets.insert(t, ds)
-        stacked = classify_stack(DatasetStack(datasets), tuple(Approach), DEFAULT_CRITERIA)
-        clean = classify_stack(DatasetStack(good), tuple(Approach), DEFAULT_CRITERIA)
+        stacked = classify_stack(DatasetStack.of(datasets), tuple(Approach), DEFAULT_CRITERIA)
+        clean = classify_stack(DatasetStack.of(good), tuple(Approach), DEFAULT_CRITERIA)
         clean_index = [t for t in range(len(datasets)) if t not in bad]
         messages = {
             message
@@ -579,7 +629,7 @@ def test_failures_inside_a_block_match_the_dataset_alone(rng):
         assert any(m.startswith(text) for m in messages)
         assert any(m.startswith("DegenerateSteeringError: steering energy") for m in messages)
         alone = [
-            classify_stack(DatasetStack([ds]), tuple(Approach), DEFAULT_CRITERIA)
+            classify_stack(DatasetStack.of([ds]), tuple(Approach), DEFAULT_CRITERIA)
             for ds in datasets
         ]
         for approach, by_rule in stacked.items():

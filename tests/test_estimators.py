@@ -35,18 +35,54 @@ def test_dataset_validation(rng):
         )
 
 
+def test_dataset_rejects_nan_steering(rng):
+    steering = steering_vector(5, 0.01).copy()
+    steering[2] = np.nan
+    with pytest.raises(ValueError, match="steering must be unit norm, got .v. = nan"):
+        Dataset(secondary=complex_normal(rng, (5, 9)), steering=steering)
+
+
+def test_stack_validation_is_the_dataset_rule(rng):
+    # The stack checks its arrays once with Dataset's rule and messages, with
+    # the trial axis in the shapes.
+    secondary = complex_normal(rng, (3, 5, 9))
+    v = steering_vector(5, 0.01)
+    stack = DatasetStack(secondary, complex_normal(rng, (3, 5)), np.tile(v, (3, 1)))
+    assert (len(stack), stack.n, stack.k) == (3, 5, 9)
+    assert stack.require_cut()[1].shape == (3, 5)
+    bad_steering = np.tile(v, (3, 1))
+    bad_steering[1, 0] = np.nan
+    for args, message in (
+        ((secondary[0],), "secondary must be a T x N x K stack, got shape (5, 9)"),
+        ((secondary[:, :, :5],), "need K > N secondary snapshots, got K=5, N=5"),
+        ((secondary[:0],), "a dataset stack needs at least one dataset"),
+        ((secondary, complex_normal(rng, (3, 4))), "cut must have shape (3, 5), got (3, 4)"),
+        ((secondary, None, 2.0 * np.tile(v, (3, 1))), "steering must be unit norm, got |v| = 2.0"),
+        ((secondary, None, bad_steering), "steering must be unit norm, got |v| = nan"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            DatasetStack(*args)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        Dataset(secondary=secondary[0], cut=complex_normal(rng, (4,)))
+    assert str(raised.value) == "cut must have shape (5,), got (4,)"
+    for datasets in ([], [Dataset(secondary[0]), Dataset(secondary[0, :, :8])]):
+        with pytest.raises(ValueError, match="one or more datasets of one N x K shape"):
+            DatasetStack.of(datasets)
+
+
 def test_require_cut_names_missing_pieces(rng):
     secondary = complex_normal(rng, (4, 9))
     with pytest.raises(ValueError, match="cut"):
-        DatasetStack([Dataset(secondary=secondary)]).require_cut()
+        DatasetStack.of([Dataset(secondary=secondary)]).require_cut()
     with_cut = Dataset(secondary=secondary, cut=complex_normal(rng, (4,)))
     with pytest.raises(ValueError, match="steering"):
-        DatasetStack([with_cut]).require_cut()
+        DatasetStack.of([with_cut]).require_cut()
 
 
 def _estimate(h, ds):
     """The class's ICM estimate of one dataset, through a stack of one."""
-    return estimate_covariance(h, DatasetStack([ds]))[0]
+    return estimate_covariance(h, DatasetStack.of([ds]))[0]
 
 
 def test_h1_estimate_is_sample_covariance(rng):
@@ -130,7 +166,7 @@ def test_alpha_minimises_the_cut_fit_under_every_class(rng):
             for _ in range(5):
                 ds = random_dataset(rng, n, k)
                 ds = Dataset(secondary=ds.secondary, cut=ds.cut, steering=v)
-                est = prepare_estimates(DatasetStack([ds]), Approach.A)[h]
+                est = prepare_estimates(DatasetStack.of([ds]), Approach.A)[h]
                 low_h = np.linalg.cholesky(est.x_hat[0]).conj().T
                 a_orc = alpha_ls_oracle(low_h @ ds.cut, low_h @ v)
                 a_hat = est.alpha_hat[0]
@@ -152,7 +188,7 @@ def test_alpha_recovers_clean_target(rng):
 
 def test_alpha_h1_formula(rng):
     ds = random_dataset(rng, 5, 16)
-    stack = DatasetStack([ds])
+    stack = DatasetStack.of([ds])
     x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
     expected = np.vdot(ds.steering, x[0] @ ds.cut) / np.vdot(ds.steering, x[0] @ ds.steering)
     got = estimate_alpha_stack(x, *stack.require_cut())[0][0]
@@ -162,7 +198,7 @@ def test_alpha_h1_formula(rng):
 def test_alpha_steering_phase_consistency(rng):
     # Rotating z by a unit phase rotates the H1 estimate by the same phase.
     ds = random_dataset(rng, 5, 16)
-    stack = DatasetStack([ds])
+    stack = DatasetStack.of([ds])
     x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
     cut, steering = stack.require_cut()
     phase = np.exp(1j * 0.73)
@@ -199,7 +235,7 @@ def test_degenerate_steering_message_ignores_the_last_bits():
 
 def test_estimate_all_shapes(rng):
     ds = random_dataset(rng, 5, 14)
-    full = prepare_estimates(DatasetStack([ds]), Approach.A)
+    full = prepare_estimates(DatasetStack.of([ds]), Approach.A)
     assert set(full) == set(Hypothesis)
     for h, est in full.items():
         assert est.hypothesis is h
@@ -207,7 +243,7 @@ def test_estimate_all_shapes(rng):
         assert est.alpha_hat.shape == (1,)
         assert np.isfinite(est.logdet[0])
         assert not est.failures and not est.alpha_failures
-    b_only = prepare_estimates(DatasetStack([Dataset(secondary=ds.secondary)]), Approach.B)
+    b_only = prepare_estimates(DatasetStack.of([Dataset(secondary=ds.secondary)]), Approach.B)
     for h, est in b_only.items():
         assert est.alpha_hat is None
 

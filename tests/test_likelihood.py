@@ -139,7 +139,7 @@ def test_grad_alpha_zero_at_alpha_hat(rng):
     ds = random_dataset(rng, 5, 17)
     for steering in (steering_vector(5, 0.01), ds.steering):
         one = Dataset(secondary=ds.secondary, cut=ds.cut, steering=steering)
-        estimates = prepare_estimates(DatasetStack([one]), Approach.A)
+        estimates = prepare_estimates(DatasetStack.of([one]), Approach.A)
         for h, est in estimates.items():
             g = grad_alpha(est.x_hat[0], est.alpha_hat[0], one.cut, steering)
             assert np.abs(g).max() <= 1e-8, h
@@ -181,13 +181,13 @@ def test_hessian_blocks_match_fd(rng, hypothesis):
 
 def test_observed_fim_symmetry_and_size(rng):
     ds = random_dataset(rng, 5, 14)
-    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = observed_fim(model, estimates[h], 0, ds, Approach.A)
         assert fim.shape == (model.m + 2, model.m + 2)
         assert np.abs(fim - fim.T).max() <= 1e-8 * max(1.0, np.abs(fim).max())
-    b_only = DatasetStack([Dataset(secondary=ds.secondary)])
+    b_only = DatasetStack.of([Dataset(secondary=ds.secondary)])
     b_estimates = prepare_estimates(b_only, Approach.B)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
@@ -200,7 +200,7 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
     # the two-branch formula; at the secondary-only MLE the result also
     # reduces to K C'(X* (x) X)C because X S X = K X there.
     ds = random_dataset(rng, 4, 12, with_cut=False)
-    estimates = prepare_estimates(DatasetStack([ds]), Approach.B)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B)
     s = ds.secondary @ ds.secondary.conj().T
     s = 0.5 * (s + s.conj().T)
     for h in Hypothesis:
@@ -226,7 +226,7 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
 
 def test_sample_fim_psd_and_rank(rng):
     ds = random_dataset(rng, 4, 11)
-    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = sample_fim(model, estimates[h], 0, ds, Approach.A)
@@ -240,7 +240,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
     secondary = complex_normal(rng, (3, 7))
     ds = Dataset(secondary=secondary)
     model = structure_model(Hypothesis.H1, 3)
-    estimates = prepare_estimates(DatasetStack([ds]), Approach.B)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B)
     est = estimates[Hypothesis.H1]
     one_col = SimpleNamespace(secondary=secondary[:, :1], cut=None, steering=None)
     fim = sample_fim(model, est, 0, one_col, Approach.B)
@@ -249,7 +249,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
 
 def test_fim_pair_consistency(rng):
     ds = random_dataset(rng, 4, 13)
-    estimates = prepare_estimates(DatasetStack([ds]), Approach.A)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A)
     model = structure_model(Hypothesis.H2, 4)
     est = estimates[Hypothesis.H2]
     pair = fim_pair(model, est, 0, ds, Approach.A)
@@ -291,7 +291,7 @@ def _assert_terms_match_oracle(datasets, tolerance):
     log-determinant, Schur complement S and Y Y^T of each trial match the
     oracle's to ``tolerance(h, approach, estimate, trial, dataset)``
     relative."""
-    stack = DatasetStack(datasets)
+    stack = DatasetStack.of(datasets)
     for approach in Approach:
         prepared = prepare_estimates(stack, approach)
         for h in Hypothesis:
@@ -376,14 +376,14 @@ def _stack_with_bad_trial(data):
 @given(data=st.data())
 def test_information_terms_of_a_stack_equal_its_one_trial_slices(data):
     datasets = _stack_with_bad_trial(data)
-    stack = DatasetStack(datasets)
+    stack = DatasetStack.of(datasets)
     for approach in Approach:
         prepared = prepare_estimates(stack, approach)
         for h in Hypothesis:
             info = information_terms(prepared[h], stack, approach)
             live_failed = False
             for t, ds in enumerate(datasets):
-                one = DatasetStack([ds])
+                one = DatasetStack.of([ds])
                 alone = information_terms(prepare_estimates(one, approach)[h], one, approach)
                 live_failed = live_failed or bool(alone.failures)
                 assert info.theta_trace[t] == alone.theta_trace[0]

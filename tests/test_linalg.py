@@ -130,6 +130,17 @@ def test_cholesky_rejects_tiny_pivot():
         cholesky_pd(m)
 
 
+def test_cholesky_rejects_nan_entries():
+    # Some LAPACK builds pass a NaN pivot through without breaking down; the
+    # pivot floor must fail it all the same (NaN is not above the floor).
+    bad = np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex)
+    low, errors, _ = cholesky_stack(np.stack([np.eye(2, dtype=complex), bad]))
+    assert list(errors) == [1] and isinstance(errors[1], NotPositiveDefiniteError)
+    np.testing.assert_array_equal(low, np.stack([np.eye(2)] * 2))
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky_pd(bad)
+
+
 def test_logdet_rejects_non_pd():
     m = np.diag([1.0, 0.0]).astype(complex)
     _, _, errors, _ = inverse_and_logdet_stack(m[None])

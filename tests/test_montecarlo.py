@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,39 @@ def statistical_content(report):
         for key, cell in report.cells.items()
     }
     return cells, report.failures
+
+
+# ---------------------------------------------------------------------------
+# Pinned campaigns
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Campaigns whose whole CSV is recorded in ``golden/<name>.csv``: every
+# truth, the seven default rules and both approaches at N = 5, K = 6 and 11,
+# six trials per cell. The 1e14 thermal noise of ``case1_noisy`` drives the
+# steering energy under its refusal floor, so that campaign also pins its
+# failure records (``golden/case1_noisy_failures.txt``).
+PINNED = {
+    "case1": table_case(1, n=5),
+    "case2": table_case(2, n=5),
+    "case1_frozen": table_case(1, n=5, freeze_channel_errors=True),
+    "case1_noisy": table_case(1, n=5, sigma_n2=1e14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_campaign_reproduces_its_recorded_csv(name):
+    config = CampaignConfig(
+        scenario=PINNED[name], k_grid=(6, 11), trials=6, master_seed=5, workers=1
+    )
+    report = run_campaign(config)
+    assert render_results_csv(report) == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    records = "".join(
+        f"{r.truth},{r.k},{r.trial},{r.approach},{r.hypothesis},{r.message}\n"
+        for r in report.failures
+    )
+    failures = GOLDEN / f"{name}_failures.txt"
+    assert records == (failures.read_text(encoding="utf-8") if failures.exists() else "")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from covstruct.estimators import Dataset
+import oracle
+
+from covstruct import montecarlo
+from covstruct.estimators import Dataset, DatasetStack
+from covstruct.linalg import NotPositiveDefiniteError, cholesky_pd
+from covstruct.montecarlo import CampaignConfig
 from covstruct.scenario import (
     OddSizeRequiredError,
     ScenarioConfig,
@@ -12,6 +17,7 @@ from covstruct.scenario import (
     clutter_covariance,
     complex_normal,
     db_to_linear,
+    draw_stack,
     sample_dataset,
     steering_vector,
     table_case,
@@ -88,6 +94,9 @@ def test_source_params_validation():
         SourceParams(cnr_db=0.0, rho=0.0, doppler=0.1)
     with pytest.raises(ValueError, match="Doppler"):
         SourceParams(cnr_db=0.0, rho=0.5, doppler=0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"cnr_db must be finite, got {bad!r}"):
+            SourceParams(cnr_db=bad, rho=0.5, doppler=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +127,10 @@ def test_scenario_config_validation():
         ScenarioConfig(sigma_d=-0.1)
     with pytest.raises(ValueError, match="noise power"):
         ScenarioConfig(sigma_n2=0.0)
+    for name in ("sigma_d", "sigma_n2", "snr_db", "f_v"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {bad!r}"):
+                ScenarioConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +280,90 @@ def test_sample_dataset_is_deterministic():
     assert np.array_equal(first.cut, second.cut)
     assert np.array_equal(first.secondary, second.secondary)
     assert np.array_equal(first.steering, second.steering)
+
+
+# ---------------------------------------------------------------------------
+# The stacked draw against the per-trial oracle
+
+
+def _assert_same_datasets(stack, datasets):
+    assert isinstance(stack, DatasetStack) and len(stack) == len(datasets)
+    for name in ("secondary", "cut", "steering"):
+        want = np.stack([getattr(d, name) for d in datasets])
+        assert getattr(stack, name).dtype == want.dtype, name
+        assert np.array_equal(getattr(stack, name), want), name
+
+
+@pytest.mark.parametrize("case_id", [1, 2])
+def test_one_trial_draws_match_the_oracle(case_id):
+    config = table_case(case_id, n=5)
+    for h in Hypothesis:
+        for seed in range(3):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            truth = truth_instance(h, config, mine)
+            m_true, a = oracle.truth_instance(h, config, theirs)
+            assert truth.m_true.dtype == m_true.dtype
+            assert np.array_equal(truth.m_true, m_true)
+            assert np.array_equal(truth.a_factor, a)
+            _assert_same_datasets(
+                DatasetStack.of([sample_dataset(truth, config, 7, mine)]),
+                [oracle.sample_dataset(m_true, config, 7, theirs)],
+            )
+
+
+def _oracle_chunk(config, truth, k, lo, hi):
+    """A campaign chunk drawn trial by trial, as the campaign once drew it."""
+    scenario = config.scenario
+    shared = None
+    if scenario.freeze_channel_errors:
+        shared = oracle.truth_instance(
+            truth, scenario, montecarlo._frozen_truth_rng(config.master_seed, truth)
+        )[0]
+    out = []
+    for trial in range(lo, hi):
+        rng = montecarlo._trial_rng(config.master_seed, truth, k, trial)
+        m_true = shared if shared is not None else oracle.truth_instance(truth, scenario, rng)[0]
+        out.append(oracle.sample_dataset(m_true, scenario, k, rng))
+    return out
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("case_id", [1, 2])
+def test_chunk_draw_matches_the_per_trial_oracle(case_id, frozen, trials):
+    config = CampaignConfig(
+        scenario=table_case(case_id, n=5, freeze_channel_errors=frozen),
+        k_grid=(7,), trials=trials, master_seed=3,
+    )
+    for truth in Hypothesis:
+        _assert_same_datasets(
+            montecarlo._draw_chunk(config, truth, 7, 2, 2 + trials),
+            _oracle_chunk(config, truth, 7, 2, 2 + trials),
+        )
+
+
+def test_chunk_is_the_concatenation_of_its_halves():
+    config = CampaignConfig(scenario=table_case(1, n=5), k_grid=(9,), trials=8, master_seed=4)
+    for truth in Hypothesis:
+        whole = montecarlo._draw_chunk(config, truth, 9, 0, 8)
+        halves = [montecarlo._draw_chunk(config, truth, 9, lo, hi) for lo, hi in ((0, 3), (3, 8))]
+        for name in ("secondary", "cut", "steering"):
+            joined = np.concatenate([getattr(half, name) for half in halves])
+            assert np.array_equal(getattr(whole, name), joined), name
+
+
+def test_draw_stack_raises_the_first_non_pd_truth():
+    # A source of 300 dB with one-lag correlation next to 1 is numerically
+    # rank one, so its truths fail the relative pivot floor.
+    config = ScenarioConfig(
+        n=5, sources=(SourceParams(cnr_db=300.0, rho=1.0 - 1e-15, doppler=0.1),)
+    )
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    with pytest.raises(NotPositiveDefiniteError) as raised:
+        draw_stack(Hypothesis.H1, config, 7, rngs)
+    with pytest.raises(NotPositiveDefiniteError) as alone:
+        cholesky_pd(truth_instance(Hypothesis.H1, config, np.random.default_rng(0)).m_true)
+    assert str(raised.value) == str(alone.value)
 
 
 def test_complex_normal_moments(rng):
