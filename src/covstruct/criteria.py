@@ -477,13 +477,16 @@ def classify_stack(
     reverse does not hold. Per approach the fit terms are (4, T) arrays, the
     closed-form penalties one value per hypothesis, and the information
     terms are formed per trial and hypothesis once if any rule needs them.
-    Each trial's outcome is bit-identical whatever stack it sits in.
+    Each trial's outcome is bit-identical whatever stack it sits in. Finite
+    data can overflow; numpy's warnings are silenced, as every non-finite
+    value ends as a typed failure of its trial and hypothesis.
     """
     approaches = tuple(Approach.parse(a) for a in approaches)
     criteria = tuple(criteria)
     prep = Approach.A if Approach.A in approaches else approaches[0]
-    prepared = prepare_estimates(stack, prep)
-    return {a: _evaluate(stack, a, criteria, prepared) for a in approaches}
+    with np.errstate(all="ignore"):
+        prepared = prepare_estimates(stack, prep)
+        return {a: _evaluate(stack, a, criteria, prepared) for a in approaches}
 
 
 def _evaluate(

@@ -20,27 +20,14 @@ theta-theta observed information is ``K F`` under approach B and
 ``(K-1) F`` plus a rank-2N term under A, where ``F_pq = Re Tr(X C_p X C_q)``
 and ``F^{-1}`` acts on the class as ``U -> M U M``. The score of snapshot k is
 the class component of ``D_k = X z_k z_k^H X - X``. Under A the rank-2N term
-is handled by Woodbury and the determinant lemma and the amplitude block by a
-2 x 2 Schur complement, so neither information matrix is formed. The
-amplitude is the ML estimate, so the CUT's amplitude score, the real and
-imaginary parts of ``2 v^H X (z - alpha v)``, is zero and drops out of
-every term.
+is handled by Woodbury, with its capacitance in closed form, and the
+amplitude block by a 2 x 2 Schur complement, so no information matrix is
+formed. The amplitude is the ML estimate, so the CUT's amplitude score is
+zero and drops out of every term.
 
-Every step runs on all T trials. A trial whose estimate failed carries the
-identity as its M and X, and its rows of the result, like those of a trial
-whose amplitude or terms failed, are placeholders.
-
-``P_h`` is the mean over a group acting on vectors: ``{id}`` (H1),
-``{id, conj}`` (H2), ``{id, J conj}`` (H3) and ``{id, conj, J, J conj}``
-(H4), with ``P_h(a b^H) = mean_g g(a) g(b)^H``. Every matrix the terms pair
-has rank at most two, so each pairing is a group mean of products of
-N-vector inner products, and no N x N matrix per score is built.
-
-The test suite's oracle (``tests/oracle.py``) keeps the direct forms: the
-same terms from the projected N x N matrices of one trial, and the
-theta-basis log-likelihoods, their analytic derivatives (the amplitude score
-among them) and the observed and sample information matrices, checked
-against finite differences.
+The test oracle (``tests/oracle.py``) keeps the direct forms: the same terms
+from projected N x N matrices, the theta-basis log-likelihoods, derivatives
+and information matrices, and the approach-A terms at 40 digits.
 """
 
 from __future__ import annotations
@@ -51,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import Approach, DatasetStack, EstimateStack
-from .linalg import cholesky_stack, logdet_from_cholesky
+from .linalg import _PIVOT_RTOL, NotPositiveDefiniteError, cholesky_stack, logdet_from_cholesky
 from .structures import Hypothesis, basis_log_norm, param_count
 
 __all__ = ["InfoTerms", "information_terms"]
@@ -78,7 +65,7 @@ class InfoTerms:
     error. Those trials, and the trials whose estimate (or, under A,
     amplitude) had already failed, hold placeholder rows: zero terms and
     the pair ``(I_2, 0)``. ``fallbacks`` counts the stacked factorizations
-    that fell back to matrix by matrix.
+    (of the H4 blocks of M) that fell back to matrix by matrix.
     """
 
     theta_trace: np.ndarray
@@ -88,15 +75,24 @@ class InfoTerms:
     fallbacks: int = 0
 
 
-# Each class's projection is the average over a group acting on vectors,
-# P_h(a b^H) = mean_g g(a) g(b)^H. An element (flip, conjugate) maps a to
-# J a and/or conj(a).
+# The group of each class's projection; an element (flip, conjugate) maps a
+# vector a to J a and/or conj(a).
 _VECTOR_GROUPS = {
     Hypothesis.H1: ((False, False),),
     Hypothesis.H2: ((False, False), (False, True)),
     Hypothesis.H3: ((False, False), (True, True)),
     Hypothesis.H4: ((False, False), (False, True), (True, False), (True, True)),
 }
+
+# Row g: the weight of s_g in L's (a+, a-, b+, b-), and of L^{-1}'s in lam_g.
+_PARITY = {
+    h: np.array([[0, 0] * c + [1, -1 if f else 1] + [0, 0] * (not c) for f, c in g], float)
+    for h, g in _VECTOR_GROUPS.items()
+}
+# E on the columns g(r), then i g(r), and its sorted diagonal (the inertia).
+_CORE_SIGNS = {h: np.diag([1.0] * len(g) + [1.0 if c else -1.0 for _, c in g])
+               for h, g in _VECTOR_GROUPS.items()}
+_INERTIA = {h: np.sort(np.diagonal(e)) for h, e in _CORE_SIGNS.items()}
 
 
 def _image(element, a: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
@@ -108,55 +104,46 @@ def _image(element, a: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
     return image[..., ::-1] if flip else image
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sum_i a_i b_i`` along the last axis."""
-    return np.einsum("...i,...i->...", a, b)
-
-
-def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a b`` of a (..., J, N) stack of matrices and a (..., N) one of vectors."""
-    return (a @ b[..., None])[..., 0]
-
-
 def information_terms(
     estimate: EstimateStack, stack: DatasetStack, approach: Approach
 ) -> InfoTerms:
     """TIC and BIC information terms at the plug-in estimates, for a stack.
 
-    Every class is a quadratic subspace whose plug-in estimate is the
-    projection ``P`` of S/K, and ``P`` is the mean over a group acting on
-    vectors (:data:`_VECTOR_GROUPS`). ``X`` and ``M`` lie in the class, so
-    ``M P(a b^H) M = mean_g g(M a) g(M b)^H``, and each inner product
-    ``<A, B> = Re Tr(AB)`` of such terms is a group mean of products of
-    N-vector inner products. With ``w_k = X z_k`` and ``D_k = w_k w_k^H - X``:
+    ``P`` is the mean over a group acting on vectors: ``{id}`` (H1),
+    ``{id, conj}`` (H2), ``{id, J conj}`` (H3), ``{id, conj, J, J conj}``
+    (H4), with ``P(a b^H) = mean_g g(a) g(b)^H``. ``X`` and ``M`` lie in the
+    class, so ``M P(a b^H) M = mean_g g(M a) g(M b)^H``, and each inner
+    product ``<A, B> = Re Tr(AB)`` of such rank-one or rank-two terms is a
+    group mean of products of N-vector inner products. With ``w_k = X z_k``
+    and ``D_k = w_k w_k^H - X``:
 
-    Approach B: ``Q = K F`` with ``F_pq = Re Tr(X C_p X C_q)``, so
+    Approach B: ``Q = K F``, so ``theta_logdet = m log K + log det F`` and
     ``theta_trace = (1/K) sum_k <P(D_k), M P(D_k) M>
-    = (1/K) sum_k [mean_g |z_k^H g(w_k)|^2 - 2 z_k^H w_k + N]`` and
-    ``theta_logdet = m log K + log det F``.
+    = (1/K) sum_k [mean_g |z_k^H g(w_k)|^2 - 2 z_k^H w_k + N]``.
 
-    Approach A: ``Q = (K-1) F + A^T (2 X~) A`` where A maps theta to the real
-    form of ``M(theta) w``, ``w = X r`` with ``r = z - alpha v``, and X~ is the
-    2N x 2N real form of X. ``Q^{-1}`` is applied by Woodbury through the
-    2N x 2N capacitance ``M~ / 2 + A ((K-1) F)^{-1} A^T`` and ``log det Q``
-    follows from the matrix determinant lemma. The score columns are the K
-    snapshots' ``D_k`` and the CUT's ``w w^H - X``; the alpha border has the
-    columns ``u w^H + w u^H`` and ``i (u w^H - w u^H)``, ``u = X v``, and the
-    capacitance those of ``(b w^H + w b^H) / 2`` for ``b = e_j, i e_j``. Each
-    is rank one or two, so ``t w`` with ``t = M P(.) M / (K-1)`` and every
-    pairing are group means over ``z_k``, ``r``, ``v``, ``u``, ``w`` and the
-    columns of M. One stacked Cholesky of the capacitances gives their log
-    determinants and the positive-definiteness check, and one stacked solve
-    applies their inverses.
+    Approach A: ``Q = (K-1) F + A^T (2 X~) A``, A mapping theta to the real
+    form of ``M(theta) w``, ``w = X r``, ``r = z - alpha v``. Woodbury through
+    the capacitance ``C = M~ / 2 + A ((K-1) F)^{-1} A^T`` applies ``Q^{-1}``
+    and gives ``log det Q``. The scores add the CUT's ``w w^H - X`` and the
+    alpha border is ``u w^H + w u^H``, ``i (u w^H - w u^H)``, ``u = X v``;
+    ``t w`` with ``t = M P(.) M / (K-1)`` and every pairing are group means.
+    C is never built: with ``c = 1 / (2 |G| (K-1))`` and ``s_g = g(r)^H w``,
+    ``C e = M L(e) + U(e)``: ``L(e) = e / 2 + c sum_g s_g g(e)`` commutes
+    with M and is ``e -> a e + b conj(e)`` on the J-even and J-odd vectors,
+    ``a+- = 1/2 + c (s_id +- s_J)``, ``b+- = c (s_conj +- s_Jconj)``, so
+    ``L^{-1} = sum_g lam_g g`` and ``A^{-1} = L^{-1} X``; and
+    ``U(e) = c sum_g g(r) g(e)^H r = V (c E) V^T e`` for the 2|G| <= 8
+    columns ``g(r), i g(r)`` and signs E. Woodbury through the core
+    ``E + c V^T A^{-1} V`` gives C^{-1}, and ``log det C = 2 log det M +
+    n_e log(a+^2 - |b+|^2) + n_o log(a-^2 - |b-|^2) + log |det core|``. C is
+    positive definite iff ``a+- > |b+-|`` and the core has the inertia of E
+    (Haynsworth). A trial whose margins ``a - |b|`` or core eigenvalues next
+    to zero are not above 1e-12 of their scale, or not finite, fails with a
+    NotPositiveDefiniteError naming the capacitance.
 
-    The group means are summed one element at a time over the (at most
-    four) elements, so the temporaries hold one image of each row, never the
-    images under every element at once.
-
-    Every trial is computed. The rows of the trials whose estimate failed
-    (its rows of ``m_hat`` and ``x_hat`` are the identity) and, under A,
-    whose amplitude did are then overwritten with placeholders, and their
-    failures dropped; see :class:`InfoTerms`.
+    Every trial is computed; the rows of the trials whose estimate failed
+    (its M and X are the identity) or, under A, whose amplitude did are then
+    placeholders, and their failures are dropped; see :class:`InfoTerms`.
     """
     approach = Approach.parse(approach)
     h, n, k = estimate.hypothesis, stack.n, stack.k
@@ -180,81 +167,103 @@ def information_terms(
         rows, x_rows = z, z @ x.swapaxes(-1, -2)
     else:
         r = cut - estimate.alpha_hat[:, None] * v
-        rows = np.concatenate([z, r[:, None]], axis=1)
+        rows = np.concatenate([z, r[:, None], v[:, None], 1j * v[:, None]], axis=1)
         x_rows = rows @ x.swapaxes(-1, -2)
     rows_conj, size = rows.conj(), len(group)
-    q = _dot(rows_conj, x_rows)  # the identity comes first in every group
+    q = np.einsum("...i,...i->...", rows_conj, x_rows)  # the identity comes first
     quad = n - 2.0 * q.real + np.abs(q) ** 2 / size
     for element in group[1:]:
-        quad += np.abs(_dot(_image(element, rows_conj, rows), x_rows)) ** 2 / size
+        image_conj = _image(element, rows_conj, rows)
+        quad += np.abs(np.einsum("...i,...i->...", image_conj, x_rows)) ** 2 / size
     if approach is Approach.B:
         trace, logdet = np.sum(quad, axis=-1) / k, m * math.log(k) + logdet_f
         return _with_placeholders(trace, logdet, None, failures, fallbacks, dead)
 
-    # The alpha border and the capacitance columns are b' (X r)^H + X r b'^H
-    # (halved for the capacitance) with M b' = b for the rows b of `basis`:
-    # v, i v, the columns of M and i times them. M P(.) M X r is then
-    # mean_g g(b) c_g + g(r) g(b)^H X r, with c_g = g(r)^H X r.
-    xr, u = x_rows[:, k], _matvec(x, v)
-    xr_u = np.stack([xr, u], axis=-1)
-    columns = m_hat.swapaxes(-1, -2)
-    basis = np.concatenate([v[:, None], 1j * v[:, None], columns, 1j * columns], axis=1)
-    basis_conj = basis.conj()
-    # Rows 0..K-1 the snapshots, K the CUT, K+1 and K+2 the alpha border:
-    # tw sums g(row) g(row)^H X r over g, towards t_i X r with
-    # t_i = M P(D_i) M / (K-1), and wtu sums (X r)^H g(row) g(row)^H u,
-    # towards (X r)^H t_i u; b_tw and b_wtu sum the same for the basis rows.
-    # The -X part of D_i would add -(X r)^H v / (K-1) to (X r)^H t_i u; that
-    # is zero at the ML amplitude.
-    tw = wtu = b_tw = b_wtu = 0.0
-    for element in group:
-        image, image_conj = _image(element, rows, rows_conj), _image(element, rows_conj, rows)
-        b_image = _image(element, basis, basis_conj)
-        # g(row)^H X r and g(row)^H u per row, then c = g(r)^H X r.
-        proj = image_conj @ xr_u
-        b_proj = _image(element, basis_conj, basis) @ xr_u
-        c, ru = proj[:, k, 0], proj[:, k, 1]
-        tw += proj[..., :1] * image
-        wtu += proj[..., 0].conj() * proj[..., 1]
-        b_tw += c[:, None, None] * b_image + b_proj[..., :1] * image[:, None, k]
-        b_wtu += b_proj[:, :2, 0].conj() * ru[:, None] + c.conj()[:, None] * b_proj[:, :2, 1]
-    km1 = k - 1
-    b_tw /= size * km1
-    tw = np.concatenate([(tw / size - r[:, None]) / km1, b_tw[:, :2]], axis=1)
-    wtu = np.concatenate([wtu, b_wtu], axis=1) / (size * km1)
-    a = np.concatenate([tw.real, tw.imag], axis=-1)
+    # Rows K+1, K+2: the alpha border b = v, i v, b' (X r)^H + X r b'^H with
+    # M b' = b. (K-1) |G| t_i X r is sum_g g(row) g(row)^H X r - |G| r for a
+    # score row, sum_g s_g g(b) + g(r) g(b)^H X r for a border row (the -X
+    # part is zero in (X r)^H t_i u, u = X v, at the ML amplitude).
+    # proj: g(row)^H (X r, u); ends: g(r), g(v), g(i v).
+    scores, border, km1 = slice(0, k + 1), slice(k + 1, k + 3), k - 1
+    xr_u = x_rows[:, k : k + 2].swapaxes(-1, -2)
+    tw, proj, ends = 0.0, np.empty((len(r), size, k + 3, 2), complex), []
+    for i, element in enumerate(group):
+        image = _image(element, rows, rows_conj)
+        np.matmul(_image(element, rows_conj, rows), xr_u, out=proj[:, i])
+        tw += proj[:, i, scores, :1] * image[:, scores]
+        ends.append(image[:, k:])
+    ends = np.stack(ends, axis=1)
+    s, r_images = proj[:, :, k, 0], ends[:, :, 0]
+    b_tw = (s[:, None, None] @ ends[:, :, 1:].swapaxes(1, 2))[:, :, 0]
+    b_tw += proj[:, :, border, 0].swapaxes(1, 2) @ r_images
+    # pairs[i, j] = sum_g (X r)^H g(row_i) g(row_j)^H u, and wtu holds
+    # 2 (K-1) |G| conj((X r)^H t_i u), which pairs the border with row i.
+    pairs = proj[..., 0].conj().swapaxes(1, 2) @ proj[..., 1]
+    diagonal = pairs.diagonal(axis1=1, axis2=2)[:, scores]
+    wtu = 2.0 * np.concatenate([diagonal, pairs[:, border, k] + pairs[:, k, border]], 1).conj()
 
-    cols = 0.5 * b_tw[:, 2:]
-    cap = 0.5 * _real_form(m_hat) + np.concatenate([cols.real, cols.imag], axis=-1).swapaxes(
-        -1, -2
-    )
-    cap = 0.5 * (cap + cap.swapaxes(-1, -2))
-    low, errors, fell_back = cholesky_stack(cap)
-    if errors:
-        cap[list(errors)] = np.eye(2 * n)
-    solved = np.linalg.solve(cap, a.swapaxes(-1, -2))
+    # L^{-1}, with a^2 - |b|^2 kept as a -+ |b| (margin), which overflow only
+    # where a does. A^{-1} sends a row y of tw or V^T to y B + conj(y) B', B
+    # summing lam_g g(X^T) over the elements without conjugation, B' the rest.
+    scale, cap_c = 1.0 / (size * km1), 0.5 / (size * km1)
+    parity = cap_c * (s[:, None] @ _PARITY[h])[:, 0]
+    a_pm, b_pm = 0.5 + parity[:, :2].real, parity[:, 2:]
+    margin = np.concatenate([a_pm - np.abs(b_pm), a_pm + np.abs(b_pm)], axis=1)
+    inverse_pm = np.stack([a_pm, -b_pm], axis=1) / margin[:, None, :2] / margin[:, None, 2:]
+    lam = (inverse_pm.reshape(len(s), 1, 4) @ (0.5 * _PARITY[h].T))[:, 0]
+    tw = np.concatenate([tw - size * r[:, None], b_tw, r_images, 1j * r_images], axis=1)
+    xt, mats = x.swapaxes(-1, -2), [0.0, 0.0]
+    for (flip, conj), weight in zip(group, lam.T):  # X is Hermitian: conj(X^T) = X
+        mats[conj] += weight[:, None, None] * _image((flip, conj), xt, x)
+    y = tw @ mats[0]
+    if size > 1:  # every larger group has elements with conjugation
+        y += tw.conj() @ mats[1]
+    # <g(r), y> = Re g(r)^H y, <i g(r), y> = Im g(r)^H y. eigh reads the
+    # lower triangle and sorts ascending; NaN or inf fails the certificate.
+    gy = r_images.conj() @ y.swapaxes(-1, -2)
+    vy = np.concatenate([gy.real, gy.imag], axis=1)
+    core = _CORE_SIGNS[h] + cap_c * vy[..., k + 3 :]
+    try:
+        eig, vec = np.linalg.eigh(core)
+    except np.linalg.LinAlgError:  # a NaN core; a zero one fails the certificate
+        core[~np.isfinite(core).all(axis=(-2, -1))] = 0.0
+        eig, vec = np.linalg.eigh(core)
+    floor = _PIVOT_RTOL * np.maximum(-eig[:, :1], eig[:, -1:])
+    certified = np.all(margin[:, :2] > _PIVOT_RTOL * margin[:, 2:], axis=-1)
+    certified &= np.all(eig * _INERTIA[h] > floor, axis=-1)
+    errors = {}
+    if not certified.all():
+        for t in np.flatnonzero(~certified):
+            finite = np.isfinite(vy[t]).all() and np.isfinite(margin[t]).all()
+            state = "positive definite" if finite else "finite"
+            numbers = ", ".join(f"{value:.3e}" for value in (*margin[t], *eig[t]))
+            text = f"capacitance is not {state}: J-parity a - |b|, a + |b|, core eigenvalues "
+            errors[int(t)] = NotPositiveDefiniteError(text + numbers)
+        eig[~certified] = 1.0
+    ry = vec.swapaxes(-1, -2) @ vy[..., : k + 3]
+    ry_scaled = ry * (cap_c / eig)[..., None]
 
-    # Woodbury: g_i^T Q^{-1} g_j = <P(D_i), t_j> - a_i^T cap^{-1} a_j.
-    scores = slice(0, k + 1)
-    theta_trace = np.sum(quad, axis=-1) / km1 - np.sum(
-        a[:, scores] * solved[..., scores].swapaxes(-1, -2), axis=(-2, -1)
+    # Woodbury: g_i^T Q^{-1} g_j = <P(D_i), t_j> - <a_i, C^{-1} a_j>, with
+    # <a_i, C^{-1} a_j> = scale^2 (Re tw_i^H y_j - ry_i^T (cap_c / eig) ry_j).
+    theta_trace = np.sum(quad[:, scores], axis=-1) / km1 - scale**2 * (
+        np.einsum("tij,tij->t", tw[:, scores].conj(), y[:, scores]).real
+        - np.einsum("tij,tij->t", ry[..., scores], ry_scaled[..., scores])
     )
-    cross = np.stack([2.0 * wtu.real, -2.0 * wtu.imag], axis=1) - a[:, k + 1 :] @ solved
-    schur = 2.0 * _dot(v.conj(), u).real[:, None, None] * np.eye(2) - cross[..., k + 1 :]
-    # The CUT's amplitude score is zero at the ML amplitude, so Y is
-    # B^T Q^{-1} G_theta alone.
-    y = cross[..., scores]
-    theta_logdet = (
-        m * math.log(km1)
-        + logdet_f
-        + 2 * n * math.log(2.0)
-        - 2.0 * estimate.logdet
-        + logdet_from_cholesky(low)
+    cross = scale * (
+        wtu.view(float).reshape(len(wtu), -1, 2).swapaxes(1, 2)  # real, imaginary rows
+        - scale * (tw[:, border].conj() @ y[:, : k + 3].swapaxes(-1, -2)).real
+        + scale * (ry_scaled[..., border].swapaxes(-1, -2) @ ry)
     )
-    schur = (0.5 * (schur + schur.swapaxes(-1, -2)), y @ y.swapaxes(-1, -2))
-    return _with_placeholders(
-        theta_trace, theta_logdet, schur, {**errors, **failures}, fallbacks + fell_back, dead
-    )
+    # q[:, K+1] is v^H X v; the CUT's amplitude score is zero, so Y is
+    # B^T Q^{-1} G_theta. The 2 log det M of C and of A cancel.
+    schur = 2.0 * q[:, k + 1, None, None].real * np.eye(2) - cross[..., border]
+    logs = np.log(np.abs(np.concatenate([margin, eig], axis=1)))
+    logs[:, :4] *= ((n + 1) // 2, n // 2) * 2
+    theta_logdet = (m * math.log(km1) + 2 * n * math.log(2.0) + logdet_f) + np.sum(logs, axis=-1)
+    y_theta = cross[..., scores]
+    schur = (0.5 * (schur + schur.swapaxes(-1, -2)), y_theta @ y_theta.swapaxes(-1, -2))
+    failures = {**errors, **failures}
+    return _with_placeholders(theta_trace, theta_logdet, schur, failures, fallbacks, dead)
 
 
 def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoTerms:
@@ -268,16 +277,6 @@ def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoT
         if schur is not None:
             schur[0][placeholders], schur[1][placeholders] = np.eye(2), 0.0
     return InfoTerms(trace, logdet, schur, failures, int(fallbacks))
-
-
-def _real_form(a: np.ndarray) -> np.ndarray:
-    """2N x 2N real matrices acting on [Re y; Im y] as each A acts on y."""
-    n = a.shape[-1]
-    out = np.empty(a.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = a.real
-    out[..., n:, :n] = np.imag(a)
-    out[..., :n, n:] = -out[..., n:, :n]
-    return out
 
 
 def _sandwich_logdet(
@@ -299,11 +298,9 @@ def _sandwich_logdet(
         return 2 * n * logdet, {}, False
     if hypothesis is not Hypothesis.H4:
         return (n + 1) * logdet, {}, False
-    half = n // 2
-    eye = np.eye(n)
+    half, eye = n // 2, np.eye(n)
     pairs = eye[:, :half], eye[:, ::-1][:, :half]
-    even = math.sqrt(0.5) * (pairs[0] + pairs[1])
-    odd = math.sqrt(0.5) * (pairs[0] - pairs[1])
+    even, odd = math.sqrt(0.5) * (pairs[0] + pairs[1]), math.sqrt(0.5) * (pairs[0] - pairs[1])
     if n % 2:
         even = np.column_stack([even, eye[:, half]])
     total, errors, fell_back = 0.0, {}, False

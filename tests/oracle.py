@@ -26,6 +26,11 @@ capacitance inverse through ``scipy.linalg.cho_solve``. It takes an
 :class:`~covstruct.estimators.EstimateStack`, a trial index and that
 trial's :class:`~covstruct.estimators.Dataset`, and returns float terms and
 2 x 2 Schur pairs.
+
+40-digit path. :func:`exact_information_terms` recomputes the approach-A
+terms of one dataset in mpmath from their definitions in the theta basis:
+the plug-in estimates, minus the Hessian of the joint log-likelihood, and
+the scores, with no rounding to double on the way.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -45,6 +51,7 @@ from covstruct.structures import (
     basis_log_norm,
     param_count,
     project,
+    structure_model,
 )
 
 _LOG_PI = float(np.log(np.pi))
@@ -424,6 +431,97 @@ def _sandwich_logdet(hypothesis, m_hat, logdet):
         (basis.shape[1] + 1) * np.linalg.slogdet(basis.T @ m_hat @ basis)[1]
         for basis in (even, odd)
     )
+
+
+# ---------------------------------------------------------------------------
+# Approach-A information terms at 40 digits
+#
+# The definitions, in the theta basis of ``structure_model`` and in mpmath:
+# the plug-in estimates, the observed information of the joint
+# log-likelihood (minus its Hessian) and the scores, formed from the float
+# data without rounding to double anywhere.
+
+
+def _mp_matmul(a, b):
+    return [[mpmath.fsum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _mp_trace(a, b):
+    """Tr(A B)."""
+    return mpmath.fsum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b)))
+
+
+def _mp_project(hypothesis, a):
+    n = len(a)
+    if hypothesis in (Hypothesis.H3, Hypothesis.H4):
+        a = [[(a[i][j] + mpmath.conj(a[n - 1 - i][n - 1 - j])) / 2 for j in range(n)]
+             for i in range(n)]
+    if hypothesis in (Hypothesis.H2, Hypothesis.H4):
+        a = [[mpmath.mpc(mpmath.re(a[i][j])) for j in range(n)] for i in range(n)]
+    return a
+
+
+def exact_information_terms(hypothesis, dataset, dps=40):
+    """``(theta_trace, theta_logdet, S)`` of one dataset under approach A, as
+    mpmath numbers computed at ``dps`` digits from their definitions."""
+    with mpmath.workdps(dps):
+        n, k = dataset.n, dataset.k
+        z_all = [[mpmath.mpc(complex(e)) for e in row] for row in dataset.secondary]
+        cut = [mpmath.mpc(complex(e)) for e in dataset.cut]
+        v = [mpmath.mpc(complex(e)) for e in dataset.steering]
+        scatter = [[mpmath.fsum(z_all[i][c] * mpmath.conj(z_all[j][c]) for c in range(k))
+                    for j in range(n)] for i in range(n)]
+        m_hat = _mp_project(hypothesis, [[e / k for e in row] for row in scatter])
+        inverse = mpmath.inverse(mpmath.matrix(m_hat))
+        x = [[inverse[i, j] for j in range(n)] for i in range(n)]
+
+        def quad(a, mat, b):  # a^H mat b
+            return mpmath.fsum(mpmath.conj(a[i]) * mat[i][j] * b[j]
+                               for i in range(n) for j in range(n))
+
+        alpha = quad(v, x, cut) / quad(v, x, v)
+        r = [cut[i] - alpha * v[i] for i in range(n)]
+        outer = lambda a, b: [[a[i] * mpmath.conj(b[j]) for j in range(n)] for i in range(n)]
+        total = [[scatter[i][j] + r[i] * mpmath.conj(r[j]) for j in range(n)] for i in range(n)]
+        x_total = _mp_matmul(x, total)
+        basis = structure_model(hypothesis, n).constraint
+        y = [_mp_matmul(x, [[mpmath.mpc(complex(basis[i + n * j, q])) for j in range(n)]
+                            for i in range(n)]) for q in range(basis.shape[1])]
+        y_total = [_mp_matmul(yq, x_total) for yq in y]
+        m = len(y)
+        # Q = -d2s/dtheta2 of s = -(K+1) log det M - Tr(X (S + r r^H)).
+        q_mat = mpmath.matrix(m, m)
+        for p in range(m):
+            for c in range(p, m):
+                entry = mpmath.re(-(k + 1) * _mp_trace(y[c], y[p])
+                                  + _mp_trace(y[c], y_total[p]) + _mp_trace(y[p], y_total[c]))
+                q_mat[p, c] = q_mat[c, p] = entry
+        # The theta-alpha block: -Tr(X C_p X dS_a/dalpha_a), with
+        # dS_a/dRe(alpha) = -(v r^H + r v^H) and dS_a/dIm(alpha) = -i (v r^H - r v^H).
+        vr, rv = outer(v, r), outer(r, v)
+        d_alpha = [[[-(vr[i][j] + rv[i][j]) for j in range(n)] for i in range(n)],
+                   [[-1j * (vr[i][j] - rv[i][j]) for j in range(n)] for i in range(n)]]
+        x_d = [_mp_matmul(x, d) for d in d_alpha]
+        border = mpmath.matrix(m, 2)
+        for p in range(m):
+            for a in range(2):
+                border[p, a] = -mpmath.re(_mp_trace(y[p], x_d[a]))
+        # Scores: Re Tr(C_p (X a a^H X - X)) for a = z_k and r; the amplitude
+        # scores are zero at the ML amplitude.
+        columns = [[z_all[i][c] for i in range(n)] for c in range(k)] + [r]
+        scores = mpmath.matrix(m, len(columns))
+        for p in range(m):
+            xcx, trace = _mp_matmul(y[p], x), mpmath.fsum(y[p][i][i] for i in range(n))
+            for c, col in enumerate(columns):
+                scores[p, c] = mpmath.re(quad(col, xcx, col) - trace)
+        q_inv = mpmath.inverse(q_mat)
+        solved = q_inv * scores
+        theta_trace = mpmath.fsum(scores[p, c] * solved[p, c]
+                                  for p in range(m) for c in range(len(columns)))
+        theta_logdet = mpmath.log(mpmath.det(q_mat))
+        schur = 2 * mpmath.re(quad(v, x, v)) * mpmath.eye(2) - border.T * q_inv * border
+        return theta_trace, theta_logdet, schur
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: run, classify, and plot subcommands."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -303,20 +304,24 @@ def test_classify_approach_a_needs_steering(tmp_path, capsys, h4_dataset):
     assert run_cli(["classify", "--data", data, "--approach", "B", "--criterion", "aic"]) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_classify_chooses_nothing_from_non_finite_scores(tmp_path, capsys, h4_dataset):
     # Every entry is finite, so the file is accepted, but the scatter
-    # overflows: every hypothesis fails and none is chosen.
+    # overflows: every hypothesis fails and none is chosen, under every rule,
+    # and numpy's overflow warnings do not reach stderr.
     secondary = h4_dataset.secondary.copy()
     secondary[2, 4] = 1e300
     data = tmp_path / "huge.txt"
     write_dataset(Dataset(secondary, h4_dataset.cut, h4_dataset.steering), data)
     for approach in ("A", "B"):
-        assert run_cli(["classify", "--data", data, "--approach", approach,
-                        "--criterion", "aic"]) == 2, approach
-        out = capsys.readouterr().out
-        assert "chosen: none" in out and "total" not in out, approach
-        assert out.count("failed (NotPositiveDefiniteError") == 4, approach
+        for rule in ("aic", "gic:2", "gic:4", "tic", "aicc", "bic", "asymptotic-bic"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(["classify", "--data", data, "--approach", approach,
+                                "--criterion", rule])
+            captured = capsys.readouterr()
+            assert code == 2 and not caught and captured.err == "", (approach, rule)
+            assert "chosen: none" in captured.out and "total" not in captured.out
+            assert captured.out.count("failed (NotPositiveDefiniteError") == 4, (approach, rule)
 
 
 def test_classify_rejects_malformed_input(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from covstruct.criteria import prepare_estimates
 from covstruct.estimators import Approach, Dataset, DatasetStack
 from covstruct.likelihood import information_terms
+from covstruct.linalg import NotPositiveDefiniteError
 from covstruct.scenario import (
     complex_normal,
     sample_dataset,
@@ -36,6 +37,7 @@ from oracle import (
     sample_fim,
     snapshot_scores,
 )
+from oracle import exact_information_terms
 from oracle import information_terms as matrix_space_terms
 
 
@@ -348,6 +350,93 @@ def test_information_terms_match_oracle_at_k_n_plus_one():
         return max(1e-10, np.finfo(float).eps * np.linalg.cond(observed))
 
     _assert_terms_match_oracle(_case1_datasets(14, 4, 11), scaled)
+
+
+def test_information_terms_match_oracle_across_the_j_split():
+    # The closed form splits vectors into J-even and J-odd parts, whose sizes
+    # differ for odd N. Even and odd N at K = N+1, with random unit steering
+    # vectors that are not conjugate-symmetric (J conj(v) != v), and
+    # correlated data drawn from a covariance of each class, so that the
+    # J-parity coefficients of H3 and H4 differ between the two parts.
+    def scaled(h, approach, est, t, ds):
+        observed = observed_fim(structure_model(h, ds.n), est, t, ds, approach)
+        return max(1e-10, np.finfo(float).eps * np.linalg.cond(observed))
+
+    rng = np.random.default_rng(20261020)
+    for n in (4, 5, 8, 9):
+        datasets = []
+        for truth in Hypothesis:
+            low = np.linalg.cholesky(random_pd_matrix(rng, n, truth))
+            steering = complex_normal(rng, (n,))
+            steering /= np.linalg.norm(steering)
+            assert not np.allclose(steering[::-1].conj(), steering)
+            datasets.append(
+                Dataset(
+                    secondary=low @ complex_normal(rng, (n, n + 1)),
+                    cut=low @ complex_normal(rng, (n,)) + 2.0 * steering,
+                    steering=steering,
+                )
+            )
+        _assert_terms_match_oracle(datasets, scaled)
+
+
+def test_information_terms_match_40_digit_definitions_at_k_n_plus_one():
+    # theta_trace, theta_logdet and S recomputed from their definitions in
+    # the theta basis at 40 digits (mpmath), at N = 5 and K = N+1.
+    config = table_case(1, n=5)
+    datasets = []
+    for t, truth in enumerate((Hypothesis.H1, Hypothesis.H4)):
+        rng = np.random.default_rng((41, t))
+        datasets.append(sample_dataset(truth_instance(truth, config, rng), config, 6, rng))
+    stack = DatasetStack.of(datasets)
+    prepared = prepare_estimates(stack, Approach.A)
+    for h in Hypothesis:
+        info = information_terms(prepared[h], stack, Approach.A)
+        for t, ds in enumerate(datasets):
+            trace, logdet, schur = exact_information_terms(h, ds)
+            schur = np.array(schur.tolist(), dtype=float)
+            errors = [
+                _relative_error(info.theta_trace[t], float(trace)),
+                _relative_error(info.theta_logdet[t], float(logdet)),
+                _relative_error(info.schur[0][t], schur),
+            ]
+            assert max(errors) <= 1e-10, (h, t, errors)
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [(1e8, "capacitance is not positive definite"), (1e200, "capacitance is not finite")],
+)
+def test_uncertified_capacitance_fails_its_trial_alone(scale, message):
+    # A finite CUT of 1e200 overflows the capacitance of its trial; at 1e8
+    # the capacitance is finite but singular to rounding (its Woodbury core
+    # has an eigenvalue within 1e-12 of its scale). Either way that trial
+    # fails with a NotPositiveDefiniteError naming the capacitance and holds
+    # placeholder rows, and the other trials are bit-identical to a stack
+    # without it.
+    rng = np.random.default_rng(20261021)
+    datasets = [random_dataset(rng, 5, 8) for _ in range(3)]
+    huge = Dataset(datasets[1].secondary, scale * datasets[1].cut, datasets[1].steering)
+    stack = DatasetStack.of([datasets[0], huge, datasets[2]])
+    rest = DatasetStack.of([datasets[0], datasets[2]])
+    with np.errstate(all="ignore"):  # the overflow itself
+        prepared = prepare_estimates(stack, Approach.A)
+        infos = {h: information_terms(prepared[h], stack, Approach.A) for h in Hypothesis}
+    prepared_rest = prepare_estimates(rest, Approach.A)
+    for h, info in infos.items():
+        assert not prepared[h].failures and not prepared[h].alpha_failures
+        assert list(info.failures) == [1], h
+        assert isinstance(info.failures[1], NotPositiveDefiniteError)
+        assert str(info.failures[1]).startswith(message), (h, str(info.failures[1]))
+        assert info.theta_trace[1] == info.theta_logdet[1] == 0.0
+        np.testing.assert_array_equal(info.schur[0][1], np.eye(2))
+        np.testing.assert_array_equal(info.schur[1][1], np.zeros((2, 2)))
+        alone = information_terms(prepared_rest[h], rest, Approach.A)
+        for got, want in ((0, 0), (2, 1)):
+            assert info.theta_trace[got] == alone.theta_trace[want]
+            assert info.theta_logdet[got] == alone.theta_logdet[want]
+            for pair, pair_alone in zip(info.schur, alone.schur):
+                np.testing.assert_array_equal(pair[got], pair_alone[want])
 
 
 def _stack_with_bad_trial(data):
