@@ -37,14 +37,15 @@ recorded, and the argmin runs over the survivors.
 
 One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
 datasets at once: the estimates come from stacked projections, one stacked
-Cholesky and one stacked inverse per class, the fits and totals are (4, T)
-arrays, the closed-form penalties are one value per hypothesis, and the
-argmin runs over the whole batch. TIC and BIC take one call of the
-information terms per class and approach. A trial that fails a check is
-excluded on its own, with the message a stack of one would give, and every
-stacked operation treats each trial alone, so a trial's outcome does not
-depend on the stack it sits in. :func:`classify` is the engine on a stack
-of one.
+Cholesky per class and, under approach A, one stacked solve for the
+amplitudes (the inverse estimates are formed for TIC and BIC only), the
+fits and totals are (4, T) arrays, the closed-form penalties are one value
+per hypothesis, and the argmin runs over the whole batch. TIC and BIC take
+one call of the information terms per class and approach. A trial that
+fails a check is excluded on its own, with the message a stack of one would
+give, and every stacked operation treats each trial alone, so a trial's
+outcome does not depend on the stack it sits in. :func:`classify` is the
+engine on a stack of one.
 """
 
 from __future__ import annotations
@@ -64,12 +65,7 @@ from .estimators import (
     estimate_covariance,
 )
 from .likelihood import InfoTerms, information_terms
-from .linalg import (
-    cholesky_stack,
-    hermitian_part,
-    inverse_and_logdet_stack,
-    logdet_from_cholesky,
-)
+from .linalg import cholesky_stack, hermitian_part, logdet_from_cholesky
 from .structures import Hypothesis, param_count
 
 __all__ = [
@@ -255,13 +251,13 @@ def _tic_trace(
     and the number of ridge retries.
     """
     d = observed.shape[-1]
-    solved, bad = _solve_each(observed, sample)
+    solved, bad, _ = _solve_each(observed, sample)
     errors: dict[int, FimSingularError] = {}
     if bad:
         retry = list(bad)
         ridge = _TIC_RIDGE * np.trace(observed[retry], axis1=-2, axis2=-1) / d
         shifted = observed[retry] + ridge[:, None, None] * np.eye(d)
-        retried, still = _solve_each(shifted, sample[retry])
+        retried, still, _ = _solve_each(shifted, sample[retry])
         solved[retry] = retried
         for j, reason in still.items():
             errors[retry[j]] = FimSingularError(
@@ -270,15 +266,18 @@ def _tic_trace(
     return np.trace(solved, axis1=-2, axis2=-1), errors, len(bad)
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-    """Stacked ``solve(a, b)`` and, per trial whose solve raises or is not
-    finite, the reason. numpy refuses the whole stack when one matrix is
-    singular; the trials are then solved one by one."""
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str], bool]:
+    """Stacked ``solve(a, b)``, per trial whose solve raises or is not
+    finite the reason, and whether the stack fell back. numpy refuses the
+    whole stack when one matrix is singular; the trials are then solved one
+    by one."""
     bad: dict[int, str] = {}
+    fell_back = False
     try:
         solved = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        solved = np.zeros(b.shape)
+        fell_back = True
+        solved = np.zeros(b.shape, np.result_type(a, b))
         for t in range(len(a)):
             try:
                 solved[t] = np.linalg.solve(a[t], b[t])
@@ -286,7 +285,7 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str
                 bad[t] = str(exc)
     for t in np.flatnonzero(~np.isfinite(solved).all(axis=(-2, -1))):
         bad.setdefault(int(t), "non-finite solve result")
-    return solved, dict(sorted(bad.items()))
+    return solved, dict(sorted(bad.items())), fell_back
 
 
 def _bic_logdet(
@@ -403,10 +402,7 @@ def _fit_terms(
     # projection of S/K onto it (Szatrowski 1980, Ann. Statist. 8(4)).
     if approach is Approach.B:
         return 2.0 * (k * (n * _LOG_PI + estimate.logdet) + n * k)
-    cut, steering = stack.require_cut()
-    resid = cut - estimate.alpha_hat[:, None] * steering
-    quad = (resid.conj()[:, None, :] @ estimate.x_hat @ resid[:, :, None])[:, 0, 0].real
-    return 2.0 * ((k + 1) * (n * _LOG_PI + estimate.logdet) + n * k + quad)
+    return 2.0 * ((k + 1) * (n * _LOG_PI + estimate.logdet) + n * k + estimate.quad)
 
 
 def _argmin_batch(
@@ -424,30 +420,36 @@ def _argmin_batch(
 
 def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
     """Per-hypothesis :class:`EstimateStack` of a stack; one stacked Cholesky
-    per class gives X and log det and is the one positive-definiteness check.
+    per class gives log det M and is the one positive-definiteness check.
 
     A trial whose estimate is not positive definite keeps its error, and
-    its rows of M and X are the identity. Under approach A a degenerate
-    steering energy is kept as the alpha failure: the covariance estimates
-    stay valid for the secondary-only likelihood, and only the
+    its rows of M are the identity. Under approach A one stacked solve of M
+    with ``[v z]`` gives the amplitudes and CUT fits. A degenerate steering
+    energy, or a failed solve, is kept as the alpha failure: the covariance
+    estimates stay valid for the secondary-only likelihood, and only the
     joint-likelihood rules lose that hypothesis.
     """
     approach = Approach.parse(approach)
     out: dict[Hypothesis, EstimateStack] = {}
     for h in Hypothesis:
         m_hat = estimate_covariance(h, stack)
-        x_hat, logdet, errors, fell_back = inverse_and_logdet_stack(m_hat)
+        low, errors, fell_back = cholesky_stack(m_hat)
         if errors:
             m_hat[list(errors)] = np.eye(stack.n)
-        alpha, alpha_errors = None, {}
+        alpha, quad, alpha_errors = None, None, {}
         if approach is Approach.A:
-            alpha, alpha_errors = estimate_alpha_stack(x_hat, *stack.require_cut())
+            cut, steering = stack.require_cut()
+            solved, bad, solve_fell_back = _solve_each(m_hat, np.stack([steering, cut], -1))
+            alpha, quad, alpha_errors = estimate_alpha_stack(solved, cut, steering)
+            for t, reason in bad.items():
+                alpha_errors[t] = np.linalg.LinAlgError(f"solve with the ICM estimate: {reason}")
+            fell_back += solve_fell_back
         out[h] = EstimateStack(
             hypothesis=h,
             m_hat=m_hat,
-            x_hat=x_hat,
-            logdet=logdet,
+            logdet=logdet_from_cholesky(low),
             alpha_hat=alpha,
+            quad=quad,
             failures=errors,
             alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
             fallbacks=int(fell_back),

@@ -12,9 +12,10 @@ Every stacked operation treats each trial on its own, so a trial's
 estimates are bit-identical whatever stack it sits in.
 
 The signal amplitude ``alpha`` is estimated from the cell under test with the
-ICM estimate X plugged in: the ML amplitude ``v^H X z / v^H X v`` minimises
-``(z - alpha v)^H X (z - alpha v)`` over complex alpha for every class and
-every steering vector.
+ICM estimate X = M^-1 plugged in: the ML amplitude ``v^H X z / v^H X v``
+minimises ``(z - alpha v)^H X (z - alpha v)`` over complex alpha for every
+class and every steering vector. It and that fit take one solve of M with
+``[v z]``; X itself is formed only where the information terms need it.
 """
 
 from __future__ import annotations
@@ -187,21 +188,28 @@ class EstimateStack:
 
     The arrays carry the trial axis first. ``failures`` maps each trial whose
     estimate failed its Cholesky check to its error; that trial's rows are
-    placeholders, with the identity in ``m_hat`` and ``x_hat``.
-    ``alpha_failures`` maps each trial whose steering energy is degenerate
-    under approach A, where ``alpha_hat`` is set, to its error; under
-    approach B ``alpha_hat`` is None. ``fallbacks`` counts the stacked
-    factorizations that fell back to matrix by matrix.
+    placeholders, with the identity in ``m_hat``. Under approach A,
+    ``alpha_hat`` and ``quad`` hold the amplitudes and CUT fits of
+    :func:`estimate_alpha_stack`, and ``alpha_failures`` maps each trial
+    whose steering energy is degenerate, or whose solve failed, to its
+    error; under approach B both are None. ``fallbacks`` counts the stacked
+    factorizations and solves that fell back to matrix by matrix. ``x_hat``,
+    the Hermitian inverses of ``m_hat``, is formed on first use: only the
+    TIC and BIC information terms read it.
     """
 
     hypothesis: Hypothesis
     m_hat: np.ndarray
-    x_hat: np.ndarray
     logdet: np.ndarray
     alpha_hat: np.ndarray | None
+    quad: np.ndarray | None
     failures: dict[int, Exception]
     alpha_failures: dict[int, Exception]
     fallbacks: int = 0
+
+    @functools.cached_property
+    def x_hat(self) -> np.ndarray:
+        return hermitian_part(np.linalg.inv(self.m_hat))
 
 
 def estimate_covariance(hypothesis: Hypothesis, stack: DatasetStack) -> np.ndarray:
@@ -216,33 +224,30 @@ def estimate_covariance(hypothesis: Hypothesis, stack: DatasetStack) -> np.ndarr
 
 
 def estimate_alpha_stack(
-    x_hat: np.ndarray, cut: np.ndarray, steering: np.ndarray
-) -> tuple[np.ndarray, dict[int, DegenerateSteeringError]]:
-    """ML amplitude estimates of the CUT signal with the ICM estimate plugged in.
+    solved: np.ndarray, cut: np.ndarray, steering: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, DegenerateSteeringError]]:
+    """ML amplitude estimates of the CUT signal with the ICM estimate plugged
+    in, and the CUT fits ``(z - alpha v)^H X (z - alpha v)`` at them.
 
-    Takes (T, N, N) ``x_hat``, the inverses of one class's ICM estimates,
-    and (T, N) CUTs and steering vectors. ``v^H X z / v^H X v`` minimises
-    ``(z - a v)^H X (z - a v)`` over complex a for any Hermitian positive
-    definite X, so it is the estimate under every class and for every
-    steering vector. Returns the (T,) estimates and, per trial whose
-    steering energy through ``x_hat`` is at or below 1e-14, a
-    DegenerateSteeringError; those trials' estimates are placeholders.
+    Takes the (T, N, 2) solves ``X [v z]``, ``X = M^-1`` for one class's ICM
+    estimates M, and (T, N) CUTs and steering vectors. ``v^H X z / v^H X v``
+    minimises the fit for any Hermitian positive definite X, so it is the
+    estimate under every class and steering vector. The fit is kept in
+    residual form, ``Re r^H (X z - alpha X v)`` with ``r = z - alpha v``, as
+    ``z^H X z - |v^H X z|^2 / v^H X v`` cancels at high SNR. Returns the
+    (T,) estimates and fits and, per trial whose steering energy is at or
+    below 1e-14, a DegenerateSteeringError; those rows are placeholders.
     """
-    vx = _rowdot(steering.conj(), x_hat)
-    denom = _rowdot(vx, steering).real
+    vx = np.einsum("ti,tij->tj", steering.conj(), solved)  # v^H X v, v^H X z
+    denom = vx[:, 0].real
     errors = {
         int(t): _steering_error(float(denom[t]))
         for t in np.flatnonzero(~(denom > _STEERING_FLOOR))
     }
-    denom = np.where(denom > _STEERING_FLOOR, denom, 1.0)
-    return _rowdot(vx, cut) / denom, errors
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-trial ``a_t @ b_t`` of a (T, N) stack with a (T, N) or (T, N, N) one."""
-    if b.ndim == 2:
-        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-    return (a[:, None, :] @ b)[:, 0, :]
+    alpha = vx[:, 1] / np.where(denom > _STEERING_FLOOR, denom, 1.0)
+    x_resid = solved[..., 1] - alpha[:, None] * solved[..., 0]
+    resid = cut - alpha[:, None] * steering
+    return alpha, np.einsum("ti,ti->t", resid.conj(), x_resid).real, errors
 
 
 def _steering_error(denom: float) -> DegenerateSteeringError:

@@ -32,6 +32,7 @@ and information matrices, and the approach-A terms at 40 digits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -298,15 +299,23 @@ def _sandwich_logdet(
         return 2 * n * logdet, {}, False
     if hypothesis is not Hypothesis.H4:
         return (n + 1) * logdet, {}, False
-    half, eye = n // 2, np.eye(n)
-    pairs = eye[:, :half], eye[:, ::-1][:, :half]
-    even, odd = math.sqrt(0.5) * (pairs[0] + pairs[1]), math.sqrt(0.5) * (pairs[0] - pairs[1])
-    if n % 2:
-        even = np.column_stack([even, eye[:, half]])
     total, errors, fell_back = 0.0, {}, False
-    for basis in (even, odd):
+    for basis in _parity_bases(n):
         low, block_errors, block_fell_back = cholesky_stack(basis.T @ m_hat @ basis)
         total = total + (basis.shape[1] + 1) * logdet_from_cholesky(low)
         errors = {**block_errors, **errors}
         fell_back = fell_back or block_fell_back
     return total, errors, fell_back
+
+
+@functools.lru_cache(maxsize=32)
+def _parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real bases of the J-even and J-odd N-vectors, formed once
+    per N and read-only."""
+    half, eye = n // 2, np.eye(n)
+    pairs = eye[:, :half], eye[:, ::-1][:, :half]
+    even, odd = math.sqrt(0.5) * (pairs[0] + pairs[1]), math.sqrt(0.5) * (pairs[0] - pairs[1])
+    if n % 2:
+        even = np.column_stack([even, eye[:, half]])
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd

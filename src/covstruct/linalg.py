@@ -22,7 +22,6 @@ __all__ = [
     "cholesky_pd",
     "cholesky_stack",
     "logdet_from_cholesky",
-    "inverse_and_logdet_stack",
 ]
 
 # Relative pivot floor: a Cholesky pivot not above this fraction of the
@@ -96,12 +95,14 @@ def cholesky_stack(
                 errors[t] = NotPositiveDefiniteError(
                     f"Cholesky breakdown on {m.shape[-2]}x{m.shape[-1]} matrix: {exc}"
                 )
-    diag_max = m.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
-    pivot = (low.diagonal(axis1=-2, axis2=-1).real ** 2).min(axis=-1)
-    for t in np.flatnonzero(~(pivot > _PIVOT_RTOL * diag_max)):  # NaN fails too
+    diag_max = m.diagonal(0, -2, -1).real.max(-1)
+    pivot = (low.diagonal(0, -2, -1).real ** 2).min(-1)
+    passed = pivot > _PIVOT_RTOL * diag_max  # NaN fails too
+    if passed.all():  # a breakdown's zero factor never passes
+        return low, errors, fell_back
+    for t in np.flatnonzero(~passed):
         errors.setdefault(int(t), _pivot_error(pivot[t], diag_max[t]))
-    if errors:
-        low[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
+    low[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
     return low, dict(sorted(errors.items())), fell_back
 
 
@@ -119,23 +120,3 @@ def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
 def logdet_from_cholesky(low: np.ndarray) -> np.ndarray:
     """log det of each matrix of a stack from its lower Cholesky factor."""
     return 2.0 * np.sum(np.log(low.diagonal(axis1=-2, axis2=-1).real), axis=-1)
-
-
-def inverse_and_logdet_stack(
-    m: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict[int, NotPositiveDefiniteError], bool]:
-    """Hermitian inverses and log-determinants of a (T, N, N) stack.
-
-    One stacked Cholesky (:func:`cholesky_stack`) gives the log-determinants
-    and the positive-definiteness check; one stacked inverse gives X.
-    Returns ``(x, logdet, errors, fell_back)`` with ``errors`` and
-    ``fell_back`` as :func:`cholesky_stack` gives them; a failing matrix's
-    rows of ``x`` and ``logdet`` are placeholders. The other matrices are
-    unaffected: every result is bit-identical to a stack of one.
-    """
-    m = np.asarray(m)
-    low, errors, fell_back = cholesky_stack(m)
-    if errors:
-        m = m.copy()
-        m[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
-    return hermitian_part(np.linalg.inv(m)), logdet_from_cholesky(low), errors, fell_back

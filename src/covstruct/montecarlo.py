@@ -60,6 +60,13 @@ DEFAULT_K_GRID: tuple[int, ...] = (20, 25, 30, 35, 40, 45)
 _TRIAL_STREAM = 1
 _FROZEN_STREAM = 2
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
 # Snapshot entries (N x K per trial) drawn and classified per chunk, so
 # memory stays flat however large N K or the trial count is.
 _BLOCK_ENTRIES = 1 << 14
@@ -215,9 +222,57 @@ def _resolve_workers(config: CampaignConfig) -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _trial_rng(master_seed: int, truth: Hypothesis, k: int, trial: int):
-    seq = np.random.SeedSequence((master_seed, _TRIAL_STREAM, int(truth), k, trial))
-    return np.random.default_rng(seq)
+@dataclass(frozen=True)
+class _Streams:
+    """Trials' streams as one generator, set to each trial's PCG64
+    ``(state, inc)`` in ``states`` in turn as it is iterated."""
+
+    states: list[tuple[int, int]]
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for state, inc in self.states:
+            bit_generator.state = {**_PCG64_STATE, "state": {"state": state, "inc": inc}}
+            yield rng
+
+
+def _trial_streams(master_seed: int, truth: Hypothesis, k: int, lo: int, hi: int) -> _Streams:
+    """The streams of trials [lo, hi) of one cell, trial t's bit-identical to
+    ``default_rng(SeedSequence((master_seed, _TRIAL_STREAM, truth, k, t)))``.
+
+    The keys share every uint32 word but the trial, which SeedSequence mixes
+    in last, into the pool that numpy's SeedSequence of the shared words
+    holds. That mix and ``generate_state(4, uint64)`` run over the chunk at
+    once; PCG64's seeding (two steps of its 128-bit LCG) runs in Python ints.
+    """
+    u32 = np.uint32
+    shared = np.random.SeedSequence((master_seed, _TRIAL_STREAM, int(truth), k))
+    words = 3 + max(1, -(-int(master_seed).bit_length() // 32))  # the seed's, little-endian
+    const = [_INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32]
+
+    def hashmix(value, mult=_MULT_A):
+        value = value ^ u32(const[0])
+        const[0] = const[0] * mult & _MASK32
+        value = value * u32(const[0])
+        return value ^ value >> u32(16)
+
+    def mix(x, y):
+        out = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return out ^ out >> u32(16)
+
+    trials = np.arange(lo, hi, dtype=u32)
+    pool = [mix(p, hashmix(trials)) for p in shared.pool.astype(u32)[:, None]]
+    const[0] = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=-1)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in state.astype("<u4").view("<u8").tolist():
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return _Streams(states)
 
 
 def _frozen_truth_rng(master_seed: int, truth: Hypothesis):
@@ -248,8 +303,8 @@ def _draw_chunk(config: CampaignConfig, truth: Hypothesis, k: int, lo: int, hi: 
         shared = truth_instance(
             truth, scenario, _frozen_truth_rng(config.master_seed, truth)
         )
-    rngs = [_trial_rng(config.master_seed, truth, k, trial) for trial in range(lo, hi)]
-    return draw_stack(truth, scenario, k, rngs, shared)
+    streams = _trial_streams(config.master_seed, truth, k, lo, hi)
+    return draw_stack(truth, scenario, k, streams, shared)
 
 
 def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:

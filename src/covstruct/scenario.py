@@ -28,10 +28,10 @@ with a uniform random phase, on the symmetric phase-ramp steering vector
 (odd N only).
 
 A campaign chunk is drawn as one stack (:func:`draw_stack`): each trial's
-generator draws, in order, its channel errors (H1/H2), the CUT phase, the
-CUT noise and the secondary noise into preallocated buffers, and the
-truths, their Cholesky factors, ``cut = alpha v + L g`` and ``Z = L G`` are
-then formed for the whole stack. :func:`truth_instance` and
+generator draws, in one pass and in order, its channel errors (H1/H2), the
+CUT phase, the CUT noise and the secondary noise into preallocated buffers,
+and the truths, their Cholesky factors, ``cut = alpha v + L g`` and
+``Z = L G`` are then formed for the whole stack. :func:`truth_instance` and
 :func:`sample_dataset` are the same formulas on one generator.
 """
 
@@ -222,7 +222,8 @@ def truth_instance(
     elif rng is None:
         raise ValueError(f"an {h.name} truth draws channel errors and needs a generator")
     else:
-        a = _channel_factors(h, config, (rng,))[0]
+        raw = rng.standard_normal((1, 2 if h is Hypothesis.H1 else 1, config.n, config.n))
+        a = _channel_factors(h, config, raw)[0]
     return TruthInstance(
         hypothesis=h,
         m_true=_truth_covariance(h, config, a),
@@ -231,16 +232,12 @@ def truth_instance(
     )
 
 
-def _channel_factors(h: Hypothesis, config: ScenarioConfig, rngs) -> np.ndarray:
+def _channel_factors(h: Hypothesis, config: ScenarioConfig, raw: np.ndarray) -> np.ndarray:
     """(T, N, N) channel-error factors ``A = I + sigma_d W`` of an H1 or H2
-    truth, W drawn from each generator in turn: complex normal for H1 (real
-    parts, then imaginary parts), real normal for H2."""
-    n = config.n
-    raw = np.empty((len(rngs), 2 if h is Hypothesis.H1 else 1, n, n))
-    for t, rng in enumerate(rngs):
-        rng.standard_normal(out=raw[t])
+    truth from (T, planes, N, N) standard normal draws: W is complex normal
+    for H1 (planes of real parts, then imaginary parts), real normal for H2."""
     w = _complex(raw[:, 0], raw[:, 1]) if h is Hypothesis.H1 else raw[:, 0]
-    return np.eye(n) + config.sigma_d * w
+    return np.eye(config.n) + config.sigma_d * w
 
 
 def _truth_covariance(h: Hypothesis, config: ScenarioConfig, a: np.ndarray) -> np.ndarray:
@@ -299,7 +296,7 @@ def sample_dataset(
     Cholesky factor of the truth (``truth.low``) and g standard complex
     normal. The formulas are those of :func:`draw_stack`.
     """
-    cut, secondary = _coloured(truth.low, config, *_noise(config.n, k, (rng,)))
+    cut, secondary = _coloured(truth.low, config, *_draws(config.n, k, (rng,))[1:])
     v = _cached_steering(config.n, config.f_v)
     return Dataset(secondary=secondary[0], cut=cut[0], steering=v)
 
@@ -313,45 +310,52 @@ def draw_stack(
 ) -> DatasetStack:
     """One dataset per generator, as one stack: a campaign chunk.
 
-    Generator t is trial t's stream and draws what :func:`truth_instance`
-    and :func:`sample_dataset` would, in their order: the channel-error
-    matrix (H1/H2, unless ``truth`` is one truth shared by every trial),
-    then the CUT phase and noise and the secondary noise. The truths, their
-    factors and the datasets are then formed for the whole stack,
-    bit-identical to the one-trial functions. A truth that is not positive
-    definite raises its first trial's NotPositiveDefiniteError.
+    ``rngs`` is sized; its t-th generator is trial t's stream and draws
+    what :func:`truth_instance` and :func:`sample_dataset` would, in their
+    order: the channel-error matrix (H1/H2, unless ``truth`` is one truth
+    shared by every trial), then the CUT phase and noise and the secondary
+    noise, before the next generator is taken. The truths, their factors
+    and the datasets are then formed for the whole stack, bit-identical to
+    the one-trial functions. A truth that is not positive definite raises
+    its first trial's NotPositiveDefiniteError.
     """
     h = Hypothesis(hypothesis)
     if truth is None and h not in CHANNEL_ERROR_TRUTHS:
         truth = truth_instance(h, config)
+    planes = 0 if truth is not None else 2 if h is Hypothesis.H1 else 1
+    channel, *noise = _draws(config.n, k, rngs, planes)
     if truth is not None:
         low = truth.low
     else:
-        a = _channel_factors(h, config, rngs)
+        a = _channel_factors(h, config, channel)
         low, errors, _ = cholesky_stack(_truth_covariance(h, config, a))
         if errors:
             raise next(iter(errors.values()))
-    cut, secondary = _coloured(low, config, *_noise(config.n, k, rngs))
+    cut, secondary = _coloured(low, config, *noise)
     v = _cached_steering(config.n, config.f_v)
     return DatasetStack(secondary, cut, np.broadcast_to(v, cut.shape).copy())
 
 
-def _noise(n: int, k: int, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each generator's CUT phase, then the real and imaginary parts of its
-    CUT noise, then those of its secondary noise: (T,), (T, 2, N) and
-    (T, 2, N, K) standard normal draws."""
+def _draws(n: int, k: int, rngs, planes: int = 0) -> tuple[np.ndarray, ...]:
+    """Each generator's ``planes`` (N, N) planes of channel errors, CUT
+    phase, real and imaginary parts of its CUT noise, then those of its
+    secondary noise, as (T, planes, N, N), (T,), (T, 2, N) and (T, 2, N, K)
+    arrays, one generator after the other."""
     size = len(rngs)
-    phase, cut_raw, raw = np.empty(size), np.empty((size, 2, n)), np.empty((size, 2, n, k))
+    channel, phase = np.empty((size, planes, n, n)), np.empty(size)
+    noise = np.empty((size, 2 * n * (k + 1)))  # the CUT's noise, then the secondary's
     for t, rng in enumerate(rngs):
+        if planes:
+            rng.standard_normal(out=channel[t])
         phase[t] = rng.uniform(0.0, 2.0 * np.pi)
-        rng.standard_normal(out=cut_raw[t])
-        rng.standard_normal(out=raw[t])
-    return phase, cut_raw, raw
+        rng.standard_normal(out=noise[t])
+    cut_raw, raw = noise[:, : 2 * n], noise[:, 2 * n :]
+    return channel, phase, cut_raw.reshape(size, 2, n), raw.reshape(size, 2, n, k)
 
 
 def _coloured(low, config: ScenarioConfig, phase, cut_raw, raw) -> tuple[np.ndarray, np.ndarray]:
     """(T, N) CUTs ``alpha v + L g`` and (T, N, K) snapshots ``Z = L G`` from
-    :func:`_noise`'s draws, with ``alpha = sqrt(SNR) e^{j phase}`` and L one
+    :func:`_draws`' noise, with ``alpha = sqrt(SNR) e^{j phase}`` and L one
     lower Cholesky factor or a stack of them."""
     g = _complex(cut_raw[:, 0], cut_raw[:, 1])
     alpha = np.sqrt(db_to_linear(config.snr_db)) * np.exp(1j * phase)

@@ -42,6 +42,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
+from covstruct import montecarlo
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.linalg import cholesky_pd, logdet_from_cholesky, vec
 from covstruct.scenario import clutter_covariance, steering_vector
@@ -530,7 +531,15 @@ def exact_information_terms(hypothesis, dataset, dps=40):
 # The campaign draw as it was before it was stacked: one truth, one Cholesky
 # factor and one dataset per trial, each drawn from the trial's generator in
 # the fixed order channel errors (H1/H2), CUT phase, CUT noise, secondary
-# noise. ``covstruct.scenario`` forms the same numbers for a whole chunk.
+# noise. ``covstruct.scenario`` forms the same numbers for a whole chunk, and
+# ``covstruct.montecarlo`` seeds the same generators for a whole chunk.
+
+
+def trial_rng(master_seed, truth, k, trial):
+    """Trial ``trial``'s generator of the campaign cell (truth, K), built
+    through numpy's own SeedSequence."""
+    key = (master_seed, montecarlo._TRIAL_STREAM, int(truth), k, trial)
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def _complex_normal(rng, shape):

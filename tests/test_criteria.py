@@ -490,7 +490,7 @@ def reference_classify(ds, approach, criteria):
         x = 0.5 * (x + x.conj().T)
         logdet = 2.0 * float(np.sum(np.log(low.diagonal().real)))
         fit = k * (n * math.log(math.pi) + logdet) + float(np.trace(x @ scatter).real)
-        alpha = None
+        alpha = quad = None
         if approach is Approach.A:
             v, z = ds.steering, ds.cut
             energy = float((v.conj() @ x @ v).real)
@@ -498,17 +498,19 @@ def reference_classify(ds, approach, criteria):
                 continue
             alpha = complex(v.conj() @ x @ z / energy)
             r = z - alpha * v
-            fit += n * math.log(math.pi) + logdet + float((r.conj() @ x @ r).real)
+            quad = float((r.conj() @ x @ r).real)
+            fit += n * math.log(math.pi) + logdet + quad
         fits[h] = 2.0 * fit
         estimates[h] = EstimateStack(
             hypothesis=h,
             m_hat=m_hat[None],
-            x_hat=x[None],
             logdet=np.array([logdet]),
             alpha_hat=None if alpha is None else np.array([alpha]),
+            quad=None if quad is None else np.array([quad]),
             failures={},
             alpha_failures={},
         )
+        object.__setattr__(estimates[h], "x_hat", x[None])  # the reference's own inverse
     out = {}
     for criterion in criteria:
         totals = {}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from covstruct.criteria import prepare_estimates
+from covstruct import criteria
+from covstruct.criteria import Criterion, CriterionKind, classify_stack, prepare_estimates
 from covstruct.estimators import (
     Approach,
     Dataset,
@@ -12,7 +13,7 @@ from covstruct.estimators import (
     estimate_alpha_stack,
     estimate_covariance,
 )
-from covstruct.linalg import exchange, inverse_and_logdet_stack
+from covstruct.linalg import exchange
 from covstruct.scenario import complex_normal, steering_vector
 from covstruct.structures import Hypothesis, satisfies_structure
 
@@ -85,6 +86,12 @@ def _estimate(h, ds):
     return estimate_covariance(h, DatasetStack.of([ds]))[0]
 
 
+def _solved(x, z, v):
+    """The (T, N, 2) solves ``X [v z]`` that estimate_alpha_stack takes, from
+    (T, N, N) inverses X and (T, N) CUTs and steering vectors."""
+    return np.stack([x @ v[..., None], x @ z[..., None]], axis=-1)[..., 0, :]
+
+
 def test_h1_estimate_is_sample_covariance(rng):
     ds = random_dataset(rng, 5, 12)
     m1 = _estimate(Hypothesis.H1, ds)
@@ -100,7 +107,7 @@ def test_trace_identity_at_h1_mle(rng):
         ds = random_dataset(rng, n, k)
         s = ds.secondary @ ds.secondary.conj().T
         for h in Hypothesis:
-            x = inverse_and_logdet_stack(_estimate(h, ds)[None])[0][0]
+            x = np.linalg.inv(_estimate(h, ds))
             value = np.trace(x @ s).real
             assert abs(value - k * n) <= 1e-10 * k * n, h
 
@@ -149,7 +156,7 @@ def test_alpha_estimates_match_ls_oracle_at_identity(rng):
             x = x_eye.real if h.is_real else x_eye
             for _ in range(5):
                 z = complex_normal(rng, (n,))
-                a_hat, errors = estimate_alpha_stack(x[None], z[None], v[None])
+                a_hat, _, errors = estimate_alpha_stack(_solved(x, z, v)[None], z[None], v[None])
                 assert not errors
                 a_hat = a_hat[0]
                 a_orc = alpha_ls_oracle(z, v)
@@ -181,17 +188,19 @@ def test_alpha_recovers_clean_target(rng):
     z = alpha * v
     for h in Hypothesis:
         x = np.eye(n) if h.is_real else np.eye(n, dtype=complex)
-        a_hat, errors = estimate_alpha_stack(x[None], z[None], v[None])
+        a_hat, quad, errors = estimate_alpha_stack(_solved(x, z, v)[None], z[None], v[None])
         assert not errors
         assert abs(a_hat[0] - alpha) <= 1e-10
+        assert abs(quad[0]) <= 1e-20
 
 
 def test_alpha_h1_formula(rng):
     ds = random_dataset(rng, 5, 16)
     stack = DatasetStack.of([ds])
-    x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
+    x = np.linalg.inv(estimate_covariance(Hypothesis.H1, stack))
     expected = np.vdot(ds.steering, x[0] @ ds.cut) / np.vdot(ds.steering, x[0] @ ds.steering)
-    got = estimate_alpha_stack(x, *stack.require_cut())[0][0]
+    cut, steering = stack.require_cut()
+    got = estimate_alpha_stack(_solved(x, cut, steering), cut, steering)[0][0]
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -199,12 +208,82 @@ def test_alpha_steering_phase_consistency(rng):
     # Rotating z by a unit phase rotates the H1 estimate by the same phase.
     ds = random_dataset(rng, 5, 16)
     stack = DatasetStack.of([ds])
-    x = inverse_and_logdet_stack(estimate_covariance(Hypothesis.H1, stack))[0]
+    x = np.linalg.inv(estimate_covariance(Hypothesis.H1, stack))
     cut, steering = stack.require_cut()
     phase = np.exp(1j * 0.73)
-    a0 = estimate_alpha_stack(x, cut, steering)[0][0]
-    a1 = estimate_alpha_stack(x, phase * cut, steering)[0][0]
+    a0 = estimate_alpha_stack(_solved(x, cut, steering), cut, steering)[0][0]
+    a1 = estimate_alpha_stack(_solved(x, phase * cut, steering), phase * cut, steering)[0][0]
     assert abs(a1 - phase * a0) <= 1e-10 * max(1.0, abs(a0))
+
+
+def test_alpha_and_cut_fit_match_the_inverse_forms(rng):
+    # The solve gives the amplitude v^H X z / v^H X v and the CUT fit
+    # r^H X r of the formed inverse X, under every class and for the
+    # symmetric and a non-symmetric steering vector.
+    n, k, trials = 7, 12, 6
+    for v in _steerings(rng, n):
+        sets = [random_dataset(rng, n, k) for _ in range(trials)]
+        stack = DatasetStack.of(Dataset(d.secondary, d.cut, v) for d in sets)
+        for h, est in prepare_estimates(stack, Approach.A).items():
+            x = est.x_hat
+            vx = np.einsum("i,tij->tj", v.conj(), x)
+            alpha = np.einsum("tj,tj->t", vx, stack.cut) / (vx @ v).real
+            r = stack.cut - alpha[:, None] * v
+            quad = np.einsum("ti,tij,tj->t", r.conj(), x, r).real
+            np.testing.assert_allclose(est.alpha_hat, alpha, rtol=1e-12, err_msg=str(h))
+            np.testing.assert_allclose(est.quad, quad, rtol=1e-12, err_msg=str(h))
+
+
+def test_x_hat_is_the_hermitian_inverse_of_m_hat(rng):
+    ds = random_dataset(rng, 7, 20)
+    for h, est in prepare_estimates(DatasetStack.of([ds]), Approach.B).items():
+        m, x = est.m_hat[0], est.x_hat[0]
+        residual = np.abs(m @ x - np.eye(7)).max()
+        assert residual <= 1e-10 * max(1.0, float(np.abs(m).max())), h
+        np.testing.assert_array_equal(x, x.conj().T)
+
+
+def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
+    # Only the TIC and BIC information terms read X: a campaign of the
+    # closed-form rules inverts nothing, and a FIM rule forms X on first use.
+    stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
+    seen, real_prepare = [], criteria.prepare_estimates
+
+    def prepare(*args):
+        seen.append(real_prepare(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(criteria, "prepare_estimates", prepare)
+    closed = [Criterion(kind) for kind in (CriterionKind.AIC, CriterionKind.ASYMPTOTIC_BIC)]
+    for rules, formed in ((closed, False), ([Criterion(CriterionKind.TIC)], True)):
+        classify_stack(stack, (Approach.A, Approach.B), rules)
+        for est in seen.pop().values():
+            assert ("x_hat" in vars(est)) is formed
+
+
+def test_a_failed_solve_is_its_trials_failure_and_a_fallback(rng, monkeypatch):
+    # numpy refuses a stacked solve when one matrix is singular; the solve
+    # then runs trial by trial, the trial that breaks loses approach A alone
+    # with its own typed failure, and the fallback is counted.
+    stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
+    real_solve = np.linalg.solve
+    broken = stack.scatter[1] / stack.k
+
+    def solve(a, b):
+        if a.ndim == 3 or np.allclose(a, broken):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    est = prepare_estimates(stack, Approach.A)[Hypothesis.H1]
+    assert list(est.alpha_failures) == [1] and est.fallbacks == 1
+    assert isinstance(est.alpha_failures[1], np.linalg.LinAlgError)
+    assert str(est.alpha_failures[1]) == "solve with the ICM estimate: Singular matrix"
+    scores = classify_stack(stack, (Approach.A, Approach.B), [Criterion(CriterionKind.AIC)])
+    a_scores = scores[Approach.A][Criterion(CriterionKind.AIC)]
+    assert a_scores.failures[(1, 1)] == "LinAlgError: solve with the ICM estimate: Singular matrix"
+    assert a_scores.stack_fallbacks == len(Hypothesis)
+    assert not scores[Approach.B][Criterion(CriterionKind.AIC)].failures
 
 
 def test_degenerate_steering_raises():
@@ -214,7 +293,7 @@ def test_degenerate_steering_raises():
     v = np.zeros(n, dtype=complex)
     v[0] = 1.0
     # An enormous covariance (a tiny inverse) drives v'Xv below the floor.
-    _, errors = estimate_alpha_stack(1e-16 * x[None], z[None], v[None])
+    _, _, errors = estimate_alpha_stack(1e-16 * _solved(x, z, v)[None], z[None], v[None])
     assert list(errors) == [0]
     assert isinstance(errors[0], DegenerateSteeringError)
 
@@ -227,7 +306,8 @@ def test_degenerate_steering_message_ignores_the_last_bits():
     assert nudged != energy
     messages = []
     for value in (energy, nudged):
-        _, errors = estimate_alpha_stack(value * np.eye(3)[None], np.ones((1, 3)), np.eye(3)[:1])
+        solved = value * np.stack([np.eye(3)[0], np.ones(3)], axis=-1)
+        _, _, errors = estimate_alpha_stack(solved[None], np.ones((1, 3)), np.eye(3)[:1])
         messages.append(str(errors[0]))
     assert messages[0] == messages[1]
     assert "3.700e-17" in messages[0]

@@ -9,7 +9,6 @@ from covstruct.linalg import (
     cholesky_stack,
     exchange,
     hermitian_part,
-    inverse_and_logdet_stack,
     logdet_from_cholesky,
     unvec,
     vec,
@@ -66,32 +65,25 @@ def test_logdet_matches_eigenvalue_oracle(rng):
     for _ in range(10):
         m = random_pd_matrix(rng, 6)
         oracle = float(np.sum(np.log(np.linalg.eigvalsh(m))))
-        got = float(inverse_and_logdet_stack(m[None])[1][0])
+        got = float(logdet_from_cholesky(cholesky_stack(m[None])[0])[0])
         assert abs(got - oracle) <= 1e-9 * max(1.0, abs(oracle))
         assert logdet_from_cholesky(cholesky_pd(m)) == got
 
 
-def test_inverse_and_logdet_stack_residual(rng):
-    for _ in range(10):
-        m = random_pd_matrix(rng, 7)
-        x = inverse_and_logdet_stack(m[None])[0][0]
-        residual = np.abs(m @ x - np.eye(7)).max()
-        assert residual <= 1e-10 * max(1.0, float(np.abs(m).max()))
-        np.testing.assert_array_equal(x, x.conj().T)
-
-
-def test_inverse_and_logdet_stack_matches_single_calls(rng):
-    # Each matrix of a stack is factored on its own: results equal stacks of
-    # one bit for bit, and a failing matrix carries cholesky_pd's own error
-    # while the others are untouched, on the breakdown and the pivot path.
+def test_cholesky_stack_matches_single_calls(rng):
+    # Each matrix of a stack is factored on its own: factors and
+    # log-determinants equal stacks of one bit for bit, and a failing matrix
+    # carries cholesky_pd's own error while the others are untouched, on the
+    # breakdown and the pivot path.
     stack = np.stack([random_pd_matrix(rng, 5) for _ in range(4)])
-    x, logdet, errors, fell_back = inverse_and_logdet_stack(stack)
+    low, errors, fell_back = cholesky_stack(stack)
     assert errors == {} and not fell_back
+    logdet = logdet_from_cholesky(low)
     for t, m in enumerate(stack):
-        x_one, logdet_one, _, _ = inverse_and_logdet_stack(m[None])
-        np.testing.assert_array_equal(x[t], x_one[0])
-        assert logdet[t] == logdet_one[0]
-        np.testing.assert_array_equal(cholesky_stack(stack)[0][t], cholesky_pd(m))
+        low_one = cholesky_stack(m[None])[0]
+        np.testing.assert_array_equal(low[t], low_one[0])
+        np.testing.assert_array_equal(low[t], cholesky_pd(m))
+        assert logdet[t] == logdet_from_cholesky(low_one)[0]
     indefinite = np.diag([1.0, -1.0, 2.0, 1.0, 1.0]).astype(complex)
     tiny_pivot = np.diag([1.0, 1e-14, 2.0, 1.0, 1.0]).astype(complex)
     # Only a breakdown makes numpy refuse the stack; a small pivot does not.
@@ -99,16 +91,16 @@ def test_inverse_and_logdet_stack_matches_single_calls(rng):
         broken = stack.copy()
         for t, m in bad.items():
             broken[t] = m
-        x_b, logdet_b, errors_b, fell_back_b = inverse_and_logdet_stack(broken)
-        assert set(errors_b) == set(bad)
+        low_b, errors_b, fell_back_b = cholesky_stack(broken)
+        assert list(errors_b) == sorted(bad)
         assert fell_back_b is falls_back
         for t, m in bad.items():
             with pytest.raises(NotPositiveDefiniteError) as info:
                 cholesky_pd(m)
             assert str(errors_b[t]) == str(info.value)
+            np.testing.assert_array_equal(low_b[t], np.eye(5))
         for t in set(range(4)) - set(bad):
-            np.testing.assert_array_equal(x_b[t], x[t])
-            assert logdet_b[t] == logdet[t]
+            np.testing.assert_array_equal(low_b[t], low[t])
 
 
 def test_cholesky_reconstruction(rng):
@@ -143,5 +135,5 @@ def test_cholesky_rejects_nan_entries():
 
 def test_logdet_rejects_non_pd():
     m = np.diag([1.0, 0.0]).astype(complex)
-    _, _, errors, _ = inverse_and_logdet_stack(m[None])
+    _, errors, _ = cholesky_stack(m[None])
     assert isinstance(errors[0], NotPositiveDefiniteError)

@@ -321,7 +321,7 @@ def _oracle_chunk(config, truth, k, lo, hi):
         )[0]
     out = []
     for trial in range(lo, hi):
-        rng = montecarlo._trial_rng(config.master_seed, truth, k, trial)
+        rng = oracle.trial_rng(config.master_seed, truth, k, trial)
         m_true = shared if shared is not None else oracle.truth_instance(truth, scenario, rng)[0]
         out.append(oracle.sample_dataset(m_true, scenario, k, rng))
     return out
@@ -339,6 +339,32 @@ def test_chunk_draw_matches_the_per_trial_oracle(case_id, frozen, trials):
         _assert_same_datasets(
             montecarlo._draw_chunk(config, truth, 7, 2, 2 + trials),
             _oracle_chunk(config, truth, 7, 2, 2 + trials),
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 41_000_000, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+def test_trial_streams_match_numpy_seeding(seed):
+    # The chunk-wide hash gives every trial numpy's own PCG64 state, for
+    # master seeds of one word and of several, and for chunks not at trial 0.
+    for truth in Hypothesis:
+        for lo, hi in ((0, 4), (37, 40)):
+            streams = montecarlo._trial_streams(seed, truth, 26, lo, hi)
+            assert len(streams) == hi - lo
+            for trial, (state, inc), rng in zip(range(lo, hi), streams.states, streams):
+                want = oracle.trial_rng(seed, truth, 26, trial)
+                assert want.bit_generator.state["state"] == {"state": state, "inc": inc}
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert np.array_equal(rng.standard_normal(6), want.standard_normal(6))
+
+
+def test_campaign_chunk_at_a_multiword_seed_matches_the_oracle():
+    config = CampaignConfig(
+        scenario=table_case(1, n=5), k_grid=(7,), trials=5, master_seed=2**32 + 41
+    )
+    for truth in Hypothesis:
+        _assert_same_datasets(
+            montecarlo._draw_chunk(config, truth, 7, 1, 5),
+            _oracle_chunk(config, truth, 7, 1, 5),
         )
 
 
