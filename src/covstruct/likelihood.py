@@ -90,6 +90,8 @@ _PARITY = {
     h: np.array([[0, 0] * c + [1, -1 if f else 1] + [0, 0] * (not c) for f, c in g], float)
     for h, g in _VECTOR_GROUPS.items()
 }
+# Row g: the weight of lam_g g(X^T) in B + B' and in i (B - B'): A^{-1} in real form.
+_REAL_ROWS = {h: np.array([[1, 1j - 2j * c] for _, c in g]) for h, g in _VECTOR_GROUPS.items()}
 # E on the columns g(r), then i g(r), and its sorted diagonal (the inertia).
 _CORE_SIGNS = {h: np.diag([1.0] * len(g) + [1.0 if c else -1.0 for _, c in g])
                for h, g in _VECTOR_GROUPS.items()}
@@ -140,7 +142,10 @@ def information_terms(
     positive definite iff ``a+- > |b+-|`` and the core has the inertia of E
     (Haynsworth). A trial whose margins ``a - |b|`` or core eigenvalues next
     to zero are not above 1e-12 of their scale, or not finite, fails with a
-    NotPositiveDefiniteError naming the capacitance.
+    NotPositiveDefiniteError naming the capacitance. Data flow under A:
+    ``proj = g(row)^H (w, u)``, (T, |G|, K+3, 2), gives ``t w``, ``s_g`` and
+    ``wtu`` as group sums, with no (K+3) x (K+3) product; A^{-1} acts on ``t w``
+    and V^T, for |G| > 1 as one real 2N x 2N product on their (re, im) pairs.
 
     Every trial is computed; the rows of the trials whose estimate failed
     (its M and X are the identity) or, under A, whose amplitude did are then
@@ -197,11 +202,11 @@ def information_terms(
     s, r_images = proj[:, :, k, 0], ends[:, :, 0]
     b_tw = (s[:, None, None] @ ends[:, :, 1:].swapaxes(1, 2))[:, :, 0]
     b_tw += proj[:, :, border, 0].swapaxes(1, 2) @ r_images
-    # pairs[i, j] = sum_g (X r)^H g(row_i) g(row_j)^H u, and wtu holds
-    # 2 (K-1) |G| conj((X r)^H t_i u), which pairs the border with row i.
-    pairs = proj[..., 0].conj().swapaxes(1, 2) @ proj[..., 1]
-    diagonal = pairs.diagonal(axis1=1, axis2=2)[:, scores]
-    wtu = 2.0 * np.concatenate([diagonal, pairs[:, border, k] + pairs[:, k, border]], 1).conj()
+    # wtu_i: 2 sum_g g(a)^H w conj(g(b)^H u) over (row_i, row_i), border (row_i, r) + (r, row_i)
+    p_w, p_u = proj[..., 0], proj[..., 1].conj()
+    diagonal = np.einsum("tgi,tgi->ti", p_w[:, :, scores], p_u[:, :, scores], order="C")
+    ends_w_u = p_w[:, :, k:].swapaxes(1, 2) @ p_u[:, :, k:]  # rows r, v, i v
+    wtu = 2.0 * np.concatenate([diagonal, ends_w_u[:, 1:, 0] + ends_w_u[:, 0, 1:]], 1)
 
     # L^{-1}, with a^2 - |b|^2 kept as a -+ |b| (margin), which overflow only
     # where a does. A^{-1} sends a row y of tw or V^T to y B + conj(y) B', B
@@ -213,12 +218,14 @@ def information_terms(
     inverse_pm = np.stack([a_pm, -b_pm], axis=1) / margin[:, None, :2] / margin[:, None, 2:]
     lam = (inverse_pm.reshape(len(s), 1, 4) @ (0.5 * _PARITY[h].T))[:, 0]
     tw = np.concatenate([tw - size * r[:, None], b_tw, r_images, 1j * r_images], axis=1)
-    xt, mats = x.swapaxes(-1, -2), [0.0, 0.0]
-    for (flip, conj), weight in zip(group, lam.T):  # X is Hermitian: conj(X^T) = X
-        mats[conj] += weight[:, None, None] * _image((flip, conj), xt, x)
-    y = tw @ mats[0]
-    if size > 1:  # every larger group has elements with conjugation
-        y += tw.conj() @ mats[1]
+    xt = x.swapaxes(-1, -2)  # X is Hermitian: conj(X^T) = X
+    if size == 1:
+        y = tw @ (lam[:, :1, None] * xt)
+    else:
+        images = np.stack([_image(e, xt, x) for e in group], 1).reshape(len(s), size, n * n)
+        real = ((lam[..., None] * _REAL_ROWS[h]).swapaxes(1, 2) @ images).reshape(len(s), 2, n, n)
+        real = np.ascontiguousarray(real.swapaxes(1, 2)).view(float).reshape(len(s), 2 * n, 2 * n)
+        y = (tw.view(float) @ real).view(complex)
     # <g(r), y> = Re g(r)^H y, <i g(r), y> = Im g(r)^H y. eigh reads the
     # lower triangle and sorts ascending; NaN or inf fails the certificate.
     gy = r_images.conj() @ y.swapaxes(-1, -2)
@@ -247,7 +254,7 @@ def information_terms(
     # Woodbury: g_i^T Q^{-1} g_j = <P(D_i), t_j> - <a_i, C^{-1} a_j>, with
     # <a_i, C^{-1} a_j> = scale^2 (Re tw_i^H y_j - ry_i^T (cap_c / eig) ry_j).
     theta_trace = np.sum(quad[:, scores], axis=-1) / km1 - scale**2 * (
-        np.einsum("tij,tij->t", tw[:, scores].conj(), y[:, scores]).real
+        np.einsum("tij,tij->t", tw[:, scores].view(float), y[:, scores].view(float))
         - np.einsum("tij,tij->t", ry[..., scores], ry_scaled[..., scores])
     )
     cross = scale * (

@@ -317,10 +317,11 @@ def write_results_json(report: PccReport, path, package_version: str) -> None:
         "config_sha256": config_sha256(report.config),
         "master_seed": report.config.master_seed,
         "elapsed_seconds": report.elapsed_seconds,
+        "heap_retained": report.heap_retained,
         "cells": cells,
         "failures": [dataclasses.asdict(f) for f in report.failures],
         "fallbacks": fallbacks,
     }
     # One write: json.dump would write once per token.
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+        handle.write(json.dumps(payload) + "\n")

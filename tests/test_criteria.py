@@ -32,7 +32,13 @@ from covstruct.criteria import (
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.likelihood import InfoTerms
 from covstruct.linalg import NotPositiveDefiniteError, cholesky_pd
-from covstruct.scenario import ScenarioConfig, SourceParams, complex_normal, truth_instance
+from covstruct.scenario import (
+    ScenarioConfig,
+    SourceParams,
+    complex_normal,
+    draw_stack,
+    truth_instance,
+)
 from covstruct.structures import Hypothesis, param_count, project, structure_model
 
 from conftest import gaussian_snapshots, random_dataset, random_pd_matrix, with_singular_schur
@@ -437,6 +443,23 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
     # per hypothesis and approach shared by every rule that needs it.
     assert sorted(estimate_calls, key=int) == list(Hypothesis)
     assert sorted(info_calls, key=int) == sorted(2 * list(Hypothesis), key=int)
+
+
+@pytest.mark.parametrize("n, k", [(7, 8), (7, 24)])
+def test_each_approach_scores_alike_alone_and_beside_the_other(n, k):
+    # K = N + 1 and K > 3N, where the approach-A information terms pair the
+    # most and the fewest rows: a stack of campaign-like draws, every rule,
+    # gives bit-identical arrays for B under (B,) and (A, B), and for A
+    # under (A,) and (A, B).
+    rngs = [np.random.default_rng(seed) for seed in range(6)]
+    stack = draw_stack(Hypothesis.H4, ScenarioConfig(n=n), k, rngs)
+    both = classify_stack(stack, (Approach.A, Approach.B), DEFAULT_CRITERIA)
+    for approach in Approach:
+        alone = classify_stack(stack, (approach,), DEFAULT_CRITERIA)[approach]
+        for crit in DEFAULT_CRITERIA:
+            got, want = alone[crit], both[approach][crit]
+            for field in ("fit", "penalty", "total", "chosen"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_prepared_estimates_feed_batch(rng):

@@ -1,6 +1,12 @@
 """Campaign tallies: determinism, confusion accounting, and trend checks."""
 
+import ctypes
+import functools
+import multiprocessing
 import os
+import sys
+import types
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -201,7 +207,7 @@ def test_pool_is_sized_to_the_chunks(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -218,6 +224,62 @@ def test_pool_is_sized_to_the_chunks(monkeypatch):
     assert sizes == [2]
     run_campaign(small_config(trials=1, truths=(Hypothesis.H3,), workers=8))
     assert sizes == [2]  # one chunk runs in process
+
+
+def _marked_retain_heap():
+    """The heap retention, leaving a mark named after the process."""
+    (_MARKS / f"retain-{os.getpid()}").touch()
+    return _RETAIN_HEAP()
+
+
+def _marked_run_chunk(task):
+    """A chunk, leaving a mark named after the process that ran it."""
+    (_MARKS / f"chunk-{os.getpid()}").touch()
+    return _RUN_CHUNK(task)
+
+
+_MARKS, _RETAIN_HEAP, _RUN_CHUNK = None, montecarlo._retain_heap, montecarlo._run_chunk
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the marks need forked workers"
+)
+def test_heap_retention_runs_in_the_loop_and_in_every_worker(monkeypatch, tmp_path):
+    # Forked workers inherit the marking functions; every process that ran a
+    # chunk ran the retention first, and so did the campaign's own process.
+    monkeypatch.setattr(sys.modules[__name__], "_MARKS", tmp_path)
+    monkeypatch.setattr(montecarlo, "_retain_heap", _marked_retain_heap)
+    monkeypatch.setattr(montecarlo, "_run_chunk", _marked_run_chunk)
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        montecarlo, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
+    )
+    config = small_config(trials=2, truths=(Hypothesis.H1, Hypothesis.H3), k_grid=(11, 12))
+    for workers in (1, 2):
+        report = run_campaign(replace(config, workers=workers))
+        marks = {path.name for path in tmp_path.iterdir()}
+        retained = {name.split("-")[1] for name in marks if name.startswith("retain-")}
+        ran = {name.split("-")[1] for name in marks if name.startswith("chunk-")}
+        assert str(os.getpid()) in retained and ran and ran <= retained
+        assert len(retained - {str(os.getpid())}) == (0 if workers == 1 else 2)
+        assert report.heap_retained is _RETAIN_HEAP()
+        for path in tmp_path.iterdir():
+            path.unlink()
+
+
+def test_without_mallopt_the_heap_is_left_alone(monkeypatch):
+    # A C library without mallopt: the retention reports False and calls
+    # nothing, and the campaign's CSV is byte-identical either way.
+    config = small_config(truths=(Hypothesis.H2,), criteria=(AIC, parse_criterion("tic")))
+    retained = run_campaign(config)
+    glibc = hasattr(ctypes.CDLL(None), "mallopt")
+    assert retained.heap_retained is glibc
+    no_mallopt = types.SimpleNamespace(CDLL=lambda name: object())
+    monkeypatch.setattr(montecarlo, "ctypes", no_mallopt)
+    assert montecarlo._retain_heap() is False
+    plain = run_campaign(config)
+    assert plain.heap_retained is False
+    assert render_results_csv(plain) == render_results_csv(retained)
 
 
 def test_worker_resolution_order(monkeypatch):

@@ -170,7 +170,9 @@ def test_config_sha_is_stable_and_sensitive():
 def test_json_mirror_carries_provenance(tmp_path, golden_report):
     path = tmp_path / "results.json"
     write_results_json(golden_report, path, package_version="0.1.0")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1  # compact, from json's C encoder
+    payload = json.loads(text)
     assert payload["schema"] == CSV_SCHEMA_VERSION
     assert payload["package_version"] == "0.1.0"
     assert payload["master_seed"] == 7
@@ -181,6 +183,7 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
     assert first["criterion"] == "aic" and first["approach"] == "A"
     assert first["chosen_counts"] == [1, 3, 0, 0]
     assert "cell_seconds" in first and "elapsed_seconds" in payload
+    assert payload["heap_retained"] is golden_report.heap_retained
     assert payload["failures"] == []
 
 
