@@ -239,6 +239,8 @@ def _add_classify_parser(sub) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.json is not None and (args.json.is_dir() or not args.json.parent.is_dir()):
+        raise ConfigError(f"--json: {str(args.json)!r} is not a file in an existing directory")
     try:
         criterion = parse_criterion(args.criterion)
     except ValueError as exc:
@@ -286,14 +288,12 @@ def cmd_classify(args) -> int:
             }
     if card.chosen is None:
         print("chosen: none (every hypothesis failed)")
-        if args.json:
-            args.json.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return 2
-    payload["chosen"] = f"H{int(card.chosen)}"
-    print(f"chosen: H{int(card.chosen)}")
+    else:
+        payload["chosen"] = f"H{int(card.chosen)}"
+        print(f"chosen: H{int(card.chosen)}")
     if args.json:
         args.json.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return 0
+    return 2 if card.chosen is None else 0
 
 
 # ---------------------------------------------------------------- plot

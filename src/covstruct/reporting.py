@@ -318,6 +318,8 @@ def write_results_json(report: PccReport, path, package_version: str) -> None:
         "master_seed": report.config.master_seed,
         "elapsed_seconds": report.elapsed_seconds,
         "heap_retained": report.heap_retained,
+        "chunks": report.chunks,
+        "workers": report.workers,
         "cells": cells,
         "failures": [dataclasses.asdict(f) for f in report.failures],
         "fallbacks": fallbacks,

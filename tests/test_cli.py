@@ -324,6 +324,33 @@ def test_classify_chooses_nothing_from_non_finite_scores(tmp_path, capsys, h4_da
             assert captured.out.count("failed (NotPositiveDefiniteError") == 4, (approach, rule)
 
 
+def test_classify_json_path_is_checked_before_classifying(tmp_path, capsys, h4_dataset):
+    # A --json path in a missing directory, or naming a directory, is a
+    # one-line usage error before any report is printed, not a traceback
+    # after it.
+    data = tmp_path / "h4.txt"
+    write_dataset(h4_dataset, data)
+    for target in (tmp_path / "missing" / "card.json", tmp_path):
+        code = run_cli(["classify", "--data", data, "--approach", "B",
+                        "--criterion", "aic", "--json", target])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: --json: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+    # The payload is written whether or not a hypothesis was chosen.
+    secondary = h4_dataset.secondary.copy()
+    secondary[2, 4] = 1e300
+    huge = tmp_path / "huge.txt"
+    write_dataset(Dataset(secondary, h4_dataset.cut, h4_dataset.steering), huge)
+    card = tmp_path / "card.json"
+    for path, code, chosen in ((huge, 2, None), (data, 0, "H4")):
+        assert run_cli(["classify", "--data", path, "--approach", "B",
+                        "--criterion", "asymptotic-bic", "--json", card]) == code
+        assert json.loads(card.read_text(encoding="utf-8"))["chosen"] == chosen
+    capsys.readouterr()
+
+
 def test_classify_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("covstruct-data v1\nN 2\nK 3\nwarp 1\n", encoding="utf-8")

@@ -196,6 +196,7 @@ def test_chunks_are_engine_blocks_at_any_worker_count(monkeypatch):
         report = run_campaign(replace(config, workers=workers), progress=lines.append)
         assert statistical_content(report) == statistical_content(whole)
         assert render_results_csv(report) == render_results_csv(whole)
+        assert (report.chunks, report.workers) == (16, workers)
         assert sorted(line.split(" chunk(s)")[0] for line in lines) == [
             f"cell H{truth} K={k} done: {chunks}"
             for truth in (1, 4)
@@ -204,10 +205,12 @@ def test_chunks_are_engine_blocks_at_any_worker_count(monkeypatch):
 
 
 def test_pool_is_sized_to_the_chunks(monkeypatch):
+    # Each worker runs the heap retention first, whatever the start method.
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers, initializer):
+            assert initializer is montecarlo._retain_heap
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -220,10 +223,10 @@ def test_pool_is_sized_to_the_chunks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-    run_campaign(small_config(trials=1, truths=(Hypothesis.H1, Hypothesis.H3), workers=8))
-    assert sizes == [2]
-    run_campaign(small_config(trials=1, truths=(Hypothesis.H3,), workers=8))
-    assert sizes == [2]  # one chunk runs in process
+    pooled = run_campaign(small_config(trials=1, truths=(Hypothesis.H1, Hypothesis.H3), workers=8))
+    assert sizes == [2] and (pooled.chunks, pooled.workers) == (2, 2)
+    serial = run_campaign(small_config(trials=1, truths=(Hypothesis.H3,), workers=8))
+    assert sizes == [2] and (serial.chunks, serial.workers) == (1, 1)  # one chunk runs in process
 
 
 def _marked_retain_heap():
@@ -280,6 +283,58 @@ def test_without_mallopt_the_heap_is_left_alone(monkeypatch):
     plain = run_campaign(config)
     assert plain.heap_retained is False
     assert render_results_csv(plain) == render_results_csv(retained)
+
+
+def test_retention_sets_both_thresholds(monkeypatch):
+    # M_TRIM_THRESHOLD (-1) at 256 MiB and M_MMAP_THRESHOLD (-3) at 32 MiB;
+    # the outcome is True only when mallopt accepts both.
+    calls, replies = [], {}
+
+    def mallopt(param, value):
+        calls.append((param.value, value.value))
+        return replies[param.value]
+
+    library = types.SimpleNamespace(mallopt=mallopt)
+    stand_in = types.SimpleNamespace(CDLL=lambda name: library, c_int=ctypes.c_int)
+    monkeypatch.setattr(montecarlo, "ctypes", stand_in)
+    for trim, mmap, retained in ((1, 1, True), (1, 0, False), (0, 1, False)):
+        replies.update({-1: trim, -3: mmap})
+        calls.clear()
+        assert montecarlo._retain_heap() is retained
+        # A refused trim threshold leaves the mmap threshold dynamic: no pin.
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)][: 1 + trim]
+
+
+def test_production_block_plan():
+    # 2^15 entries: 126 trials of 13 x 20 and 56 of 13 x 45 per chunk; at
+    # 101 x 400 one trial exceeds the block and each chunk is one trial.
+    def sizes(n, k, trials):
+        config = CampaignConfig(scenario=ScenarioConfig(n=n), k_grid=(k,), trials=trials,
+                                truths=(Hypothesis.H1,))
+        return [hi - lo for _, _, _, lo, hi in montecarlo._chunks(config)]
+
+    assert montecarlo._BLOCK_ENTRIES == 1 << 15
+    assert sizes(13, 20, 300) == [126, 126, 48]
+    assert sizes(13, 45, 120) == [56, 56, 8]
+    assert sizes(101, 400, 3) == [1, 1, 1]
+
+
+def test_csv_is_the_same_at_the_previous_block_size(monkeypatch):
+    # A 130-trial cell at 13 x 20 spans two chunks at 2^15 and three at 2^14.
+    config = CampaignConfig(
+        scenario=table_case(1),
+        k_grid=(20,),
+        trials=130,
+        criteria=tuple(map(parse_criterion, ("aic", "gic:2", "gic:4", "aicc", "asymptotic-bic"))),
+        truths=(Hypothesis.H2,),
+        master_seed=11,
+        workers=1,
+    )
+    blocked = run_campaign(config)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 1 << 14)
+    smaller = run_campaign(config)
+    assert (blocked.chunks, smaller.chunks) == (2, 3)
+    assert render_results_csv(smaller) == render_results_csv(blocked)
 
 
 def test_worker_resolution_order(monkeypatch):

@@ -184,6 +184,9 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
     assert first["chosen_counts"] == [1, 3, 0, 0]
     assert "cell_seconds" in first and "elapsed_seconds" in payload
     assert payload["heap_retained"] is golden_report.heap_retained
+    # One 4-trial cell is one chunk, and one chunk runs in process.
+    assert payload["chunks"] == golden_report.chunks == 1
+    assert payload["workers"] == golden_report.workers == 1
     assert payload["failures"] == []
 
 
