@@ -44,16 +44,7 @@ from .scenario import (
     table_case,
     truth_instance,
 )
-from .structures import (
-    Hypothesis,
-    StructureModel,
-    StructureViolationError,
-    param_count,
-    project,
-    satisfies_structure,
-    structure_model,
-    structure_residual,
-)
+from .structures import Hypothesis, param_count, project
 
 __version__ = "0.1.0"
 
@@ -75,8 +66,6 @@ __all__ = [
     "ScenarioConfig",
     "Scorecard",
     "SourceParams",
-    "StructureModel",
-    "StructureViolationError",
     "TrialScores",
     "TruthInstance",
     "classify",
@@ -93,10 +82,7 @@ __all__ = [
     "read_dataset",
     "run_campaign",
     "sample_dataset",
-    "satisfies_structure",
     "steering_vector",
-    "structure_model",
-    "structure_residual",
     "table_case",
     "truth_instance",
     "write_dataset",

@@ -120,11 +120,19 @@ def _split_flag(text: str | None, flag: str, item=str) -> list | None:
     return items
 
 
-def _output_paths(output: dict) -> tuple[Path, Path, Path]:
-    """Output directory, CSV and JSON paths, checked before a campaign runs."""
-    out_dir = Path(output.get("dir", "results"))
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"--out-dir / output.dir: {str(out_dir)!r} is not a directory")
+def _directory(path: Path, what: str) -> Path:
+    """``path``, unless it or a parent exists as something other than a directory."""
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"{what}: {str(part)!r} is not a directory")
+    return path
+
+
+def _output_paths(output: dict) -> tuple[Path, Path, Path, Path | None]:
+    """Output directory, CSV and JSON paths, and the plot directory (None
+    without plots), checked before a campaign runs."""
+    out_dir = _directory(Path(output.get("dir", "results")), "--out-dir / output.dir")
+    plot_dir = _directory(out_dir / "plots", "output.plots") if output.get("plots", True) else None
     paths = []
     for key, default in (("csv", "results.csv"), ("json", "results.json")):
         name = output.get(key, default)
@@ -134,14 +142,13 @@ def _output_paths(output: dict) -> tuple[Path, Path, Path]:
         if path.parent != out_dir and not path.parent.is_dir():
             raise ConfigError(f"output.{key}: directory {str(path.parent)!r} does not exist")
         paths.append(path)
-    return out_dir, paths[0], paths[1]
+    return out_dir, paths[0], paths[1], plot_dir
 
 
 def cmd_run(args) -> int:
     config, output = _build_run_config(args)
-    out_dir, csv_path, json_path = _output_paths(output)
+    out_dir, csv_path, json_path, plot_dir = _output_paths(output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    plots = output.get("plots", True)
 
     print(
         f"campaign: {len(config.truths)} truths x {len(config.k_grid)} K values x "
@@ -159,8 +166,8 @@ def cmd_run(args) -> int:
     write_results_csv(report, csv_path)
     write_results_json(report, json_path, __version__)
     written = [str(csv_path), str(json_path)]
-    if plots:
-        written += _write_plots(read_results_csv(csv_path), out_dir / "plots")
+    if plot_dir is not None:
+        written += _write_plots(read_results_csv(csv_path), plot_dir)
 
     print(f"config sha256 {config_sha256(config)} seed {config.master_seed}")
     _print_summary(report)
@@ -306,6 +313,7 @@ def _add_plot_parser(sub) -> None:
 
 
 def cmd_plot(args) -> int:
+    _directory(args.out_dir, "--out-dir")
     try:
         rows = read_results_csv(args.results)
     except OSError as exc:

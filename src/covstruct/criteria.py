@@ -230,8 +230,8 @@ def _information_penalty(
     if criterion.kind is CriterionKind.TIC:
         if info.schur is None:
             return 2.0 * info.theta_trace, {}, (0, 0)
-        extra, errors, retries = _tic_trace(*info.schur)
-        return 2.0 * (info.theta_trace + extra), errors, (retries, 0)
+        extra, errors, counts = _tic_trace(*info.schur)
+        return 2.0 * (info.theta_trace + extra), errors, counts
     if criterion.kind is not CriterionKind.BIC:
         raise ValueError(f"{criterion.key} takes no information-matrix terms")
     if info.schur is None:
@@ -242,28 +242,31 @@ def _information_penalty(
 
 def _tic_trace(
     observed: np.ndarray, sample: np.ndarray
-) -> tuple[np.ndarray, dict[int, FimSingularError], int]:
+) -> tuple[np.ndarray, dict[int, FimSingularError], tuple[int, int]]:
     """Tr[sample inv(observed)] over (T, d, d) stacks, with one ridge retry
     for each trial whose solve fails or is not finite.
 
     On the production path these are the amplitude Schur pairs ``(S, Y Y^T)``.
     Returns the traces, the failure of each trial the ridge did not rescue,
-    and the number of ridge retries.
+    and the numbers of ridge retries and of stacked solves (the first and
+    the retry) that fell back to matrix by matrix.
     """
     d = observed.shape[-1]
-    solved, bad, _ = _solve_each(observed, sample)
+    solved, bad, fell_back = _solve_each(observed, sample)
+    fallbacks = int(fell_back)
     errors: dict[int, FimSingularError] = {}
     if bad:
         retry = list(bad)
         ridge = _TIC_RIDGE * np.trace(observed[retry], axis1=-2, axis2=-1) / d
         shifted = observed[retry] + ridge[:, None, None] * np.eye(d)
-        retried, still, _ = _solve_each(shifted, sample[retry])
+        retried, still, fell_back = _solve_each(shifted, sample[retry])
+        fallbacks += fell_back
         solved[retry] = retried
         for j, reason in still.items():
             errors[retry[j]] = FimSingularError(
                 f"observed FIM singular even after ridge: {reason}"
             )
-    return np.trace(solved, axis1=-2, axis2=-1), errors, len(bad)
+    return np.trace(solved, axis1=-2, axis2=-1), errors, (len(bad), fallbacks)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str], bool]:
@@ -356,8 +359,9 @@ class TrialScores:
     chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
     ``ridge_retries`` counts the trials and hypotheses whose TIC solve was
     retried with a ridge; ``stack_fallbacks`` counts the stacked
-    factorizations behind this outcome (estimates, and for TIC and BIC the
-    information terms) that fell back to matrix by matrix.
+    factorizations and solves behind this outcome (estimates, and for TIC
+    and BIC the information terms and their Schur blocks) that fell back to
+    matrix by matrix.
     """
 
     criterion: Criterion

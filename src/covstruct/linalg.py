@@ -1,12 +1,9 @@
 """Dense linear-algebra primitives shared by the structured-covariance code.
 
-Conventions used throughout the package:
-
-* ``vec`` stacks matrix columns (Fortran order), so ``vec(A)[j*rows + i] == A[i, j]``.
-* The exchange matrix ``J`` has ones on the anti-diagonal: ``J[l, k] = 1``
-  iff ``l + k == N - 1`` (0-based).
-* Positive-definite factorizations go through Cholesky; failures raise
-  :class:`NotPositiveDefiniteError` instead of returning garbage.
+Positive-definite factorizations go through Cholesky over (T, N, N) stacks;
+a failure is reported as a :class:`NotPositiveDefiniteError` instead of
+returning garbage. The exchange matrix ``J`` (ones on the anti-diagonal) is
+never formed: ``J A J`` is ``A[..., ::-1, ::-1]``.
 """
 
 from __future__ import annotations
@@ -15,9 +12,6 @@ import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "vec",
-    "unvec",
-    "exchange",
     "hermitian_part",
     "cholesky_pd",
     "cholesky_stack",
@@ -32,21 +26,6 @@ _PIVOT_RTOL = 1e-12
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Raised when a matrix required to be Hermitian PD fails its Cholesky."""
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector (Fortran order)."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a vector back into a rows-by-cols matrix."""
-    return np.asarray(x).reshape((rows, cols), order="F")
-
-
-def exchange(n: int) -> np.ndarray:
-    """Exchange (flip) matrix of size n: ones on the anti-diagonal."""
-    return np.eye(n)[::-1].copy()
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

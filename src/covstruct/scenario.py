@@ -62,7 +62,6 @@ __all__ = [
     "truth_instance",
     "sample_dataset",
     "draw_stack",
-    "complex_normal",
 ]
 
 
@@ -147,12 +146,10 @@ CHANNEL_ERROR_TRUTHS = frozenset({Hypothesis.H1, Hypothesis.H2})
 
 @dataclass(frozen=True)
 class TruthInstance:
-    """One realized ground truth: covariance plus its factors."""
+    """One realized ground truth: the covariance of a hypothesis."""
 
     hypothesis: Hypothesis
     m_true: np.ndarray
-    a_factor: np.ndarray
-    r_clutter: np.ndarray
 
     @functools.cached_property
     def low(self) -> np.ndarray:
@@ -213,8 +210,7 @@ def truth_instance(
     deterministic given the config and need no generator. The result is
     projected onto the exact structure of the hypothesis, which never moves
     the matrix by more than floating-point noise but makes the structure
-    checks exact. ``r_clutter`` is shared by every instance of one scenario
-    and is read-only. The formulas are those of :func:`draw_stack`.
+    checks exact. The formulas are those of :func:`draw_stack`.
     """
     h = Hypothesis(hypothesis)
     if h not in CHANNEL_ERROR_TRUTHS:
@@ -224,12 +220,7 @@ def truth_instance(
     else:
         raw = rng.standard_normal((1, 2 if h is Hypothesis.H1 else 1, config.n, config.n))
         a = _channel_factors(h, config, raw)[0]
-    return TruthInstance(
-        hypothesis=h,
-        m_true=_truth_covariance(h, config, a),
-        a_factor=a,
-        r_clutter=_cached_clutter(config.sources, config.n, h.is_real),
-    )
+    return TruthInstance(hypothesis=h, m_true=_truth_covariance(h, config, a))
 
 
 def _channel_factors(h: Hypothesis, config: ScenarioConfig, raw: np.ndarray) -> np.ndarray:
@@ -264,11 +255,6 @@ def _cached_steering(n: int, f_v: float) -> np.ndarray:
     return v
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circular complex normal: unit variance split across re/im."""
-    return _complex(rng.standard_normal(shape), rng.standard_normal(shape))
-
-
 _ROOT_HALF = 1.0 / np.sqrt(2.0)
 
 
@@ -294,11 +280,10 @@ def sample_dataset(
     Fixed draw order (phase, CUT noise, secondary block) so a given stream
     yields a bit-identical dataset. Snapshots are ``L g`` with L the lower
     Cholesky factor of the truth (``truth.low``) and g standard complex
-    normal. The formulas are those of :func:`draw_stack`.
+    normal: :func:`draw_stack` on a stack of one.
     """
-    cut, secondary = _coloured(truth.low, config, *_draws(config.n, k, (rng,))[1:])
-    v = _cached_steering(config.n, config.f_v)
-    return Dataset(secondary=secondary[0], cut=cut[0], steering=v)
+    stack = draw_stack(truth.hypothesis, config, k, (rng,), truth)
+    return Dataset(secondary=stack.secondary[0], cut=stack.cut[0], steering=stack.steering[0])
 
 
 def draw_stack(
@@ -336,7 +321,7 @@ def draw_stack(
     return DatasetStack(secondary, cut, np.broadcast_to(v, cut.shape).copy())
 
 
-def _draws(n: int, k: int, rngs, planes: int = 0) -> tuple[np.ndarray, ...]:
+def _draws(n: int, k: int, rngs, planes: int) -> tuple[np.ndarray, ...]:
     """Each generator's ``planes`` (N, N) planes of channel errors, CUT
     phase, real and imaginary parts of its CUT noise, then those of its
     secondary noise, as (T, planes, N, N), (T,), (T, 2, N) and (T, 2, N, K)

@@ -1,4 +1,5 @@
-"""Hypothesis set and linear parameterizations of the covariance structures.
+"""Hypothesis set of the covariance structures, their parameter counts and
+projections.
 
 Four nested hypotheses on an N x N interference covariance matrix M:
 
@@ -8,45 +9,39 @@ Four nested hypotheses on an N x N interference covariance matrix M:
 * H4 — centrosymmetric: real symmetric with ``M == J M J``.
 
 Each hypothesis admits an exact linear parameterization ``vec(M) = C @ theta``
-with ``theta`` real and the entries of ``C`` draw
-n from ``{0, +1, -1, +1j, -1j}``.
-The free parameter counts are::
+with ``theta`` real, ``vec`` stacking columns, and the entries of ``C``
+drawn from ``{0, +1, -1, +1j, -1j}``. The package scores a class through
+:func:`project`, :func:`param_count` and :func:`basis_log_norm`, which are
+closed forms of that basis. The free parameter counts are::
 
     m1 = N^2          m2 = m3 = N (N + 1) / 2
     m4 = (N/2)(N/2 + 1)        (N even)
     m4 = ((N + 1)/2)^2         (N odd)
 
-The basis is built by orbit enumeration: each hypothesis is the fixed-point
-set of a small group acting on matrix positions (transposition, anti-diagonal
-flip, complex conjugation). Positions are walked over the lower triangle in
-column-major order; the first unseen position opens a new equality class, and
-the class contributes one real slot (plus one imaginary slot when the class
-value may be complex).
+:func:`structure_model` builds C by orbit enumeration: each hypothesis is the
+fixed-point set of a small group acting on matrix positions (transposition,
+anti-diagonal flip, complex conjugation). Positions are walked over the lower
+triangle in column-major order; the first unseen position opens a new
+equality class, and the class contributes one real slot (plus one imaginary
+slot when the class value may be complex). No production path reads C; the
+test oracle builds the theta-basis likelihood on it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import unvec, vec
-
 __all__ = [
     "Hypothesis",
-    "StructureViolationError",
-    "StructureModel",
     "param_count",
     "basis_log_norm",
     "structure_model",
     "project",
-    "structure_residual",
-    "satisfies_structure",
 ]
-
-STRUCTURE_TOL = 1e-9
 
 
 class Hypothesis(enum.IntEnum):
@@ -73,10 +68,6 @@ _LABELS = {
     Hypothesis.H3: "centrohermitian",
     Hypothesis.H4: "centrosymmetric",
 }
-
-
-class StructureViolationError(ValueError):
-    """A matrix handed to encode() does not satisfy the claimed structure."""
 
 
 def param_count(hypothesis: Hypothesis, n: int) -> int:
@@ -153,64 +144,10 @@ def _orbit(group, pos):
     return orbit, forced_real
 
 
-@dataclass(frozen=True)
-class StructureModel:
-    """Linear parameterization ``vec(M) = C @ theta`` of one hypothesis.
-
-    Attributes
-    ----------
-    hypothesis : Hypothesis
-    n : int
-        Matrix size.
-    constraint : ndarray, complex, shape (n*n, m)
-        The basis matrix C. Entries are 0, +-1, or +-1j.
-    """
-
-    hypothesis: Hypothesis
-    n: int
-    constraint: np.ndarray = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        """Number of free real parameters."""
-        return self.constraint.shape[1]
-
-    def decode(self, theta: np.ndarray) -> np.ndarray:
-        """Assemble M from a real parameter vector."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.m,):
-            raise ValueError(f"theta must have shape ({self.m},), got {theta.shape}")
-        m = unvec(self.constraint @ theta, self.n, self.n)
-        return m.real.copy() if self.hypothesis.is_real else m
-
-    def encode(self, matrix: np.ndarray, tol: float = STRUCTURE_TOL) -> np.ndarray:
-        """Extract theta from a matrix that satisfies this structure.
-
-        Raises StructureViolationError when the matrix does not fit. The
-        columns of C are mutually orthogonal, so the extraction is a scaled
-        adjoint product; decode(encode(M)) reproduces M exactly for matrices
-        whose entries already satisfy the equality classes bit-for-bit.
-        """
-        matrix = np.asarray(matrix)
-        if matrix.shape != (self.n, self.n):
-            raise ValueError(f"matrix must be {self.n}x{self.n}, got {matrix.shape}")
-        residual = structure_residual(self.hypothesis, matrix)
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        if residual > tol * scale:
-            raise StructureViolationError(
-                f"matrix violates {self.hypothesis.name} ({self.hypothesis.label}): "
-                f"residual {residual:.3e} exceeds {tol:.0e} * {scale:.3e}"
-            )
-        c = self.constraint
-        norms = np.einsum("ij,ij->j", c.conj(), c).real  # C^H C is diagonal
-        return (c.conj().T @ vec(matrix)).real / norms
-
-
-_MODEL_CACHE: dict[tuple[Hypothesis, int], StructureModel] = {}
-
-
-def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
-    """Build (and cache) the parameterization of a hypothesis at size n.
+@functools.lru_cache(maxsize=32)
+def structure_model(hypothesis: Hypothesis, n: int) -> np.ndarray:
+    """The basis matrix C of a hypothesis at size n: complex, (n*n, m),
+    entries 0, +-1 or +-1j, formed once per (hypothesis, n) and read-only.
 
     Slot order: walk the lower triangle column by column, top to bottom
     within a column. Each new equality class contributes its real slot, then
@@ -218,11 +155,6 @@ def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
     reproduces the ordering [M(0,0), Re M(1,0), Im M(1,0), ..., M(1,1), ...].
     """
     h = Hypothesis(hypothesis)
-    key = (h, n)
-    model = _MODEL_CACHE.get(key)
-    if model is not None:
-        return model
-
     group = _group(h, n)
     complex_classes = not h.is_real
     seen: set[tuple[int, int]] = set()
@@ -251,9 +183,8 @@ def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
             f"orbit enumeration built {constraint.shape[1]} slots for "
             f"{h.name} at n={n}, expected {expected}"
         )
-    model = StructureModel(hypothesis=h, n=n, constraint=constraint)
-    _MODEL_CACHE[key] = model
-    return model
+    constraint.flags.writeable = False
+    return constraint
 
 
 def project(hypothesis: Hypothesis, matrix: np.ndarray) -> np.ndarray:
@@ -276,27 +207,3 @@ def project(hypothesis: Hypothesis, matrix: np.ndarray) -> np.ndarray:
     if h is Hypothesis.H3:
         return centro
     return centro.real.copy()
-
-
-def structure_residual(hypothesis: Hypothesis, matrix: np.ndarray) -> float:
-    """Max-norm violation of the constraints defining a hypothesis.
-
-    Checks every defining identity directly (hermitianity, realness,
-    flip symmetry) and returns the largest entrywise deviation.
-    """
-    h = Hypothesis(hypothesis)
-    a = np.asarray(matrix)
-    residuals = [float(np.max(np.abs(a - a.conj().T)))] if a.size else [0.0]
-    if h.is_real:
-        residuals.append(float(np.max(np.abs(a.imag))) if np.iscomplexobj(a) else 0.0)
-    if h in (Hypothesis.H3, Hypothesis.H4):
-        residuals.append(float(np.max(np.abs(a - a[::-1, ::-1].conj()))))
-    return max(residuals)
-
-
-def satisfies_structure(
-    hypothesis: Hypothesis, matrix: np.ndarray, tol: float = STRUCTURE_TOL
-) -> bool:
-    """True when the matrix obeys the hypothesis within a relative tolerance."""
-    scale = max(1.0, float(np.max(np.abs(matrix)))) if np.asarray(matrix).size else 1.0
-    return structure_residual(hypothesis, matrix) <= tol * scale

@@ -7,8 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracle import complex_normal
+
 from covstruct.estimators import Dataset
-from covstruct.scenario import complex_normal
 from covstruct.structures import Hypothesis, project
 
 FD_STEP = 1e-5

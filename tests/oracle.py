@@ -1,6 +1,14 @@
 """Test oracles: direct forms of one trial that the package computes another
 way, for the likelihood terms and for the draw.
 
+Theta basis. :class:`StructureModel` wraps the basis matrix C of
+``covstruct.structures.structure_model`` (``vec(M) = C theta``, ``vec``
+stacking columns) with ``encode``/``decode``; :func:`structure_residual`
+and :func:`satisfies_structure` check a matrix against the defining
+identities of a class directly. The package scores a class through
+``project``, ``param_count`` and ``basis_log_norm`` instead, and the tests
+compare those with these.
+
 Theta-basis path. The log-likelihoods of ``covstruct.likelihood``'s data
 model at a parameter vector theta (``vec(M) = C theta``), their analytic
 derivatives, and the two information-matrix estimates at the plug-in
@@ -36,26 +44,122 @@ the scores, with no rounding to double on the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
 import scipy.linalg
 
-from covstruct import montecarlo
+from covstruct import montecarlo, structures
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
-from covstruct.linalg import cholesky_pd, logdet_from_cholesky, vec
+from covstruct.linalg import cholesky_pd, logdet_from_cholesky
 from covstruct.scenario import clutter_covariance, steering_vector
-from covstruct.structures import (
-    Hypothesis,
-    StructureModel,
-    basis_log_norm,
-    param_count,
-    project,
-    structure_model,
-)
+from covstruct.structures import Hypothesis, basis_log_norm, param_count, project
 
 _LOG_PI = float(np.log(np.pi))
+
+
+# ---------------------------------------------------------------------------
+# Theta basis
+
+STRUCTURE_TOL = 1e-9
+
+
+class StructureViolationError(ValueError):
+    """A matrix handed to encode() does not satisfy the claimed structure."""
+
+
+def vec(a: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a vector (Fortran order)."""
+    return np.asarray(a).reshape(-1, order="F")
+
+
+def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`vec`: reshape a vector back into a rows-by-cols matrix."""
+    return np.asarray(x).reshape((rows, cols), order="F")
+
+
+def exchange(n: int) -> np.ndarray:
+    """Exchange (flip) matrix of size n: ones on the anti-diagonal."""
+    return np.eye(n)[::-1].copy()
+
+
+@dataclass(frozen=True)
+class StructureModel:
+    """Linear parameterization ``vec(M) = C @ theta`` of one hypothesis.
+
+    ``constraint`` is the read-only basis matrix C, complex, (n*n, m), with
+    entries 0, +-1 or +-1j.
+    """
+
+    hypothesis: Hypothesis
+    n: int
+    constraint: np.ndarray = field(repr=False)
+
+    @property
+    def m(self) -> int:
+        """Number of free real parameters."""
+        return self.constraint.shape[1]
+
+    def decode(self, theta: np.ndarray) -> np.ndarray:
+        """Assemble M from a real parameter vector."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.m,):
+            raise ValueError(f"theta must have shape ({self.m},), got {theta.shape}")
+        m = unvec(self.constraint @ theta, self.n, self.n)
+        return m.real.copy() if self.hypothesis.is_real else m
+
+    def encode(self, matrix: np.ndarray, tol: float = STRUCTURE_TOL) -> np.ndarray:
+        """Extract theta from a matrix that satisfies this structure.
+
+        Raises StructureViolationError when the matrix does not fit. The
+        columns of C are mutually orthogonal, so the extraction is a scaled
+        adjoint product; decode(encode(M)) reproduces M exactly for matrices
+        whose entries already satisfy the equality classes bit-for-bit.
+        """
+        matrix = np.asarray(matrix)
+        if matrix.shape != (self.n, self.n):
+            raise ValueError(f"matrix must be {self.n}x{self.n}, got {matrix.shape}")
+        residual = structure_residual(self.hypothesis, matrix)
+        scale = max(1.0, float(np.max(np.abs(matrix))))
+        if residual > tol * scale:
+            raise StructureViolationError(
+                f"matrix violates {self.hypothesis.name} ({self.hypothesis.label}): "
+                f"residual {residual:.3e} exceeds {tol:.0e} * {scale:.3e}"
+            )
+        c = self.constraint
+        norms = np.einsum("ij,ij->j", c.conj(), c).real  # C^H C is diagonal
+        return (c.conj().T @ vec(matrix)).real / norms
+
+
+def structure_model(hypothesis: Hypothesis, n: int) -> StructureModel:
+    """The parameterization of a hypothesis at size n, on the package's basis."""
+    h = Hypothesis(hypothesis)
+    return StructureModel(hypothesis=h, n=n, constraint=structures.structure_model(h, n))
+
+
+def structure_residual(hypothesis: Hypothesis, matrix: np.ndarray) -> float:
+    """Max-norm violation of the constraints defining a hypothesis.
+
+    Checks every defining identity directly (hermitianity, realness,
+    flip symmetry) and returns the largest entrywise deviation.
+    """
+    h = Hypothesis(hypothesis)
+    a = np.asarray(matrix)
+    residuals = [float(np.max(np.abs(a - a.conj().T)))] if a.size else [0.0]
+    if h.is_real:
+        residuals.append(float(np.max(np.abs(a.imag))) if np.iscomplexobj(a) else 0.0)
+    if h in (Hypothesis.H3, Hypothesis.H4):
+        residuals.append(float(np.max(np.abs(a - a[::-1, ::-1].conj()))))
+    return max(residuals)
+
+
+def satisfies_structure(
+    hypothesis: Hypothesis, matrix: np.ndarray, tol: float = STRUCTURE_TOL
+) -> bool:
+    """True when the matrix obeys the hypothesis within a relative tolerance."""
+    scale = max(1.0, float(np.max(np.abs(matrix)))) if np.asarray(matrix).size else 1.0
+    return structure_residual(hypothesis, matrix) <= tol * scale
 
 # Derivative assembly must land on the real axis; a larger leftover imaginary
 # part means the conjugation branch does not match the hypothesis.
@@ -542,19 +646,22 @@ def trial_rng(master_seed, truth, k, trial):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _complex_normal(rng, shape):
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard circular complex normal: unit variance split across re/im.
+    The package's draw gives the same bits from the same generator."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def truth_instance(hypothesis, config, rng=None):
-    """One ground truth ``(m_true, a_factor)``, drawn matrix by matrix."""
+    """One ground truth ``(m_true, a)``, with ``a`` its channel-error factor,
+    drawn matrix by matrix."""
     h = Hypothesis(hypothesis)
     n = config.n
     r = clutter_covariance(config.sources, n, h in (Hypothesis.H2, Hypothesis.H4))
     if h in (Hypothesis.H3, Hypothesis.H4):
         a = np.eye(n)
     elif h is Hypothesis.H1:
-        a = np.eye(n) + config.sigma_d * _complex_normal(rng, (n, n))
+        a = np.eye(n) + config.sigma_d * complex_normal(rng, (n, n))
     else:
         a = np.eye(n) + config.sigma_d * rng.standard_normal((n, n))
     m_raw = a @ r @ a.conj().T + config.sigma_n2 * np.eye(n)
@@ -569,6 +676,6 @@ def sample_dataset(m_true, config, k, rng):
     phase = rng.uniform(0.0, 2.0 * np.pi)
     alpha = amplitude * np.exp(1j * phase)
     v = steering_vector(n, config.f_v)
-    cut = alpha * v + low @ _complex_normal(rng, n)
-    secondary = low @ _complex_normal(rng, (n, k))
+    cut = alpha * v + low @ complex_normal(rng, n)
+    secondary = low @ complex_normal(rng, (n, k))
     return Dataset(secondary=secondary, cut=cut, steering=v)

@@ -21,6 +21,7 @@ from conftest import (
     random_pd_matrix,
 )
 from oracle import (
+    complex_normal,
     fim_pair,
     grad_alpha,
     hessian_alpha_alpha,
@@ -28,7 +29,10 @@ from oracle import (
     hessian_theta_theta,
     loglik_full,
     loglik_secondary,
+    satisfies_structure,
     snapshot_scores,
+    structure_model,
+    structure_residual,
 )
 from test_structures import C_H1_N3, expected_param_count
 
@@ -43,14 +47,8 @@ from covstruct.estimators import Approach, Dataset, DatasetStack, estimate_covar
 from covstruct.likelihood import information_terms
 from covstruct.montecarlo import CampaignConfig, confusion_histogram, run_campaign
 from covstruct.reporting import render_results_csv
-from covstruct.scenario import complex_normal, table_case, truth_instance
-from covstruct.structures import (
-    Hypothesis,
-    param_count,
-    satisfies_structure,
-    structure_model,
-    structure_residual,
-)
+from covstruct.scenario import table_case, truth_instance
+from covstruct.structures import Hypothesis, param_count
 
 
 def _gate(number: int, label: str, ok: bool, detail: str) -> None:

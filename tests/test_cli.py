@@ -203,6 +203,22 @@ def test_run_rejects_bad_output_paths(tmp_path, capsys):
         assert not out.exists(), output
 
 
+def test_run_rejects_a_file_where_the_plot_directory_goes(tmp_path, capsys):
+    # With plots on, <out-dir>/plots is checked with the other outputs,
+    # before the campaign runs; --no-plots never looks at it.
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "plots").write_text("keep", encoding="utf-8")
+    base = ["run", "--trials", "1", "--workers", "1", "--K", "20", "--truths", "H1",
+            "--criteria", "aic", "--approach", "B", "--out-dir", out]
+    assert run_cli(base) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: output.plots: {str(out / 'plots')!r} is not a directory"]
+    assert sorted(p.name for p in out.iterdir()) == ["plots"]
+    assert run_cli(base + ["--no-plots"]) == 0
+    assert (out / "results.csv").is_file()
+
+
 def test_run_scenario_tree_overrides(tmp_path):
     config = tmp_path / "exp.json"
     config.write_text(
@@ -428,6 +444,19 @@ def test_plot_omits_empty_series_with_warning(tmp_path, capsys):
     assert "polyline omitted" in err and "tic" in err
     h2 = ET.fromstring((out / "pcc_h2_a.svg").read_text(encoding="utf-8"))
     assert len([el for el in h2.iter() if el.tag.endswith("polyline")]) == 1
+
+
+def test_plot_rejects_an_out_dir_that_is_a_file(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(csv_text([("aic", "A", "H1", 20, 0.5)]), encoding="utf-8")
+    taken = tmp_path / "taken"
+    taken.write_text("keep", encoding="utf-8")
+    for out_dir in (taken, taken / "sub"):
+        assert run_cli(["plot", "--results", results, "--out-dir", out_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: --out-dir: {str(taken)!r} is not a directory"]
+        assert captured.out == ""
+    assert taken.read_text(encoding="utf-8") == "keep"
 
 
 def test_plot_rejects_malformed_csv(tmp_path, capsys):

@@ -32,17 +32,11 @@ from covstruct.criteria import (
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.likelihood import InfoTerms
 from covstruct.linalg import NotPositiveDefiniteError, cholesky_pd
-from covstruct.scenario import (
-    ScenarioConfig,
-    SourceParams,
-    complex_normal,
-    draw_stack,
-    truth_instance,
-)
-from covstruct.structures import Hypothesis, param_count, project, structure_model
+from covstruct.scenario import ScenarioConfig, SourceParams, draw_stack, truth_instance
+from covstruct.structures import Hypothesis, param_count, project
 
 from conftest import gaussian_snapshots, random_dataset, random_pd_matrix, with_singular_schur
-from oracle import fim_pair, loglik_full, loglik_secondary
+from oracle import complex_normal, fim_pair, loglik_full, loglik_secondary, structure_model
 from oracle import information_terms as matrix_space_terms
 
 AIC = Criterion(CriterionKind.AIC)
@@ -183,6 +177,19 @@ def test_tic_ridge_recovers_singular_observed():
     assert "ridge" in str(errors[0])
 
 
+def test_tic_and_bic_count_the_fallbacks_of_their_schur_blocks():
+    # One zero Schur block in a stack of three: TIC's stacked solve and its
+    # ridge retry (a zero ridge on a zero block) both fall back to matrix by
+    # matrix, and BIC's stacked Cholesky does once.
+    observed = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    info = InfoTerms(np.zeros(3), np.zeros(3), schur=(observed, np.stack([np.eye(2)] * 3)))
+    _, tic_errors, tic_counts = _information_penalty(TIC, info)
+    _, bic_errors, bic_counts = _information_penalty(BIC, info)
+    assert list(tic_errors) == list(bic_errors) == [1]
+    assert tic_counts == (1, 2)
+    assert bic_counts == (0, 1)
+
+
 def test_bic_rejects_non_pd_observed():
     info = _schur_only(np.diag([1.0, -1.0]), np.eye(2))
     _, errors, _ = _information_penalty(BIC, info)
@@ -193,9 +200,10 @@ def test_bic_rejects_non_pd_observed():
 
 def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     # One singular Schur block in a stack of four: TIC retries exactly that
-    # trial with a ridge and counts it once; every other penalty keeps its
-    # bits. BIC refuses the block for that trial alone, after its stacked
-    # Cholesky fell back to matrix by matrix.
+    # trial with a ridge and counts it once, after its stacked solve fell
+    # back to matrix by matrix; every other penalty keeps its bits. BIC
+    # refuses the block for that trial alone, after its stacked Cholesky
+    # fell back to matrix by matrix.
     stack = DatasetStack.of([random_dataset(rng, 4, 9) for _ in range(4)])
     clean = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
     assert clean[TIC].ridge_retries == clean[TIC].stack_fallbacks == 0
@@ -206,7 +214,7 @@ def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     )
     patched = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
     tic, bic = patched[TIC], patched[BIC]
-    assert (tic.ridge_retries, tic.stack_fallbacks) == (1, 0)
+    assert (tic.ridge_retries, tic.stack_fallbacks) == (1, 1)
     assert tic.failures == {}
     assert np.isfinite(tic.penalty[1, 2])
     others = np.ones(tic.penalty.shape, dtype=bool)

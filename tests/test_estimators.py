@@ -13,11 +13,11 @@ from covstruct.estimators import (
     estimate_alpha_stack,
     estimate_covariance,
 )
-from covstruct.linalg import exchange
-from covstruct.scenario import complex_normal, steering_vector
-from covstruct.structures import Hypothesis, satisfies_structure
+from covstruct.scenario import steering_vector
+from covstruct.structures import Hypothesis
 
 from conftest import random_dataset
+from oracle import complex_normal, exchange, satisfies_structure
 
 
 def test_dataset_validation(rng):

@@ -14,17 +14,12 @@ from covstruct.criteria import prepare_estimates
 from covstruct.estimators import Approach, Dataset, DatasetStack
 from covstruct.likelihood import information_terms
 from covstruct.linalg import NotPositiveDefiniteError
-from covstruct.scenario import (
-    complex_normal,
-    sample_dataset,
-    steering_vector,
-    table_case,
-    truth_instance,
-)
-from covstruct.structures import Hypothesis, structure_model
+from covstruct.scenario import sample_dataset, steering_vector, table_case, truth_instance
+from covstruct.structures import Hypothesis
 
 from conftest import fd_gradient, fd_hessian, random_dataset, random_pd_matrix
 from oracle import (
+    complex_normal,
     fim_pair,
     grad_alpha,
     hessian_alpha_alpha,
@@ -36,6 +31,7 @@ from oracle import (
     observed_fim,
     sample_fim,
     snapshot_scores,
+    structure_model,
 )
 from oracle import exact_information_terms
 from oracle import information_terms as matrix_space_terms

@@ -1,4 +1,5 @@
-"""Vectorization, exchange, and positive-definite kernel checks."""
+"""Positive-definite kernels, and the vectorization and exchange helpers of
+the test oracle."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,12 @@ from covstruct.linalg import (
     NotPositiveDefiniteError,
     cholesky_pd,
     cholesky_stack,
-    exchange,
     hermitian_part,
     logdet_from_cholesky,
-    unvec,
-    vec,
 )
-from covstruct.scenario import complex_normal
 
 from conftest import random_pd_matrix
+from oracle import complex_normal, exchange, unvec, vec
 
 
 def test_vec_is_column_stacking():

@@ -192,7 +192,8 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
 
 def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
     # One singular Schur block per (truth, K) block under H2: each of the two
-    # cells adds one TIC ridge retry and one fallback of BIC's stacked Cholesky.
+    # cells adds one TIC ridge retry, one fallback of TIC's stacked solve and
+    # one fallback of BIC's stacked Cholesky.
     monkeypatch.setattr(
         criteria_module,
         "information_terms",
@@ -212,7 +213,7 @@ def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
     write_results_json(run_campaign(config), path, package_version="0.1.0")
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["fallbacks"] == [
-        {"criterion": "tic", "approach": "A", "ridge_retries": 2, "stack_fallbacks": 0},
+        {"criterion": "tic", "approach": "A", "ridge_retries": 2, "stack_fallbacks": 2},
         {"criterion": "tic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 0},
         {"criterion": "bic", "approach": "A", "ridge_retries": 0, "stack_fallbacks": 2},
         {"criterion": "bic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 0},

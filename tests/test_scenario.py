@@ -15,7 +15,6 @@ from covstruct.scenario import (
     SourceParams,
     TruthInstance,
     clutter_covariance,
-    complex_normal,
     db_to_linear,
     draw_stack,
     sample_dataset,
@@ -23,7 +22,9 @@ from covstruct.scenario import (
     table_case,
     truth_instance,
 )
-from covstruct.structures import Hypothesis, satisfies_structure, structure_residual
+from covstruct.structures import Hypothesis
+
+from oracle import complex_normal, satisfies_structure, structure_residual
 
 
 def clutter_loop_oracle(sources, n):
@@ -182,7 +183,7 @@ def test_h3_h4_truths_are_deterministic():
         first = truth_instance(h, config, np.random.default_rng(1))
         second = truth_instance(h, config, np.random.default_rng(2))
         assert np.array_equal(first.m_true, second.m_true)
-        assert np.array_equal(first.a_factor, np.eye(13))
+        assert np.array_equal(first.m_true, oracle.truth_instance(h, config)[0])
         # They draw nothing, so they need no generator.
         assert np.array_equal(truth_instance(h, config).m_true, first.m_true)
     for h in (Hypothesis.H1, Hypothesis.H2):
@@ -217,12 +218,7 @@ def test_h1_truth_consumes_channel_error_draws():
 
 
 def white_truth(n):
-    return TruthInstance(
-        hypothesis=Hypothesis.H1,
-        m_true=np.eye(n),
-        a_factor=np.eye(n),
-        r_clutter=np.zeros((n, n)),
-    )
+    return TruthInstance(hypothesis=Hypothesis.H1, m_true=np.eye(n))
 
 
 def test_sample_covariance_converges_to_truth(rng):
@@ -239,12 +235,7 @@ def test_sampler_splits_variance_between_parts(rng):
     # Circular draws with covariance M put M/2 into each of the real and
     # imaginary parts; 3 sigma bands for the variance of a variance estimate.
     diag = np.array([1.0, 2.0, 3.0])
-    truth = TruthInstance(
-        hypothesis=Hypothesis.H1,
-        m_true=np.diag(diag),
-        a_factor=np.eye(3),
-        r_clutter=np.zeros((3, 3)),
-    )
+    truth = TruthInstance(hypothesis=Hypothesis.H1, m_true=np.diag(diag))
     k = 100_000
     ds = sample_dataset(truth, ScenarioConfig(n=3), k, rng)
     band = 3.0 * np.sqrt(2.0 / k)
@@ -256,12 +247,7 @@ def test_sampler_splits_variance_between_parts(rng):
 def test_cut_amplitude_magnitude(rng):
     # With a vanishing covariance the CUT is alpha v plus O(1e-10) noise, so
     # projecting onto the unit-norm steering vector recovers |alpha|.
-    truth = TruthInstance(
-        hypothesis=Hypothesis.H1,
-        m_true=1e-20 * np.eye(13),
-        a_factor=np.eye(13),
-        r_clutter=np.zeros((13, 13)),
-    )
+    truth = TruthInstance(hypothesis=Hypothesis.H1, m_true=1e-20 * np.eye(13))
     config = ScenarioConfig(n=13, snr_db=10.0)
     phases = []
     for _ in range(8):
@@ -301,10 +287,9 @@ def test_one_trial_draws_match_the_oracle(case_id):
         for seed in range(3):
             mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             truth = truth_instance(h, config, mine)
-            m_true, a = oracle.truth_instance(h, config, theirs)
+            m_true, _ = oracle.truth_instance(h, config, theirs)
             assert truth.m_true.dtype == m_true.dtype
             assert np.array_equal(truth.m_true, m_true)
-            assert np.array_equal(truth.a_factor, a)
             _assert_same_datasets(
                 DatasetStack.of([sample_dataset(truth, config, 7, mine)]),
                 [oracle.sample_dataset(m_true, config, 7, theirs)],

@@ -1,22 +1,21 @@
-"""Constraint matrices, parameter counts, projections, and encode/decode."""
+"""Constraint matrices, parameter counts, projections, and the oracle's
+encode/decode on the package's basis."""
 
 import numpy as np
 import pytest
 
-from covstruct.linalg import vec
-from covstruct.scenario import complex_normal
-from covstruct.structures import (
-    Hypothesis,
+from covstruct import structures
+from covstruct.structures import Hypothesis, basis_log_norm, param_count, project
+
+from conftest import random_pd_matrix
+from oracle import (
     StructureViolationError,
-    basis_log_norm,
-    param_count,
-    project,
+    complex_normal,
     satisfies_structure,
     structure_model,
     structure_residual,
+    vec,
 )
-
-from conftest import random_pd_matrix
 
 J = 1j
 
@@ -61,6 +60,13 @@ def test_param_counts_match_oracle():
 def test_constraint_matrix_h1_n3_pinned():
     model = structure_model(Hypothesis.H1, 3)
     np.testing.assert_array_equal(model.constraint, C_H1_N3)
+
+
+def test_basis_matrix_is_formed_once_and_read_only():
+    c = structures.structure_model(Hypothesis.H3, 5)
+    assert structures.structure_model(Hypothesis.H3, 5) is c
+    assert not c.flags.writeable
+    assert c.shape == (25, param_count(Hypothesis.H3, 5))
 
 
 def test_constraint_entries_in_allowed_set():
