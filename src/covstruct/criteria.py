@@ -38,14 +38,14 @@ recorded, and the argmin runs over the survivors.
 One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
 datasets at once: the estimates come from stacked projections, one stacked
 Cholesky per class and, under approach A, one stacked solve for the
-amplitudes (the inverse estimates are formed for TIC and BIC only), the
-fits and totals are (4, T) arrays, the closed-form penalties are one value
-per hypothesis, and the argmin runs over the whole batch. TIC and BIC take
-one call of the information terms per class and approach. A trial that
-fails a check is excluded on its own, with the message a stack of one would
-give, and every stacked operation treats each trial alone, so a trial's
-outcome does not depend on the stack it sits in. :func:`classify` is the
-engine on a stack of one.
+amplitudes (and, for TIC and BIC only, the inverse estimates), the fits are
+(4, T) arrays, the closed-form penalties are one value per hypothesis, and
+one argmin runs over every rule's (4, T) totals at once. TIC and BIC take
+one pass of the information terms per class, for every approach. A trial
+that fails a check is excluded on its own, with the message a stack of one
+would give, and every stacked operation treats each trial alone, so a
+trial's outcome does not depend on the stack it sits in. :func:`classify` is
+the engine on a stack of one.
 """
 
 from __future__ import annotations
@@ -412,17 +412,17 @@ def _fit_terms(
 def _argmin_batch(
     totals: np.ndarray, failed: np.ndarray, counts: list[int]
 ) -> np.ndarray:
-    """Per column of (4, T) totals, the row with the smallest total among the
-    rows not ``failed``; ties go to the smaller parameter count, then the
+    """Per column of (..., 4, T) totals, the row with the smallest total among
+    the rows not ``failed``; ties go to the smaller parameter count, then the
     lower index. ``NONE_CHOSEN`` where every row failed."""
     masked = np.where(failed, np.inf, totals)
-    tied = (masked == masked.min(axis=0)) & ~failed
+    tied = (masked == masked.min(axis=-2, keepdims=True)) & ~failed
     order = sorted(range(len(counts)), key=lambda i: (counts[i], i))
-    chosen = np.asarray(order)[np.argmax(tied[order], axis=0)]
-    return np.where(failed.all(axis=0), NONE_CHOSEN, chosen)
+    chosen = np.asarray(order)[np.argmax(tied[..., order, :], axis=-2)]
+    return np.where(failed.all(axis=-2), NONE_CHOSEN, chosen)
 
 
-def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
+def prepare_estimates(stack: DatasetStack, approach: Approach, inverse: bool = False) -> dict:
     """Per-hypothesis :class:`EstimateStack` of a stack; one stacked Cholesky
     per class gives log det M and is the one positive-definiteness check.
 
@@ -431,7 +431,10 @@ def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
     with ``[v z]`` gives the amplitudes and CUT fits. A degenerate steering
     energy, or a failed solve, is kept as the alpha failure: the covariance
     estimates stay valid for the secondary-only likelihood, and only the
-    joint-likelihood rules lose that hypothesis.
+    joint-likelihood rules lose that hypothesis. Real classes solve their
+    (Re, Im) column pairs. With ``inverse`` (a TIC or BIC rule runs) the solve
+    takes ``[I v z]``: the ``v z`` columns keep their bits, and the ``I``
+    columns give X, ``inv(M)`` to the bit (NaN where the solve failed).
     """
     approach = Approach.parse(approach)
     out: dict[Hypothesis, EstimateStack] = {}
@@ -440,14 +443,23 @@ def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
         low, errors, fell_back = cholesky_stack(m_hat)
         if errors:
             m_hat[list(errors)] = np.eye(stack.n)
-        alpha, quad, alpha_errors = None, None, {}
+        alpha, quad, alpha_errors, x_hat = None, None, {}, None
         if approach is Approach.A:
             cut, steering = stack.require_cut()
-            solved, bad, solve_fell_back = _solve_each(m_hat, np.stack([steering, cut], -1))
-            alpha, quad, alpha_errors = estimate_alpha_stack(solved, cut, steering)
+            rhs, eye = np.concatenate([steering[..., None], cut[..., None]], -1), stack.n * inverse
+            rhs = rhs.view(float) if h.is_real else rhs
+            if inverse:  # [I v z]
+                rhs = np.concatenate([np.zeros(m_hat.shape), rhs], -1)
+                rhs.reshape(len(rhs), -1)[:, :: rhs.shape[-1] + 1][:, :eye] = 1.0
+            solved, bad, solve_fell_back = _solve_each(m_hat, rhs)
+            vz = np.ascontiguousarray(solved[..., eye:]).view(complex)
+            alpha, quad, alpha_errors = estimate_alpha_stack(vz, cut, steering)
             for t, reason in bad.items():
                 alpha_errors[t] = np.linalg.LinAlgError(f"solve with the ICM estimate: {reason}")
             fell_back += solve_fell_back
+            if inverse:
+                x_hat = hermitian_part(solved[..., :eye])
+                x_hat[list(bad)] = np.nan  # a failed solve's X
         out[h] = EstimateStack(
             hypothesis=h,
             m_hat=m_hat,
@@ -458,6 +470,8 @@ def prepare_estimates(stack: DatasetStack, approach: Approach) -> dict:
             alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
             fallbacks=int(fell_back),
         )
+        if x_hat is not None:
+            object.__setattr__(out[h], "x_hat", x_hat)  # the lazy inverse, from this LU
     return out
 
 
@@ -481,8 +495,9 @@ def classify_stack(
     The four plug-in estimate stacks are prepared once, under approach A when
     A is asked for: estimates that carry alpha also serve approach B, the
     reverse does not hold. Per approach the fit terms are (4, T) arrays, the
-    closed-form penalties one value per hypothesis, and the information
-    terms are formed per trial and hypothesis once if any rule needs them.
+    closed-form penalties one value per hypothesis and the argmin one pass
+    over every rule; if any rule needs the information terms, one pass per
+    hypothesis forms them for every approach.
     Each trial's outcome is bit-identical whatever stack it sits in. Finite
     data can overflow; numpy's warnings are silenced, as every non-finite
     value ends as a typed failure of its trial and hypothesis.
@@ -490,9 +505,11 @@ def classify_stack(
     approaches = tuple(Approach.parse(a) for a in approaches)
     criteria = tuple(criteria)
     prep = Approach.A if Approach.A in approaches else approaches[0]
+    fim = any(c.needs_fim for c in criteria)
     with np.errstate(all="ignore"):
-        prepared = prepare_estimates(stack, prep)
-        return {a: _evaluate(stack, a, criteria, prepared) for a in approaches}
+        prepared = prepare_estimates(stack, prep, inverse=fim)
+        infos = {h: information_terms(e, stack, approaches) for h, e in prepared.items() if fim}
+        return {a: _evaluate(stack, a, criteria, prepared, infos) for a in approaches}
 
 
 def _evaluate(
@@ -500,6 +517,7 @@ def _evaluate(
     approach: Approach,
     criteria: tuple[Criterion, ...],
     prepared: dict[Hypothesis, EstimateStack],
+    infos: dict[Hypothesis, dict[Approach, InfoTerms]],
 ) -> dict[Criterion, TrialScores]:
     n, k, trials = stack.n, stack.k, len(stack)
     counts = [param_count(h, n) for h in Hypothesis]
@@ -516,27 +534,24 @@ def _evaluate(
             lost[(int(h), t)] = exc
             fit[i, t] = np.nan
 
-    infos: dict[Hypothesis, InfoTerms] = {}
-    if any(c.needs_fim for c in criteria):
-        infos = {h: information_terms(est, stack, approach) for h, est in prepared.items()}
     estimate_fallbacks = sum(est.fallbacks for est in prepared.values())
 
-    out: dict[Criterion, TrialScores] = {}
-    for criterion in criteria:
-        pen = np.empty_like(fit)
+    # Every rule's penalties, then one pass over the (rules, 4, T) totals.
+    pen, rules = np.empty((len(criteria), *fit.shape)), []
+    for c, criterion in enumerate(criteria):
         failures = dict(lost)
         retries, fallbacks = 0, estimate_fallbacks
         for i, h in enumerate(Hypothesis):
             if criterion.needs_fim:
-                info = infos[h]
-                pen[i], errors, (retried, fell_back) = _information_penalty(criterion, info)
+                info = infos[h][approach]
+                pen[c, i], errors, (retried, fell_back) = _information_penalty(criterion, info)
                 retries += retried
                 fallbacks += info.fallbacks + fell_back
                 for t, exc in {**errors, **info.failures}.items():
                     failures.setdefault((int(h), t), exc)
                 continue
             try:
-                pen[i] = penalty(
+                pen[c, i] = penalty(
                     criterion,
                     n_params=counts[i] + alpha_params,
                     m_params=counts[i],
@@ -547,25 +562,30 @@ def _evaluate(
             except AiccDegenerateError as exc:
                 for t in range(trials):
                     failures.setdefault((int(h), t), exc)
-        failed = np.zeros(fit.shape, dtype=bool)
+        rules.append((failures, retries, fallbacks))
+    failed = np.zeros(pen.shape, dtype=bool)
+    for c, (failures, _, _) in enumerate(rules):
         for h, t in failures:
-            failed[h - 1, t] = True
-        pen[failed] = np.nan
-        total = fit + pen
-        for i, t in np.argwhere(~np.isfinite(total) & ~failed):
-            failures[(int(i) + 1, int(t))] = NonFiniteScoreError(
-                f"total {float(total[i, t])!r} is not finite "
-                f"(fit {float(fit[i, t])!r}, penalty {float(pen[i, t])!r})"
-            )
-            failed[i, t], pen[i, t], total[i, t] = True, np.nan, np.nan
+            failed[c, h - 1, t] = True
+    pen[failed] = np.nan
+    total = fit + pen
+    for c, i, t in np.argwhere(~np.isfinite(total) & ~failed):
+        rules[c][0][(int(i) + 1, int(t))] = NonFiniteScoreError(
+            f"total {float(total[c, i, t])!r} is not finite "
+            f"(fit {float(fit[i, t])!r}, penalty {float(pen[c, i, t])!r})"
+        )
+        failed[c, i, t], pen[c, i, t], total[c, i, t] = True, np.nan, np.nan
+    chosen = _argmin_batch(total, failed, counts)
+    out: dict[Criterion, TrialScores] = {}
+    for c, (criterion, (failures, retries, fallbacks)) in enumerate(zip(criteria, rules)):
         out[criterion] = TrialScores(
             criterion=criterion,
             approach=approach,
             fit=fit,
-            penalty=pen,
-            total=total,
+            penalty=pen[c],
+            total=total[c],
             failures={key: _failure_text(exc) for key, exc in failures.items()},
-            chosen=_argmin_batch(total, failed, counts),
+            chosen=chosen[c],
             ridge_retries=retries,
             stack_fallbacks=fallbacks,
         )

@@ -15,7 +15,8 @@ The signal amplitude ``alpha`` is estimated from the cell under test with the
 ICM estimate X = M^-1 plugged in: the ML amplitude ``v^H X z / v^H X v``
 minimises ``(z - alpha v)^H X (z - alpha v)`` over complex alpha for every
 class and every steering vector. It and that fit take one solve of M with
-``[v z]``; X itself is formed only where the information terms need it.
+``[v z]``, which gives X too, by the same LU, where the information terms
+need it.
 """
 
 from __future__ import annotations
@@ -194,8 +195,9 @@ class EstimateStack:
     whose steering energy is degenerate, or whose solve failed, to its
     error; under approach B both are None. ``fallbacks`` counts the stacked
     factorizations and solves that fell back to matrix by matrix. ``x_hat``,
-    the Hermitian inverses of ``m_hat``, is formed on first use: only the
-    TIC and BIC information terms read it.
+    the Hermitian inverses of ``m_hat``, which only the TIC and BIC terms
+    read, comes from the class's LU when the amplitudes' solve formed it
+    (``prepare_estimates(..., inverse=True)``), else from ``inv`` on first use.
     """
 
     hypothesis: Hypothesis

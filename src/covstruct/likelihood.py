@@ -13,17 +13,18 @@ hypothesis (``M = sum_q theta_q C_q``); under approach A the parameters
 also include the real and imaginary parts of alpha.
 
 :func:`information_terms` gives the TIC trace and the BIC log-determinant of
-one class for a whole stack of trials. Every class is a quadratic subspace
-whose plug-in estimate is the projection ``P_h`` of S/K (Szatrowski 1980,
-Ann. Statist. 8(4); Jensen 1988, Ann. Statist. 16(1)). So at the plug-in the
-theta-theta observed information is ``K F`` under approach B and
-``(K-1) F`` plus a rank-2N term under A, where ``F_pq = Re Tr(X C_p X C_q)``
-and ``F^{-1}`` acts on the class as ``U -> M U M``. The score of snapshot k is
-the class component of ``D_k = X z_k z_k^H X - X``. Under A the rank-2N term
-is handled by Woodbury, with its capacitance in closed form, and the
-amplitude block by a 2 x 2 Schur complement, so no information matrix is
-formed. The amplitude is the ML estimate, so the CUT's amplitude score is
-zero and drops out of every term.
+one class, under each approach, in one pass over a whole stack of trials.
+Every class is a quadratic subspace whose plug-in estimate is the projection
+``P_h`` of S/K (Szatrowski 1980, Ann. Statist. 8(4); Jensen 1988, Ann.
+Statist. 16(1)). So at the plug-in the theta-theta observed information is
+``K F`` under approach B and ``(K-1) F`` plus a rank-2N term under A, where
+``F_pq = Re Tr(X C_p X C_q)`` and ``F^{-1}`` acts on the class as
+``U -> M U M``. The score of snapshot k is the class component of
+``D_k = X z_k z_k^H X - X``. Under A the rank-2N term is handled by
+Woodbury, with its capacitance in closed form, and the amplitude block by a
+2 x 2 Schur complement, so no information matrix is formed. The amplitude is
+the ML estimate, so the CUT's amplitude score is zero and drops out of every
+term.
 
 The test oracle (``tests/oracle.py``) keeps the direct forms: the same terms
 from projected N x N matrices, the theta-basis log-likelihoods, derivatives
@@ -92,10 +93,15 @@ _PARITY = {
 }
 # Row g: the weight of lam_g g(X^T) in B + B' and in i (B - B'): A^{-1} in real form.
 _REAL_ROWS = {h: np.array([[1, 1j - 2j * c] for _, c in g]) for h, g in _VECTOR_GROUPS.items()}
-# E on the columns g(r), then i g(r), and its sorted diagonal (the inertia).
+# E on the columns g(r), then i g(r), and the sorted diagonal (the inertia) of
+# a block. H4's J maps column c to c + 2 in its half and commutes with A^{-1}:
+# in the columns (c +- J c) / sqrt 2 of _H4_BASIS the core is two blocks.
 _CORE_SIGNS = {h: np.diag([1.0] * len(g) + [1.0 if c else -1.0 for _, c in g])
                for h, g in _VECTOR_GROUPS.items()}
-_INERTIA = {h: np.sort(np.diagonal(e)) for h, e in _CORE_SIGNS.items()}
+_EVEN, _ODD = np.eye(8)[:, [0, 1, 4, 5]], np.eye(8)[:, [2, 3, 6, 7]]
+_H4_BASIS = math.sqrt(0.5) * np.hstack([_EVEN + _ODD, _EVEN - _ODD])
+_CORE_SIGNS[Hypothesis.H4] = np.diag(np.tile(np.diag(_CORE_SIGNS[Hypothesis.H4])[[0, 1, 4, 5]], 2))
+_INERTIA = {h: np.sort(np.diag(e)[:4]) for h, e in _CORE_SIGNS.items()}
 
 
 def _image(element, a: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
@@ -107,10 +113,9 @@ def _image(element, a: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
     return image[..., ::-1] if flip else image
 
 
-def information_terms(
-    estimate: EstimateStack, stack: DatasetStack, approach: Approach
-) -> InfoTerms:
-    """TIC and BIC information terms at the plug-in estimates, for a stack.
+def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) -> dict:
+    """TIC and BIC information terms at the plug-in estimates, for a stack:
+    one pass over a class gives each approach's :class:`InfoTerms`.
 
     ``P`` is the mean over a group acting on vectors: ``{id}`` (H1),
     ``{id, conj}`` (H2), ``{id, J conj}`` (H3), ``{id, conj, J, J conj}``
@@ -118,11 +123,11 @@ def information_terms(
     class, so ``M P(a b^H) M = mean_g g(M a) g(M b)^H``, and each inner
     product ``<A, B> = Re Tr(AB)`` of such rank-one or rank-two terms is a
     group mean of products of N-vector inner products. With ``w_k = X z_k``
-    and ``D_k = w_k w_k^H - X``:
+    and ``D_k = w_k w_k^H - X``, ``quad_k = <P(D_k), M P(D_k) M> =
+    mean_g |q_g|^2 - 2 Re q_id + N``, ``q_g = g(z_k)^H w_k``.
 
     Approach B: ``Q = K F``, so ``theta_logdet = m log K + log det F`` and
-    ``theta_trace = (1/K) sum_k <P(D_k), M P(D_k) M>
-    = (1/K) sum_k [mean_g |z_k^H g(w_k)|^2 - 2 z_k^H w_k + N]``.
+    ``theta_trace = (1/K) sum_k quad_k``.
 
     Approach A: ``Q = (K-1) F + A^T (2 X~) A``, A mapping theta to the real
     form of ``M(theta) w``, ``w = X r``, ``r = z - alpha v``. Woodbury through
@@ -140,66 +145,58 @@ def information_terms(
     ``E + c V^T A^{-1} V`` gives C^{-1}, and ``log det C = 2 log det M +
     n_e log(a+^2 - |b+|^2) + n_o log(a-^2 - |b-|^2) + log |det core|``. C is
     positive definite iff ``a+- > |b+-|`` and the core has the inertia of E
-    (Haynsworth). A trial whose margins ``a - |b|`` or core eigenvalues next
-    to zero are not above 1e-12 of their scale, or not finite, fails with a
-    NotPositiveDefiniteError naming the capacitance. Data flow under A:
-    ``proj = g(row)^H (w, u)``, (T, |G|, K+3, 2), gives ``t w``, ``s_g`` and
-    ``wtu`` as group sums, with no (K+3) x (K+3) product; A^{-1} acts on ``t w``
-    and V^T, for |G| > 1 as one real 2N x 2N product on their (re, im) pairs.
+    (Haynsworth), for H4 block by block. A trial whose margins ``a - |b|`` or
+    core eigenvalues next to zero are not above 1e-12 of their scale, or not
+    finite, fails with a NotPositiveDefiniteError naming the capacitance.
 
-    Every trial is computed; the rows of the trials whose estimate failed
-    (its M and X are the identity) or, under A, whose amplitude did are then
-    placeholders, and their failures are dropped; see :class:`InfoTerms`.
+    Data flow: ``log det F``, ``X z_k`` and ``q_g`` are formed once, by the
+    same calls for any ``approaches`` (B's terms are bit-identical alone and
+    beside A). A adds rows r, v, i v: ``proj = g(row)^H (w, u)`` gives ``t w``,
+    ``s_g`` and ``wtu`` as group sums; A^{-1} acts on ``t w`` and V^T, for
+    |G| > 1 as one real 2N x 2N product. Rows of trials whose estimate (or,
+    under A, amplitude) failed are placeholders, their failures dropped.
     """
-    approach = Approach.parse(approach)
-    h, n, k = estimate.hypothesis, stack.n, stack.k
-    dead = set(estimate.failures)
-    if approach is Approach.A:
-        if estimate.alpha_hat is None:
-            raise ValueError("approach A needs alpha_hat on the estimate stack")
-        cut, v = stack.require_cut()
-        dead |= set(estimate.alpha_failures)
-
+    approaches = tuple(Approach.parse(a) for a in approaches)
+    h, n, k, x = estimate.hypothesis, stack.n, stack.k, estimate.x_hat
+    if Approach.A in approaches and estimate.alpha_hat is None:
+        raise ValueError("approach A needs alpha_hat on the estimate stack")
     m, group = param_count(h, n), _VECTOR_GROUPS[h]
-    m_hat, x = estimate.m_hat, estimate.x_hat
-    sandwich, failures, fallbacks = _sandwich_logdet(h, m_hat, estimate.logdet)
+    sandwich, failures, fallbacks = _sandwich_logdet(h, estimate.m_hat, estimate.logdet)
     logdet_f = basis_log_norm(h, n) - sandwich
-    # Score rows: snapshot k in row k (z_k, w_k = X z_k), and under approach
-    # A the CUT's r = z - alpha v and X r in row K. For each group element g,
-    # q_g = g(row)^H (X row), and mean_g |q_g|^2 - 2 Re q_id + N is
-    # <P(D), M P(D) M> for the row's D = (X row)(X row)^H - X.
-    z = stack.secondary.swapaxes(-1, -2)
-    if approach is Approach.B:
-        rows, x_rows = z, z @ x.swapaxes(-1, -2)
-    else:
-        r = cut - estimate.alpha_hat[:, None] * v
-        rows = np.concatenate([z, r[:, None], v[:, None], 1j * v[:, None]], axis=1)
-        x_rows = rows @ x.swapaxes(-1, -2)
-    rows_conj, size = rows.conj(), len(group)
-    q = np.einsum("...i,...i->...", rows_conj, x_rows)  # the identity comes first
-    quad = n - 2.0 * q.real + np.abs(q) ** 2 / size
-    for element in group[1:]:
-        image_conj = _image(element, rows_conj, rows)
-        quad += np.abs(np.einsum("...i,...i->...", image_conj, x_rows)) ** 2 / size
-    if approach is Approach.B:
-        trace, logdet = np.sum(quad, axis=-1) / k, m * math.log(k) + logdet_f
-        return _with_placeholders(trace, logdet, None, failures, fallbacks, dead)
+    z = stack.secondary.swapaxes(-1, -2)  # the snapshot rows
+    x_z, z_conj, size = z @ x.swapaxes(-1, -2), z.conj(), len(group)
+    q = [np.einsum("...i,...i->...", _image(e, z_conj, z), x_z) for e in group]
+    quad = n - 2.0 * q[0].real + np.abs(q[0]) ** 2 / size  # the identity comes first
+    for q_g in q[1:]:
+        quad += np.abs(q_g) ** 2 / size
+    del x_z, z_conj, q  # only quad goes on
+    out, dead = {}, set(estimate.failures)
+    if Approach.B in approaches:
+        trace, logdet = quad.sum(-1) / k, m * math.log(k) + logdet_f
+        out[Approach.B] = _with_placeholders(trace, logdet, None, failures, fallbacks, dead)
+    if Approach.A not in approaches:
+        return out
 
-    # Rows K+1, K+2: the alpha border b = v, i v, b' (X r)^H + X r b'^H with
-    # M b' = b. (K-1) |G| t_i X r is sum_g g(row) g(row)^H X r - |G| r for a
-    # score row, sum_g s_g g(b) + g(r) g(b)^H X r for a border row (the -X
-    # part is zero in (X r)^H t_i u, u = X v, at the ML amplitude).
-    # proj: g(row)^H (X r, u); ends: g(r), g(v), g(i v).
+    # Rows: the snapshots, the CUT's r (q_g = s_g) and the alpha border b = v,
+    # i v, b' (X r)^H + X r b'^H with M b' = b. (K-1) |G| t_i X r is sum_g
+    # g(row) g(row)^H X r - |G| r for a score row, sum_g s_g g(b) + g(r) g(b)^H
+    # X r for a border row (the -X part is zero in (X r)^H t_i u, u = X v, at
+    # the ML amplitude). proj: g(row)^H (X r, u); ends: g(r), g(v), g(i v).
+    cut, v = stack.require_cut()
+    r = cut - estimate.alpha_hat[:, None] * v
+    rows = np.concatenate([z, r[:, None], v[:, None], 1j * v[:, None]], axis=1)
+    rows_conj, trials = rows.conj(), len(rows)
     scores, border, km1 = slice(0, k + 1), slice(k + 1, k + 3), k - 1
-    xr_u = x_rows[:, k : k + 2].swapaxes(-1, -2)
-    tw, proj, ends = 0.0, np.empty((len(r), size, k + 3, 2), complex), []
+    xr_u = x @ rows[:, k : k + 2].swapaxes(-1, -2)
+    tw, proj, ends = 0.0, np.empty((trials, size, k + 3, 2), complex), []
     for i, element in enumerate(group):
         image = _image(element, rows, rows_conj)
         np.matmul(_image(element, rows_conj, rows), xr_u, out=proj[:, i])
         tw += proj[:, i, scores, :1] * image[:, scores]
-        ends.append(image[:, k:])
-    ends = np.stack(ends, axis=1)
+        ends.append(image[:, None, k:])
+    ends = np.concatenate(ends, axis=1)
     s, r_images = proj[:, :, k, 0], ends[:, :, 0]
+    quad_r = n - 2.0 * s[:, 0].real + (np.abs(s) ** 2).sum(-1) / size
     b_tw = (s[:, None, None] @ ends[:, :, 1:].swapaxes(1, 2))[:, :, 0]
     b_tw += proj[:, :, border, 0].swapaxes(1, 2) @ r_images
     # wtu_i: 2 sum_g g(a)^H w conj(g(b)^H u) over (row_i, row_i), border (row_i, r) + (r, row_i)
@@ -215,31 +212,37 @@ def information_terms(
     parity = cap_c * (s[:, None] @ _PARITY[h])[:, 0]
     a_pm, b_pm = 0.5 + parity[:, :2].real, parity[:, 2:]
     margin = np.concatenate([a_pm - np.abs(b_pm), a_pm + np.abs(b_pm)], axis=1)
-    inverse_pm = np.stack([a_pm, -b_pm], axis=1) / margin[:, None, :2] / margin[:, None, 2:]
-    lam = (inverse_pm.reshape(len(s), 1, 4) @ (0.5 * _PARITY[h].T))[:, 0]
+    inverse_pm = np.concatenate([a_pm[:, None], -b_pm[:, None]], 1) / margin[:, None, :2]
+    lam = ((inverse_pm / margin[:, None, 2:]).reshape(trials, 1, 4) @ (0.5 * _PARITY[h].T))[:, 0]
     tw = np.concatenate([tw - size * r[:, None], b_tw, r_images, 1j * r_images], axis=1)
     xt = x.swapaxes(-1, -2)  # X is Hermitian: conj(X^T) = X
     if size == 1:
         y = tw @ (lam[:, :1, None] * xt)
     else:
-        images = np.stack([_image(e, xt, x) for e in group], 1).reshape(len(s), size, n * n)
-        real = ((lam[..., None] * _REAL_ROWS[h]).swapaxes(1, 2) @ images).reshape(len(s), 2, n, n)
-        real = np.ascontiguousarray(real.swapaxes(1, 2)).view(float).reshape(len(s), 2 * n, 2 * n)
+        images = np.stack([_image(e, xt, x) for e in group], 1).reshape(trials, size, n * n)
+        real = ((lam[..., None] * _REAL_ROWS[h]).swapaxes(1, 2) @ images).reshape(trials, 2, n, n)
+        real = np.ascontiguousarray(real.swapaxes(1, 2)).view(float).reshape(trials, 2 * n, 2 * n)
         y = (tw.view(float) @ real).view(complex)
-    # <g(r), y> = Re g(r)^H y, <i g(r), y> = Im g(r)^H y. eigh reads the
-    # lower triangle and sorts ascending; NaN or inf fails the certificate.
+    # <g(r), y> = Re g(r)^H y, <i g(r), y> = Im g(r)^H y; for H4 in the
+    # columns of _H4_BASIS. eigh reads each block's lower triangle and sorts
+    # ascending; NaN or inf fails the certificate.
     gy = r_images.conj() @ y.swapaxes(-1, -2)
     vy = np.concatenate([gy.real, gy.imag], axis=1)
-    core = _CORE_SIGNS[h] + cap_c * vy[..., k + 3 :]
+    if h is Hypothesis.H4:
+        vy = _H4_BASIS.T @ vy
+        core = _CORE_SIGNS[h] + cap_c * (vy[..., k + 3 :] @ _H4_BASIS)
+        core = np.concatenate([core[:, None, :4, :4], core[:, None, 4:, 4:]], 1)
+    else:
+        core = (_CORE_SIGNS[h] + cap_c * vy[..., k + 3 :])[:, None]
     try:
         eig, vec = np.linalg.eigh(core)
     except np.linalg.LinAlgError:  # a NaN core; a zero one fails the certificate
         core[~np.isfinite(core).all(axis=(-2, -1))] = 0.0
         eig, vec = np.linalg.eigh(core)
-    floor = _PIVOT_RTOL * np.maximum(-eig[:, :1], eig[:, -1:])
-    certified = np.all(margin[:, :2] > _PIVOT_RTOL * margin[:, 2:], axis=-1)
-    certified &= np.all(eig * _INERTIA[h] > floor, axis=-1)
-    errors = {}
+    floor = _PIVOT_RTOL * np.maximum(-eig[..., :1], eig[..., -1:])
+    certified = (margin[:, :2] > _PIVOT_RTOL * margin[:, 2:]).all(-1)
+    certified &= (eig * _INERTIA[h] > floor).all((-2, -1))
+    eig, errors = eig.reshape(trials, 2 * size), {}
     if not certified.all():
         for t in np.flatnonzero(~certified):
             finite = np.isfinite(vy[t]).all() and np.isfinite(margin[t]).all()
@@ -248,30 +251,34 @@ def information_terms(
             text = f"capacitance is not {state}: J-parity a - |b|, a + |b|, core eigenvalues "
             errors[int(t)] = NotPositiveDefiniteError(text + numbers)
         eig[~certified] = 1.0
-    ry = vec.swapaxes(-1, -2) @ vy[..., : k + 3]
+    ry = vec.swapaxes(-1, -2) @ vy[..., : k + 3].reshape(*core.shape[:3], k + 3)
+    ry = ry.reshape(trials, 2 * size, k + 3)
     ry_scaled = ry * (cap_c / eig)[..., None]
 
     # Woodbury: g_i^T Q^{-1} g_j = <P(D_i), t_j> - <a_i, C^{-1} a_j>, with
     # <a_i, C^{-1} a_j> = scale^2 (Re tw_i^H y_j - ry_i^T (cap_c / eig) ry_j).
-    theta_trace = np.sum(quad[:, scores], axis=-1) / km1 - scale**2 * (
+    theta_trace = (quad.sum(-1) + quad_r) / km1 - scale**2 * (
         np.einsum("tij,tij->t", tw[:, scores].view(float), y[:, scores].view(float))
         - np.einsum("tij,tij->t", ry[..., scores], ry_scaled[..., scores])
     )
     cross = scale * (
-        wtu.view(float).reshape(len(wtu), -1, 2).swapaxes(1, 2)  # real, imaginary rows
+        wtu.view(float).reshape(trials, -1, 2).swapaxes(1, 2)  # real, imaginary rows
         - scale * (tw[:, border].conj() @ y[:, : k + 3].swapaxes(-1, -2)).real
         + scale * (ry_scaled[..., border].swapaxes(-1, -2) @ ry)
     )
-    # q[:, K+1] is v^H X v; the CUT's amplitude score is zero, so Y is
-    # B^T Q^{-1} G_theta. The 2 log det M of C and of A cancel.
-    schur = 2.0 * q[:, k + 1, None, None].real * np.eye(2) - cross[..., border]
+    # proj[:, 0, K+1, 1] is v^H X v; the CUT's amplitude score is zero, so Y
+    # is B^T Q^{-1} G_theta. The 2 log det M of C and of A cancel.
+    schur = 2.0 * proj[:, 0, k + 1, 1, None, None].real * np.eye(2) - cross[..., border]
     logs = np.log(np.abs(np.concatenate([margin, eig], axis=1)))
     logs[:, :4] *= ((n + 1) // 2, n // 2) * 2
-    theta_logdet = (m * math.log(km1) + 2 * n * math.log(2.0) + logdet_f) + np.sum(logs, axis=-1)
+    theta_logdet = (m * math.log(km1) + 2 * n * math.log(2.0) + logdet_f) + logs.sum(-1)
     y_theta = cross[..., scores]
     schur = (0.5 * (schur + schur.swapaxes(-1, -2)), y_theta @ y_theta.swapaxes(-1, -2))
-    failures = {**errors, **failures}
-    return _with_placeholders(theta_trace, theta_logdet, schur, failures, fallbacks, dead)
+    failures, dead = {**errors, **failures}, dead | set(estimate.alpha_failures)
+    out[Approach.A] = _with_placeholders(
+        theta_trace, theta_logdet, schur, failures, fallbacks, dead
+    )
+    return {a: out[a] for a in approaches}
 
 
 def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoTerms:

@@ -406,6 +406,7 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
         for task in tasks:
             _absorb(_run_chunk(task))
     else:
+        import numpy.random  # noqa: F401  # loaded once here; the forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers, initializer=_retain_heap) as pool:
             for result in pool.map(_run_chunk, tasks):
                 _absorb(result)

@@ -9,7 +9,7 @@ import pytest
 
 from oracle import complex_normal
 
-from covstruct.estimators import Dataset
+from covstruct.estimators import Approach, Dataset
 from covstruct.structures import Hypothesis, project
 
 FD_STEP = 1e-5
@@ -82,15 +82,16 @@ def random_dataset(rng, n, k, with_cut=True):
 
 def with_singular_schur(real_info, hypothesis, trial):
     """information_terms, except that ``hypothesis`` gets a singular 2 x 2
-    Schur complement at ``trial`` of each stack."""
+    Schur complement at ``trial`` of each stack under approach A."""
 
-    def patched(estimate, stack, approach):
-        info = real_info(estimate, stack, approach)
-        if estimate.hypothesis is not hypothesis or info.schur is None:
-            return info
+    def patched(estimate, stack, approaches):
+        infos = real_info(estimate, stack, approaches)
+        if estimate.hypothesis is not hypothesis or Approach.A not in infos:
+            return infos
+        info = infos[Approach.A]
         observed = info.schur[0].copy()
         observed[trial] = [[1.0, 1.0], [1.0, 1.0]]
-        return dataclasses.replace(info, schur=(observed, info.schur[1]))
+        return {**infos, Approach.A: dataclasses.replace(info, schur=(observed, info.schur[1]))}
 
     return patched
 

@@ -241,7 +241,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
                 / np.linalg.norm(pair.observed)
             )
             got, errors, _ = _information_penalty(
-                tic, information_terms(est, stack, Approach.B)
+                tic, information_terms(est, stack, (Approach.B,))[Approach.B]
             )
             assert not errors
             got = got[0]

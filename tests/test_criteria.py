@@ -382,10 +382,16 @@ def test_batched_argmin_resolves_ties_per_trial():
         [nan, 3.0, 1.0, nan, nan],
         [5.0, nan, 1.0, nan, nan],
     ])
-    chosen = _argmin_batch(totals, np.isnan(totals), [COUNTS_13[h] for h in Hypothesis])
+    counts = [COUNTS_13[h] for h in Hypothesis]
+    chosen = _argmin_batch(totals, np.isnan(totals), counts)
     h1, h2, h3, h4 = Hypothesis
     want = [h4, h2, h4, h1, None]
     assert [None if c == NONE_CHOSEN else Hypothesis(c + 1) for c in chosen] == want
+    # Stacked over rules, as the engine scores them, each (4, T) slice
+    # resolves as it does alone.
+    stacked = np.stack([totals, totals[::-1], totals[:, ::-1]])
+    for got, one in zip(_argmin_batch(stacked, np.isnan(stacked), counts), stacked):
+        np.testing.assert_array_equal(got, _argmin_batch(one, np.isnan(one), counts))
 
 
 def test_argmin_shift_invariance(rng):
@@ -438,29 +444,36 @@ def test_batch_reuses_estimates_and_fims(rng, monkeypatch):
         estimate_calls.append(hypothesis)
         return real_estimate(hypothesis, dataset)
 
-    def counting_info(estimate, dataset, approach):
-        info_calls.append(estimate.hypothesis)
-        return real_info(estimate, dataset, approach)
+    def counting_info(estimate, dataset, approaches):
+        info_calls.append((estimate.hypothesis, tuple(approaches)))
+        return real_info(estimate, dataset, approaches)
 
     monkeypatch.setattr(criteria_module, "estimate_covariance", counting_estimate)
     monkeypatch.setattr(criteria_module, "information_terms", counting_info)
     ds = random_dataset(rng, 4, 9)
     classify_stack(DatasetStack.of([ds]), (Approach.A, Approach.B), DEFAULT_CRITERIA)
     # Seven rules, two approaches, four hypotheses: one estimate per
-    # hypothesis shared by both approaches, and one set of information terms
-    # per hypothesis and approach shared by every rule that needs it.
+    # hypothesis shared by both approaches, and one information pass per
+    # hypothesis giving both approaches' terms to every rule that needs them.
     assert sorted(estimate_calls, key=int) == list(Hypothesis)
-    assert sorted(info_calls, key=int) == sorted(2 * list(Hypothesis), key=int)
+    both = (Approach.A, Approach.B)
+    assert sorted(info_calls, key=lambda c: int(c[0])) == [(h, both) for h in Hypothesis]
 
 
-@pytest.mark.parametrize("n, k", [(7, 8), (7, 24)])
+@pytest.mark.parametrize("n, k", [(7, 8), (7, 24), (13, 14), (13, 45)])
 def test_each_approach_scores_alike_alone_and_beside_the_other(n, k):
     # K = N + 1 and K > 3N, where the approach-A information terms pair the
-    # most and the fewest rows: a stack of campaign-like draws, every rule,
-    # gives bit-identical arrays for B under (B,) and (A, B), and for A
-    # under (A,) and (A, B).
-    rngs = [np.random.default_rng(seed) for seed in range(6)]
-    stack = draw_stack(Hypothesis.H4, ScenarioConfig(n=n), k, rngs)
+    # most and the fewest rows: a stack of case-1 draws, every rule, gives
+    # bit-identical arrays for B under (B,) and (A, B), and for A under (A,)
+    # and (A, B). B's terms come from A's pass over the snapshot rows when
+    # both run, and every class's X from A's solve.
+    rngs = [np.random.default_rng(seed) for seed in range(8)]
+    stack = draw_stack(Hypothesis.H4, ScenarioConfig(n=n), k, rngs[:6])
+    if n == 13:  # every truth, two draws each
+        parts = [draw_stack(h, ScenarioConfig(n=n), k, rngs[2 * i : 2 * i + 2])
+                 for i, h in enumerate(Hypothesis)]
+        stack = DatasetStack(*(np.concatenate([getattr(p, name) for p in parts])
+                               for name in ("secondary", "cut", "steering")))
     both = classify_stack(stack, (Approach.A, Approach.B), DEFAULT_CRITERIA)
     for approach in Approach:
         alone = classify_stack(stack, (approach,), DEFAULT_CRITERIA)[approach]
@@ -468,6 +481,24 @@ def test_each_approach_scores_alike_alone_and_beside_the_other(n, k):
             got, want = alone[crit], both[approach][crit]
             for field in ("fit", "penalty", "total", "chosen"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_fim_rules_under_a_invert_nothing(rng, monkeypatch):
+    # Under approach A every class takes X from the solve that gives its
+    # amplitudes (in real arithmetic for H2 and H4), so inv is never called;
+    # a B-only batch, which solves nothing, inverts each class once.
+    inverted, real_inv = [], np.linalg.inv
+
+    def inv(a):
+        inverted.append(a.dtype)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
+    for approaches, calls in (((Approach.A,), 0), ((Approach.A, Approach.B), 0), ((Approach.B,), 4)):
+        classify_stack(stack, approaches, (TIC, BIC))
+        assert len(inverted) == calls, approaches
+        inverted.clear()
 
 
 def test_prepared_estimates_feed_batch(rng):

@@ -13,6 +13,7 @@ from covstruct.estimators import (
     estimate_alpha_stack,
     estimate_covariance,
 )
+from covstruct.linalg import hermitian_part
 from covstruct.scenario import steering_vector
 from covstruct.structures import Hypothesis
 
@@ -243,14 +244,32 @@ def test_x_hat_is_the_hermitian_inverse_of_m_hat(rng):
         np.testing.assert_array_equal(x, x.conj().T)
 
 
+def test_x_hat_from_the_solve_is_the_inverse_to_the_bit(rng):
+    # With a FIM rule, X comes from the [I v z] solve under approach A (in
+    # real arithmetic for H2 and H4); for every class, under A and B, at any
+    # stack size, it is bit-identical to the Hermitian part of inv(M), and
+    # the amplitudes and CUT fits to those of the [v z] solve alone.
+    for n, k, trials in ((5, 6, 1), (7, 20, 4), (13, 26, 24)):
+        stack = DatasetStack.of([random_dataset(rng, n, k) for _ in range(trials)])
+        for approach in Approach:
+            alone = prepare_estimates(stack, approach)
+            formed = prepare_estimates(stack, approach, inverse=True)
+            for h, est in formed.items():
+                want = hermitian_part(np.linalg.inv(est.m_hat))
+                assert ("x_hat" in vars(est)) is (approach is Approach.A)
+                np.testing.assert_array_equal(est.x_hat, want, err_msg=str((h, approach)))
+                for name in ("alpha_hat", "quad", "logdet"):
+                    np.testing.assert_array_equal(getattr(est, name), getattr(alone[h], name))
+
+
 def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
     # Only the TIC and BIC information terms read X: a campaign of the
-    # closed-form rules inverts nothing, and a FIM rule forms X on first use.
+    # closed-form rules inverts nothing, and a FIM rule forms X.
     stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
     seen, real_prepare = [], criteria.prepare_estimates
 
-    def prepare(*args):
-        seen.append(real_prepare(*args))
+    def prepare(*args, **kwargs):
+        seen.append(real_prepare(*args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(criteria, "prepare_estimates", prepare)
@@ -284,6 +303,33 @@ def test_a_failed_solve_is_its_trials_failure_and_a_fallback(rng, monkeypatch):
     assert a_scores.failures[(1, 1)] == "LinAlgError: solve with the ICM estimate: Singular matrix"
     assert a_scores.stack_fallbacks == len(Hypothesis)
     assert not scores[Approach.B][Criterion(CriterionKind.AIC)].failures
+
+
+def test_a_singular_m_in_the_one_lu_solve_counts_once(rng, monkeypatch):
+    # The [I v z] solve of a FIM rule refuses its stack as the [v z] solve
+    # does: the trial that breaks loses approach A alone, its X is NaN (so a
+    # B rule fails that trial as not finite, never silently), and each
+    # class's fallback is counted once whatever the rules.
+    stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
+    real_solve = np.linalg.solve
+    broken = stack.scatter[1] / stack.k
+
+    def solve(a, b):  # the estimates' solves; TIC's 2 x 2 Schur solves pass
+        if a.shape[-1] == 5 and (a.ndim == 3 or np.allclose(a, broken)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    est = prepare_estimates(stack, Approach.A, inverse=True)[Hypothesis.H1]
+    assert list(est.alpha_failures) == [1] and est.fallbacks == 1
+    assert np.isnan(est.x_hat[1]).all() and np.isfinite(est.x_hat[[0, 2]]).all()
+    tic = Criterion(CriterionKind.TIC)
+    scores = classify_stack(stack, (Approach.A, Approach.B), [tic])
+    a_scores, b_scores = scores[Approach.A][tic], scores[Approach.B][tic]
+    assert a_scores.failures[(1, 1)] == "LinAlgError: solve with the ICM estimate: Singular matrix"
+    assert a_scores.stack_fallbacks == b_scores.stack_fallbacks == len(Hypothesis)
+    assert list(b_scores.failures) == [(1, 1)]
+    assert b_scores.failures[(1, 1)].startswith("NonFiniteScoreError")
 
 
 def test_degenerate_steering_raises():

@@ -280,6 +280,11 @@ def test_loglik_rejects_non_pd_theta(rng):
 # Stacked information terms against the matrix-space oracle
 
 
+def _terms(estimate, stack, approach):
+    """The information terms of one approach alone."""
+    return information_terms(estimate, stack, (approach,))[approach]
+
+
 def _relative_error(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -293,7 +298,7 @@ def _assert_terms_match_oracle(datasets, tolerance):
     for approach in Approach:
         prepared = prepare_estimates(stack, approach)
         for h in Hypothesis:
-            info = information_terms(prepared[h], stack, approach)
+            info = _terms(prepared[h], stack, approach)
             assert not info.failures
             for t, ds in enumerate(datasets):
                 trace, logdet, schur = matrix_space_terms(prepared[h], t, ds, approach)
@@ -387,7 +392,7 @@ def test_information_terms_match_40_digit_definitions_at_k_n_plus_one():
     stack = DatasetStack.of(datasets)
     prepared = prepare_estimates(stack, Approach.A)
     for h in Hypothesis:
-        info = information_terms(prepared[h], stack, Approach.A)
+        info = _terms(prepared[h], stack, Approach.A)
         for t, ds in enumerate(datasets):
             trace, logdet, schur = exact_information_terms(h, ds)
             schur = np.array(schur.tolist(), dtype=float)
@@ -417,7 +422,7 @@ def test_uncertified_capacitance_fails_its_trial_alone(scale, message):
     rest = DatasetStack.of([datasets[0], datasets[2]])
     with np.errstate(all="ignore"):  # the overflow itself
         prepared = prepare_estimates(stack, Approach.A)
-        infos = {h: information_terms(prepared[h], stack, Approach.A) for h in Hypothesis}
+        infos = {h: _terms(prepared[h], stack, Approach.A) for h in Hypothesis}
     prepared_rest = prepare_estimates(rest, Approach.A)
     for h, info in infos.items():
         assert not prepared[h].failures and not prepared[h].alpha_failures
@@ -427,7 +432,7 @@ def test_uncertified_capacitance_fails_its_trial_alone(scale, message):
         assert info.theta_trace[1] == info.theta_logdet[1] == 0.0
         np.testing.assert_array_equal(info.schur[0][1], np.eye(2))
         np.testing.assert_array_equal(info.schur[1][1], np.zeros((2, 2)))
-        alone = information_terms(prepared_rest[h], rest, Approach.A)
+        alone = _terms(prepared_rest[h], rest, Approach.A)
         for got, want in ((0, 0), (2, 1)):
             assert info.theta_trace[got] == alone.theta_trace[want]
             assert info.theta_logdet[got] == alone.theta_logdet[want]
@@ -465,11 +470,11 @@ def test_information_terms_of_a_stack_equal_its_one_trial_slices(data):
     for approach in Approach:
         prepared = prepare_estimates(stack, approach)
         for h in Hypothesis:
-            info = information_terms(prepared[h], stack, approach)
+            info = _terms(prepared[h], stack, approach)
             live_failed = False
             for t, ds in enumerate(datasets):
                 one = DatasetStack.of([ds])
-                alone = information_terms(prepare_estimates(one, approach)[h], one, approach)
+                alone = _terms(prepare_estimates(one, approach)[h], one, approach)
                 live_failed = live_failed or bool(alone.failures)
                 assert info.theta_trace[t] == alone.theta_trace[0]
                 assert info.theta_logdet[t] == alone.theta_logdet[0]

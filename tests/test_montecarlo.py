@@ -4,6 +4,7 @@ import ctypes
 import functools
 import multiprocessing
 import os
+import subprocess
 import sys
 import types
 from concurrent.futures import ProcessPoolExecutor
@@ -268,6 +269,38 @@ def test_heap_retention_runs_in_the_loop_and_in_every_worker(monkeypatch, tmp_pa
         assert report.heap_retained is _RETAIN_HEAP()
         for path in tmp_path.iterdir():
             path.unlink()
+
+
+_INHERITS_NUMPY_RANDOM = """
+import functools, multiprocessing, sys
+from concurrent.futures import ProcessPoolExecutor
+from covstruct import montecarlo
+from covstruct.criteria import Criterion, CriterionKind
+from covstruct.scenario import ScenarioConfig
+from covstruct.structures import Hypothesis
+assert "numpy.random" not in sys.modules, "importing covstruct loaded numpy.random"
+def chunk(task):
+    assert "numpy.random" in sys.modules, "a worker's chunk found no numpy.random"
+    return run_chunk(task)
+run_chunk, montecarlo._run_chunk = montecarlo._run_chunk, chunk
+fork = multiprocessing.get_context("fork")
+montecarlo.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=fork)
+montecarlo.run_campaign(montecarlo.CampaignConfig(
+    scenario=ScenarioConfig(n=5), k_grid=(11,), trials=2, criteria=(Criterion(CriterionKind.AIC),),
+    truths=(Hypothesis.H1, Hypothesis.H3), workers=2))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs forked workers"
+)
+def test_pool_workers_inherit_numpy_random():
+    # covstruct run forks its pool before its own process has drawn anything:
+    # the workers' first chunks still find numpy.random loaded, and importing
+    # the package does not load it.
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", _INHERITS_NUMPY_RANDOM], env=env, check=True)
 
 
 def test_without_mallopt_the_heap_is_left_alone(monkeypatch):
