@@ -37,8 +37,8 @@ recorded, and the argmin runs over the survivors.
 
 One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
 datasets at once: the estimates come from stacked projections, one stacked
-Cholesky per class and, under approach A, one stacked solve for the
-amplitudes (and, for TIC and BIC only, the inverse estimates), the fits are
+Cholesky per class and one stacked solve, for the amplitudes under approach
+A and, for TIC and BIC only, the inverse estimates, the fits are
 (4, T) arrays, the closed-form penalties are one value per hypothesis, and
 one argmin runs over every rule's (4, T) totals at once. TIC and BIC take
 one pass of the information terms per class, for every approach. A trial
@@ -273,21 +273,22 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str
     """Stacked ``solve(a, b)``, per trial whose solve raises or is not
     finite the reason, and whether the stack fell back. numpy refuses the
     whole stack when one matrix is singular; the trials are then solved one
-    by one."""
+    by one, and a trial whose solve raises is left NaN."""
     bad: dict[int, str] = {}
     fell_back = False
     try:
         solved = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         fell_back = True
-        solved = np.zeros(b.shape, np.result_type(a, b))
+        solved = np.full(b.shape, np.nan, np.result_type(a, b))
         for t in range(len(a)):
             try:
                 solved[t] = np.linalg.solve(a[t], b[t])
             except np.linalg.LinAlgError as exc:
                 bad[t] = str(exc)
-    for t in np.flatnonzero(~np.isfinite(solved).all(axis=(-2, -1))):
-        bad.setdefault(int(t), "non-finite solve result")
+    if not np.isfinite(solved).all():
+        for t in np.flatnonzero(~np.isfinite(solved).all(axis=(-2, -1))):
+            bad.setdefault(int(t), "non-finite solve result")
     return solved, dict(sorted(bad.items())), fell_back
 
 
@@ -422,9 +423,10 @@ def _argmin_batch(
     return np.where(failed.all(axis=-2), NONE_CHOSEN, chosen)
 
 
-def prepare_estimates(stack: DatasetStack, approach: Approach, inverse: bool = False) -> dict:
-    """Per-hypothesis :class:`EstimateStack` of a stack; one stacked Cholesky
-    per class gives log det M and is the one positive-definiteness check.
+def prepare_estimates(stack: DatasetStack, approach: Approach, criteria=()) -> dict:
+    """Per-hypothesis :class:`EstimateStack` of a stack for the rules
+    ``criteria``; one stacked Cholesky per class gives log det M and is the
+    one positive-definiteness check.
 
     A trial whose estimate is not positive definite keeps its error, and
     its rows of M are the identity. Under approach A one stacked solve of M
@@ -432,11 +434,17 @@ def prepare_estimates(stack: DatasetStack, approach: Approach, inverse: bool = F
     energy, or a failed solve, is kept as the alpha failure: the covariance
     estimates stay valid for the secondary-only likelihood, and only the
     joint-likelihood rules lose that hypothesis. Real classes solve their
-    (Re, Im) column pairs. With ``inverse`` (a TIC or BIC rule runs) the solve
-    takes ``[I v z]``: the ``v z`` columns keep their bits, and the ``I``
-    columns give X, ``inv(M)`` to the bit (NaN where the solve failed).
+    (Re, Im) column pairs. Where a TIC or BIC rule needs X, that one solve
+    takes ``[I v z]`` (``[I]`` under approach B): the ``I`` columns give X,
+    ``inv(M)`` to the bit, and the ``v z`` columns keep their bits; each is
+    judged on its own columns, so X is NaN only where its own solve failed.
     """
     approach = Approach.parse(approach)
+    eye = stack.n if any(c.needs_fim for c in criteria) else 0
+    vz = np.zeros((len(stack), stack.n, 0), complex)  # no columns under approach B
+    if approach is Approach.A:
+        cut, steering = stack.require_cut()
+        vz = np.stack([steering, cut], -1)
     out: dict[Hypothesis, EstimateStack] = {}
     for h in Hypothesis:
         m_hat = estimate_covariance(h, stack)
@@ -444,34 +452,27 @@ def prepare_estimates(stack: DatasetStack, approach: Approach, inverse: bool = F
         if errors:
             m_hat[list(errors)] = np.eye(stack.n)
         alpha, quad, alpha_errors, x_hat = None, None, {}, None
-        if approach is Approach.A:
-            cut, steering = stack.require_cut()
-            rhs, eye = np.concatenate([steering[..., None], cut[..., None]], -1), stack.n * inverse
-            rhs = rhs.view(float) if h.is_real else rhs
-            if inverse:  # [I v z]
-                rhs = np.concatenate([np.zeros(m_hat.shape), rhs], -1)
-                rhs.reshape(len(rhs), -1)[:, :: rhs.shape[-1] + 1][:, :eye] = 1.0
+        if approach is Approach.A or eye:
+            rhs = vz.view(float) if h.is_real else vz
+            if eye:  # [I v z], or [I] under approach B
+                full = np.zeros((*m_hat.shape[:-1], eye + rhs.shape[-1]), rhs.dtype)
+                full[..., :eye], full[..., eye:] = np.eye(eye), rhs
+                rhs = full
             solved, bad, solve_fell_back = _solve_each(m_hat, rhs)
-            vz = np.ascontiguousarray(solved[..., eye:]).view(complex)
-            alpha, quad, alpha_errors = estimate_alpha_stack(vz, cut, steering)
-            for t, reason in bad.items():
-                alpha_errors[t] = np.linalg.LinAlgError(f"solve with the ICM estimate: {reason}")
             fell_back += solve_fell_back
-            if inverse:
-                x_hat = hermitian_part(solved[..., :eye])
-                x_hat[list(bad)] = np.nan  # a failed solve's X
+            x_hat = hermitian_part(solved[..., :eye]) if eye else None
+        if approach is Approach.A:
+            solved_vz = np.ascontiguousarray(solved[..., eye:]).view(complex)
+            alpha, quad, alpha_errors = estimate_alpha_stack(solved_vz, cut, steering)
+            for t, reason in bad.items():  # X's columns alone may be the bad ones
+                if not np.isfinite(solved_vz[t]).all():
+                    reason = f"solve with the ICM estimate: {reason}"
+                    alpha_errors[t] = np.linalg.LinAlgError(reason)
         out[h] = EstimateStack(
-            hypothesis=h,
-            m_hat=m_hat,
-            logdet=logdet_from_cholesky(low),
-            alpha_hat=alpha,
-            quad=quad,
-            failures=errors,
+            hypothesis=h, m_hat=m_hat, logdet=logdet_from_cholesky(low), alpha_hat=alpha,
+            quad=quad, failures=errors, fallbacks=int(fell_back), x_hat=x_hat,
             alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
-            fallbacks=int(fell_back),
         )
-        if x_hat is not None:
-            object.__setattr__(out[h], "x_hat", x_hat)  # the lazy inverse, from this LU
     return out
 
 
@@ -507,7 +508,7 @@ def classify_stack(
     prep = Approach.A if Approach.A in approaches else approaches[0]
     fim = any(c.needs_fim for c in criteria)
     with np.errstate(all="ignore"):
-        prepared = prepare_estimates(stack, prep, inverse=fim)
+        prepared = prepare_estimates(stack, prep, criteria)
         infos = {h: information_terms(e, stack, approaches) for h, e in prepared.items() if fim}
         return {a: _evaluate(stack, a, criteria, prepared, infos) for a in approaches}
 
@@ -538,6 +539,7 @@ def _evaluate(
 
     # Every rule's penalties, then one pass over the (rules, 4, T) totals.
     pen, rules = np.empty((len(criteria), *fit.shape)), []
+    failed = np.zeros(pen.shape, dtype=bool)
     for c, criterion in enumerate(criteria):
         failures = dict(lost)
         retries, fallbacks = 0, estimate_fallbacks
@@ -551,20 +553,12 @@ def _evaluate(
                     failures.setdefault((int(h), t), exc)
                 continue
             try:
-                pen[c, i] = penalty(
-                    criterion,
-                    n_params=counts[i] + alpha_params,
-                    m_params=counts[i],
-                    k=k,
-                    n=n,
-                    approach=approach,
-                )
+                pen[c, i] = penalty(criterion, n_params=counts[i] + alpha_params,
+                                    m_params=counts[i], k=k, n=n, approach=approach)
             except AiccDegenerateError as exc:
                 for t in range(trials):
                     failures.setdefault((int(h), t), exc)
         rules.append((failures, retries, fallbacks))
-    failed = np.zeros(pen.shape, dtype=bool)
-    for c, (failures, _, _) in enumerate(rules):
         for h, t in failures:
             failed[c, h - 1, t] = True
     pen[failed] = np.nan

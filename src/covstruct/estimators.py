@@ -15,8 +15,8 @@ The signal amplitude ``alpha`` is estimated from the cell under test with the
 ICM estimate X = M^-1 plugged in: the ML amplitude ``v^H X z / v^H X v``
 minimises ``(z - alpha v)^H X (z - alpha v)`` over complex alpha for every
 class and every steering vector. It and that fit take one solve of M with
-``[v z]``, which gives X too, by the same LU, where the information terms
-need it.
+``[v z]``; where the information terms need X, the same LU gives it from
+``[I v z]`` (``[I]`` under approach B).
 """
 
 from __future__ import annotations
@@ -194,10 +194,10 @@ class EstimateStack:
     :func:`estimate_alpha_stack`, and ``alpha_failures`` maps each trial
     whose steering energy is degenerate, or whose solve failed, to its
     error; under approach B both are None. ``fallbacks`` counts the stacked
-    factorizations and solves that fell back to matrix by matrix. ``x_hat``,
-    the Hermitian inverses of ``m_hat``, which only the TIC and BIC terms
-    read, comes from the class's LU when the amplitudes' solve formed it
-    (``prepare_estimates(..., inverse=True)``), else from ``inv`` on first use.
+    factorizations and solves that fell back to matrix by matrix. ``x_hat``
+    holds the Hermitian parts of the inverses of ``m_hat``, from the class's
+    one LU (the amplitudes' solve under approach A), where a TIC or BIC rule
+    needs it, and is None otherwise; it is NaN where that solve failed.
     """
 
     hypothesis: Hypothesis
@@ -208,10 +208,7 @@ class EstimateStack:
     failures: dict[int, Exception]
     alpha_failures: dict[int, Exception]
     fallbacks: int = 0
-
-    @functools.cached_property
-    def x_hat(self) -> np.ndarray:
-        return hermitian_part(np.linalg.inv(self.m_hat))
+    x_hat: np.ndarray | None = None
 
 
 def estimate_covariance(hypothesis: Hypothesis, stack: DatasetStack) -> np.ndarray:

@@ -94,13 +94,14 @@ _PARITY = {
 # Row g: the weight of lam_g g(X^T) in B + B' and in i (B - B'): A^{-1} in real form.
 _REAL_ROWS = {h: np.array([[1, 1j - 2j * c] for _, c in g]) for h, g in _VECTOR_GROUPS.items()}
 # E on the columns g(r), then i g(r), and the sorted diagonal (the inertia) of
-# a block. H4's J maps column c to c + 2 in its half and commutes with A^{-1}:
-# in the columns (c +- J c) / sqrt 2 of _H4_BASIS the core is two blocks.
-_CORE_SIGNS = {h: np.diag([1.0] * len(g) + [1.0 if c else -1.0 for _, c in g])
-               for h, g in _VECTOR_GROUPS.items()}
+# a block. H4's J maps column c to c + 2 in its half and commutes with A^{-1}
+# and E: in the columns (c +- J c) / sqrt 2 of _H4_BASIS the core is two
+# blocks, and E is the J-even columns' signs in each.
 _EVEN, _ODD = np.eye(8)[:, [0, 1, 4, 5]], np.eye(8)[:, [2, 3, 6, 7]]
 _H4_BASIS = math.sqrt(0.5) * np.hstack([_EVEN + _ODD, _EVEN - _ODD])
-_CORE_SIGNS[Hypothesis.H4] = np.diag(np.tile(np.diag(_CORE_SIGNS[Hypothesis.H4])[[0, 1, 4, 5]], 2))
+_CORE_SIGNS = {h: np.diag(np.array([1.0] * len(g) + [1.0 if c else -1.0 for _, c in g])
+                          [[0, 1, 4, 5] * 2 if h is Hypothesis.H4 else slice(None)])
+               for h, g in _VECTOR_GROUPS.items()}
 _INERTIA = {h: np.sort(np.diag(e)[:4]) for h, e in _CORE_SIGNS.items()}
 
 
@@ -160,6 +161,8 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     h, n, k, x = estimate.hypothesis, stack.n, stack.k, estimate.x_hat
     if Approach.A in approaches and estimate.alpha_hat is None:
         raise ValueError("approach A needs alpha_hat on the estimate stack")
+    if x is None:
+        raise ValueError("the information terms need x_hat: prepare the estimates for TIC or BIC")
     m, group = param_count(h, n), _VECTOR_GROUPS[h]
     sandwich, failures, fallbacks = _sandwich_logdet(h, estimate.m_hat, estimate.logdet)
     logdet_f = basis_log_norm(h, n) - sandwich
@@ -225,7 +228,8 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
         y = (tw.view(float) @ real).view(complex)
     # <g(r), y> = Re g(r)^H y, <i g(r), y> = Im g(r)^H y; for H4 in the
     # columns of _H4_BASIS. eigh reads each block's lower triangle and sorts
-    # ascending; NaN or inf fails the certificate.
+    # ascending; the floor takes its scale from the whole core (both blocks),
+    # and NaN or inf fails the certificate.
     gy = r_images.conj() @ y.swapaxes(-1, -2)
     vy = np.concatenate([gy.real, gy.imag], axis=1)
     if h is Hypothesis.H4:
@@ -239,7 +243,7 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     except np.linalg.LinAlgError:  # a NaN core; a zero one fails the certificate
         core[~np.isfinite(core).all(axis=(-2, -1))] = 0.0
         eig, vec = np.linalg.eigh(core)
-    floor = _PIVOT_RTOL * np.maximum(-eig[..., :1], eig[..., -1:])
+    floor = _PIVOT_RTOL * np.maximum(-eig[..., :1], eig[..., -1:]).max(-2, keepdims=True)
     certified = (margin[:, :2] > _PIVOT_RTOL * margin[:, 2:]).all(-1)
     certified &= (eig * _INERTIA[h] > floor).all((-2, -1))
     eig, errors = eig.reshape(trials, 2 * size), {}
@@ -278,7 +282,7 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     out[Approach.A] = _with_placeholders(
         theta_trace, theta_logdet, schur, failures, fallbacks, dead
     )
-    return {a: out[a] for a in approaches}
+    return out
 
 
 def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoTerms:

@@ -20,6 +20,8 @@ from covstruct.structures import Hypothesis
 from conftest import random_dataset
 from oracle import complex_normal, exchange, satisfies_structure
 
+FIM = (Criterion(CriterionKind.TIC),)  # a rule whose estimates carry X
+
 
 def test_dataset_validation(rng):
     secondary = complex_normal(rng, (4, 10))
@@ -174,7 +176,7 @@ def test_alpha_minimises_the_cut_fit_under_every_class(rng):
             for _ in range(5):
                 ds = random_dataset(rng, n, k)
                 ds = Dataset(secondary=ds.secondary, cut=ds.cut, steering=v)
-                est = prepare_estimates(DatasetStack.of([ds]), Approach.A)[h]
+                est = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)[h]
                 low_h = np.linalg.cholesky(est.x_hat[0]).conj().T
                 a_orc = alpha_ls_oracle(low_h @ ds.cut, low_h @ v)
                 a_hat = est.alpha_hat[0]
@@ -225,7 +227,7 @@ def test_alpha_and_cut_fit_match_the_inverse_forms(rng):
     for v in _steerings(rng, n):
         sets = [random_dataset(rng, n, k) for _ in range(trials)]
         stack = DatasetStack.of(Dataset(d.secondary, d.cut, v) for d in sets)
-        for h, est in prepare_estimates(stack, Approach.A).items():
+        for h, est in prepare_estimates(stack, Approach.A, FIM).items():
             x = est.x_hat
             vx = np.einsum("i,tij->tj", v.conj(), x)
             alpha = np.einsum("tj,tj->t", vx, stack.cut) / (vx @ v).real
@@ -237,7 +239,7 @@ def test_alpha_and_cut_fit_match_the_inverse_forms(rng):
 
 def test_x_hat_is_the_hermitian_inverse_of_m_hat(rng):
     ds = random_dataset(rng, 7, 20)
-    for h, est in prepare_estimates(DatasetStack.of([ds]), Approach.B).items():
+    for h, est in prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM).items():
         m, x = est.m_hat[0], est.x_hat[0]
         residual = np.abs(m @ x - np.eye(7)).max()
         assert residual <= 1e-10 * max(1.0, float(np.abs(m).max())), h
@@ -245,18 +247,19 @@ def test_x_hat_is_the_hermitian_inverse_of_m_hat(rng):
 
 
 def test_x_hat_from_the_solve_is_the_inverse_to_the_bit(rng):
-    # With a FIM rule, X comes from the [I v z] solve under approach A (in
-    # real arithmetic for H2 and H4); for every class, under A and B, at any
-    # stack size, it is bit-identical to the Hermitian part of inv(M), and
-    # the amplitudes and CUT fits to those of the [v z] solve alone.
+    # With a FIM rule, X comes from the class's one solve: [I v z] under
+    # approach A (in real arithmetic for H2 and H4), [I] under B. For every
+    # class, under A and B, at any stack size, it is bit-identical to the
+    # Hermitian part of inv(M), and the amplitudes and CUT fits to those of
+    # the [v z] solve alone.
     for n, k, trials in ((5, 6, 1), (7, 20, 4), (13, 26, 24)):
         stack = DatasetStack.of([random_dataset(rng, n, k) for _ in range(trials)])
         for approach in Approach:
             alone = prepare_estimates(stack, approach)
-            formed = prepare_estimates(stack, approach, inverse=True)
+            formed = prepare_estimates(stack, approach, FIM)
             for h, est in formed.items():
                 want = hermitian_part(np.linalg.inv(est.m_hat))
-                assert ("x_hat" in vars(est)) is (approach is Approach.A)
+                assert alone[h].x_hat is None
                 np.testing.assert_array_equal(est.x_hat, want, err_msg=str((h, approach)))
                 for name in ("alpha_hat", "quad", "logdet"):
                     np.testing.assert_array_equal(getattr(est, name), getattr(alone[h], name))
@@ -277,7 +280,7 @@ def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
     for rules, formed in ((closed, False), ([Criterion(CriterionKind.TIC)], True)):
         classify_stack(stack, (Approach.A, Approach.B), rules)
         for est in seen.pop().values():
-            assert ("x_hat" in vars(est)) is formed
+            assert (est.x_hat is not None) is formed
 
 
 def test_a_failed_solve_is_its_trials_failure_and_a_fallback(rng, monkeypatch):
@@ -306,10 +309,10 @@ def test_a_failed_solve_is_its_trials_failure_and_a_fallback(rng, monkeypatch):
 
 
 def test_a_singular_m_in_the_one_lu_solve_counts_once(rng, monkeypatch):
-    # The [I v z] solve of a FIM rule refuses its stack as the [v z] solve
-    # does: the trial that breaks loses approach A alone, its X is NaN (so a
-    # B rule fails that trial as not finite, never silently), and each
-    # class's fallback is counted once whatever the rules.
+    # The one solve of a FIM rule refuses its stack as the [v z] solve does:
+    # the trial that breaks loses approach A, and its X is NaN, so B's TIC
+    # fails that trial as not finite, never silently, and alike under (B,)
+    # and (A, B). Each class's fallback is counted once whatever the rules.
     stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
     real_solve = np.linalg.solve
     broken = stack.scatter[1] / stack.k
@@ -320,16 +323,39 @@ def test_a_singular_m_in_the_one_lu_solve_counts_once(rng, monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    est = prepare_estimates(stack, Approach.A, inverse=True)[Hypothesis.H1]
+    est = prepare_estimates(stack, Approach.A, FIM)[Hypothesis.H1]
     assert list(est.alpha_failures) == [1] and est.fallbacks == 1
     assert np.isnan(est.x_hat[1]).all() and np.isfinite(est.x_hat[[0, 2]]).all()
     tic = Criterion(CriterionKind.TIC)
     scores = classify_stack(stack, (Approach.A, Approach.B), [tic])
     a_scores, b_scores = scores[Approach.A][tic], scores[Approach.B][tic]
+    b_alone = classify_stack(stack, (Approach.B,), [tic])[Approach.B][tic]
     assert a_scores.failures[(1, 1)] == "LinAlgError: solve with the ICM estimate: Singular matrix"
     assert a_scores.stack_fallbacks == b_scores.stack_fallbacks == len(Hypothesis)
-    assert list(b_scores.failures) == [(1, 1)]
+    assert b_alone.stack_fallbacks == len(Hypothesis)
+    assert list(b_scores.failures) == [(1, 1)] and b_scores.failures == b_alone.failures
     assert b_scores.failures[(1, 1)].startswith("NonFiniteScoreError")
+
+
+def test_an_overflowing_cut_fails_approach_a_and_leaves_x_hat(rng):
+    # A finite CUT large enough to overflow X z fails approach A on that
+    # trial, as the [v z] solve alone does, and leaves X finite: B's TIC and
+    # BIC arrays are bit-identical under (A, B) and (B,).
+    stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
+    stack.cut[1] = np.finfo(float).max
+    rules = (Criterion(CriterionKind.TIC), Criterion(CriterionKind.BIC))
+    with np.errstate(all="ignore"):
+        for h, est in prepare_estimates(stack, Approach.A, rules).items():
+            assert list(est.alpha_failures) == [1], h
+            assert isinstance(est.alpha_failures[1], np.linalg.LinAlgError), h
+            assert np.isfinite(est.x_hat).all(), h
+    both = classify_stack(stack, (Approach.A, Approach.B), rules)
+    alone = classify_stack(stack, (Approach.B,), rules)[Approach.B]
+    for rule in rules:
+        assert all(t != 1 for _, t in both[Approach.B][rule].failures)
+        for name in ("fit", "penalty", "total", "chosen", "failures", "stack_fallbacks"):
+            got, want = getattr(both[Approach.B][rule], name), getattr(alone[rule], name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_degenerate_steering_raises():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstruct.criteria import prepare_estimates
+from covstruct.criteria import Criterion, CriterionKind, prepare_estimates
 from covstruct.estimators import Approach, Dataset, DatasetStack
 from covstruct.likelihood import information_terms
 from covstruct.linalg import NotPositiveDefiniteError
@@ -35,6 +35,8 @@ from oracle import (
 )
 from oracle import exact_information_terms
 from oracle import information_terms as matrix_space_terms
+
+FIM = (Criterion(CriterionKind.TIC),)  # the rules whose estimates carry X
 
 
 def structured_point(rng, h, n):
@@ -137,7 +139,7 @@ def test_grad_alpha_zero_at_alpha_hat(rng):
     ds = random_dataset(rng, 5, 17)
     for steering in (steering_vector(5, 0.01), ds.steering):
         one = Dataset(secondary=ds.secondary, cut=ds.cut, steering=steering)
-        estimates = prepare_estimates(DatasetStack.of([one]), Approach.A)
+        estimates = prepare_estimates(DatasetStack.of([one]), Approach.A, FIM)
         for h, est in estimates.items():
             g = grad_alpha(est.x_hat[0], est.alpha_hat[0], one.cut, steering)
             assert np.abs(g).max() <= 1e-8, h
@@ -179,14 +181,14 @@ def test_hessian_blocks_match_fd(rng, hypothesis):
 
 def test_observed_fim_symmetry_and_size(rng):
     ds = random_dataset(rng, 5, 14)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = observed_fim(model, estimates[h], 0, ds, Approach.A)
         assert fim.shape == (model.m + 2, model.m + 2)
         assert np.abs(fim - fim.T).max() <= 1e-8 * max(1.0, np.abs(fim).max())
     b_only = DatasetStack.of([Dataset(secondary=ds.secondary)])
-    b_estimates = prepare_estimates(b_only, Approach.B)
+    b_estimates = prepare_estimates(b_only, Approach.B, FIM)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = observed_fim(model, b_estimates[h], 0, ds, Approach.B)
@@ -198,7 +200,7 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
     # the two-branch formula; at the secondary-only MLE the result also
     # reduces to K C'(X* (x) X)C because X S X = K X there.
     ds = random_dataset(rng, 4, 12, with_cut=False)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM)
     s = ds.secondary @ ds.secondary.conj().T
     s = 0.5 * (s + s.conj().T)
     for h in Hypothesis:
@@ -224,7 +226,7 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
 
 def test_sample_fim_psd_and_rank(rng):
     ds = random_dataset(rng, 4, 11)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
         fim = sample_fim(model, estimates[h], 0, ds, Approach.A)
@@ -238,7 +240,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
     secondary = complex_normal(rng, (3, 7))
     ds = Dataset(secondary=secondary)
     model = structure_model(Hypothesis.H1, 3)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM)
     est = estimates[Hypothesis.H1]
     one_col = SimpleNamespace(secondary=secondary[:, :1], cut=None, steering=None)
     fim = sample_fim(model, est, 0, one_col, Approach.B)
@@ -247,7 +249,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
 
 def test_fim_pair_consistency(rng):
     ds = random_dataset(rng, 4, 13)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A)
+    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)
     model = structure_model(Hypothesis.H2, 4)
     est = estimates[Hypothesis.H2]
     pair = fim_pair(model, est, 0, ds, Approach.A)
@@ -296,7 +298,7 @@ def _assert_terms_match_oracle(datasets, tolerance):
     relative."""
     stack = DatasetStack.of(datasets)
     for approach in Approach:
-        prepared = prepare_estimates(stack, approach)
+        prepared = prepare_estimates(stack, approach, FIM)
         for h in Hypothesis:
             info = _terms(prepared[h], stack, approach)
             assert not info.failures
@@ -390,7 +392,7 @@ def test_information_terms_match_40_digit_definitions_at_k_n_plus_one():
         rng = np.random.default_rng((41, t))
         datasets.append(sample_dataset(truth_instance(truth, config, rng), config, 6, rng))
     stack = DatasetStack.of(datasets)
-    prepared = prepare_estimates(stack, Approach.A)
+    prepared = prepare_estimates(stack, Approach.A, FIM)
     for h in Hypothesis:
         info = _terms(prepared[h], stack, Approach.A)
         for t, ds in enumerate(datasets):
@@ -421,9 +423,9 @@ def test_uncertified_capacitance_fails_its_trial_alone(scale, message):
     stack = DatasetStack.of([datasets[0], huge, datasets[2]])
     rest = DatasetStack.of([datasets[0], datasets[2]])
     with np.errstate(all="ignore"):  # the overflow itself
-        prepared = prepare_estimates(stack, Approach.A)
+        prepared = prepare_estimates(stack, Approach.A, FIM)
         infos = {h: _terms(prepared[h], stack, Approach.A) for h in Hypothesis}
-    prepared_rest = prepare_estimates(rest, Approach.A)
+    prepared_rest = prepare_estimates(rest, Approach.A, FIM)
     for h, info in infos.items():
         assert not prepared[h].failures and not prepared[h].alpha_failures
         assert list(info.failures) == [1], h
@@ -468,13 +470,13 @@ def test_information_terms_of_a_stack_equal_its_one_trial_slices(data):
     datasets = _stack_with_bad_trial(data)
     stack = DatasetStack.of(datasets)
     for approach in Approach:
-        prepared = prepare_estimates(stack, approach)
+        prepared = prepare_estimates(stack, approach, FIM)
         for h in Hypothesis:
             info = _terms(prepared[h], stack, approach)
             live_failed = False
             for t, ds in enumerate(datasets):
                 one = DatasetStack.of([ds])
-                alone = _terms(prepare_estimates(one, approach)[h], one, approach)
+                alone = _terms(prepare_estimates(one, approach, FIM)[h], one, approach)
                 live_failed = live_failed or bool(alone.failures)
                 assert info.theta_trace[t] == alone.theta_trace[0]
                 assert info.theta_logdet[t] == alone.theta_logdet[0]
