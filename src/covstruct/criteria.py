@@ -423,10 +423,12 @@ def _argmin_batch(
     return np.where(failed.all(axis=-2), NONE_CHOSEN, chosen)
 
 
-def prepare_estimates(stack: DatasetStack, approach: Approach, criteria=()) -> dict:
+def prepare_estimates(
+    stack: DatasetStack, approach: Approach, criteria=(), hypotheses=tuple(Hypothesis)
+) -> dict:
     """Per-hypothesis :class:`EstimateStack` of a stack for the rules
-    ``criteria``; one stacked Cholesky per class gives log det M and is the
-    one positive-definiteness check.
+    ``criteria``, for each class in ``hypotheses``; one stacked Cholesky per
+    class gives log det M and is the one positive-definiteness check.
 
     A trial whose estimate is not positive definite keeps its error, and
     its rows of M are the identity. Under approach A one stacked solve of M
@@ -441,12 +443,11 @@ def prepare_estimates(stack: DatasetStack, approach: Approach, criteria=()) -> d
     """
     approach = Approach.parse(approach)
     eye = stack.n if any(c.needs_fim for c in criteria) else 0
-    vz = np.zeros((len(stack), stack.n, 0), complex)  # no columns under approach B
+    vz = stack.secondary[..., :0]  # no columns under approach B
     if approach is Approach.A:
-        cut, steering = stack.require_cut()
-        vz = np.stack([steering, cut], -1)
+        (cut, steering), vz = stack.require_cut(), stack.steering_cut
     out: dict[Hypothesis, EstimateStack] = {}
-    for h in Hypothesis:
+    for h in hypotheses:
         m_hat = estimate_covariance(h, stack)
         low, errors, fell_back = cholesky_stack(m_hat)
         if errors:
@@ -493,12 +494,12 @@ def classify_stack(
 ) -> dict[Approach, dict[Criterion, TrialScores]]:
     """Classify a stack of T datasets under every approach and rule at once.
 
-    The four plug-in estimate stacks are prepared once, under approach A when
-    A is asked for: estimates that carry alpha also serve approach B, the
-    reverse does not hold. Per approach the fit terms are (4, T) arrays, the
-    closed-form penalties one value per hypothesis and the argmin one pass
-    over every rule; if any rule needs the information terms, one pass per
-    hypothesis forms them for every approach.
+    The classes run one at a time, so one class's M and X are held at once:
+    its estimates and one LU, prepared under approach A when A is asked for
+    (estimates that carry alpha also serve approach B, not the reverse), and
+    if any rule needs them its information terms, one pass for every
+    approach, leave only its fit rows, failures and terms. Per approach the
+    argmin then runs once over every rule's (4, T) totals.
     Each trial's outcome is bit-identical whatever stack it sits in. Finite
     data can overflow; numpy's warnings are silenced, as every non-finite
     value ends as a typed failure of its trial and hypothesis.
@@ -507,35 +508,34 @@ def classify_stack(
     criteria = tuple(criteria)
     prep = Approach.A if Approach.A in approaches else approaches[0]
     fim = any(c.needs_fim for c in criteria)
+    fits = {a: (np.empty((len(Hypothesis), len(stack))), {}) for a in approaches}
+    infos, fallbacks = {}, 0
     with np.errstate(all="ignore"):
-        prepared = prepare_estimates(stack, prep, criteria)
-        infos = {h: information_terms(e, stack, approaches) for h, e in prepared.items() if fim}
-        return {a: _evaluate(stack, a, criteria, prepared, infos) for a in approaches}
+        for i, h in enumerate(Hypothesis):
+            est = prepare_estimates(stack, prep, criteria, (h,))[h]
+            fallbacks += est.fallbacks
+            if fim:
+                infos[h] = information_terms(est, stack, approaches)
+            for a, (fit, lost) in fits.items():
+                fit[i] = _fit_terms(est, stack, a)
+                dead = {**est.failures, **est.alpha_failures} if a is Approach.A else est.failures
+                for t, exc in dead.items():
+                    lost[(int(h), t)], fit[i, t] = exc, np.nan
+        return {a: _evaluate(stack, a, criteria, *fits[a], fallbacks, infos) for a in approaches}
 
 
 def _evaluate(
     stack: DatasetStack,
     approach: Approach,
     criteria: tuple[Criterion, ...],
-    prepared: dict[Hypothesis, EstimateStack],
+    fit: np.ndarray,
+    lost: dict[tuple[int, int], Exception],
+    estimate_fallbacks: int,
     infos: dict[Hypothesis, dict[Approach, InfoTerms]],
 ) -> dict[Criterion, TrialScores]:
     n, k, trials = stack.n, stack.k, len(stack)
     counts = [param_count(h, n) for h in Hypothesis]
     alpha_params = 2 if approach is Approach.A else 0
-
-    fit = np.empty((len(counts), trials))
-    lost: dict[tuple[int, int], Exception] = {}
-    for i, (h, est) in enumerate(prepared.items()):
-        fit[i] = _fit_terms(est, stack, approach)
-        dead = est.failures
-        if approach is Approach.A:
-            dead = {**dead, **est.alpha_failures}
-        for t, exc in dead.items():
-            lost[(int(h), t)] = exc
-            fit[i, t] = np.nan
-
-    estimate_fallbacks = sum(est.fallbacks for est in prepared.values())
 
     # Every rule's penalties, then one pass over the (rules, 4, T) totals.
     pen, rules = np.empty((len(criteria), *fit.shape)), []

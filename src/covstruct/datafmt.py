@@ -158,7 +158,7 @@ def _parse_pairs(args, width: int, keyword: str, lineno: int, fail) -> np.ndarra
         floats = [float(tok) for tok in args]
     except ValueError as exc:
         fail(lineno, f"bad float in {keyword}: {exc}")
-    values = np.asarray(floats).reshape(width, 2)
+    values = np.asarray(floats)
     if not np.all(np.isfinite(values)):
         fail(lineno, f"non-finite value in {keyword}")
-    return values[:, 0] + 1j * values[:, 1]
+    return values.view(complex)  # the (Re, Im) pairs' own bits, signed zeros included

@@ -173,6 +173,12 @@ class DatasetStack:
     def scatter(self) -> np.ndarray:
         return hermitian_part(self.secondary @ self.secondary.conj().swapaxes(-1, -2))
 
+    @functools.cached_property
+    def steering_cut(self) -> np.ndarray:
+        """The (T, N, 2) columns ``[v z]`` that approach A solves M with."""
+        cut, steering = self.require_cut()
+        return np.stack([steering, cut], -1)
+
     def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, N) stacks of the CUTs and steering vectors, or a clear error
         naming what approach A misses."""

@@ -198,6 +198,7 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
         tw += proj[:, i, scores, :1] * image[:, scores]
         ends.append(image[:, None, k:])
     ends = np.concatenate(ends, axis=1)
+    del rows, rows_conj, image  # the group loop was their last reader
     s, r_images = proj[:, :, k, 0], ends[:, :, 0]
     quad_r = n - 2.0 * s[:, 0].real + (np.abs(s) ** 2).sum(-1) / size
     b_tw = (s[:, None, None] @ ends[:, :, 1:].swapaxes(1, 2))[:, :, 0]
@@ -217,6 +218,8 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     margin = np.concatenate([a_pm - np.abs(b_pm), a_pm + np.abs(b_pm)], axis=1)
     inverse_pm = np.concatenate([a_pm[:, None], -b_pm[:, None]], 1) / margin[:, None, :2]
     lam = ((inverse_pm / margin[:, None, 2:]).reshape(trials, 1, 4) @ (0.5 * _PARITY[h].T))[:, 0]
+    v_x_v = 2.0 * proj[:, 0, k + 1, 1, None, None].real  # 2 v^H X v
+    del proj, p_w, p_u, s  # of proj only 2 v^H X v goes on
     tw = np.concatenate([tw - size * r[:, None], b_tw, r_images, 1j * r_images], axis=1)
     xt = x.swapaxes(-1, -2)  # X is Hermitian: conj(X^T) = X
     if size == 1:
@@ -224,8 +227,10 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     else:
         images = np.stack([_image(e, xt, x) for e in group], 1).reshape(trials, size, n * n)
         real = ((lam[..., None] * _REAL_ROWS[h]).swapaxes(1, 2) @ images).reshape(trials, 2, n, n)
+        del images
         real = np.ascontiguousarray(real.swapaxes(1, 2)).view(float).reshape(trials, 2 * n, 2 * n)
         y = (tw.view(float) @ real).view(complex)
+        del real  # only y goes on
     # <g(r), y> = Re g(r)^H y, <i g(r), y> = Im g(r)^H y; for H4 in the
     # columns of _H4_BASIS. eigh reads each block's lower triangle and sorts
     # ascending; the floor takes its scale from the whole core (both blocks),
@@ -270,9 +275,9 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
         - scale * (tw[:, border].conj() @ y[:, : k + 3].swapaxes(-1, -2)).real
         + scale * (ry_scaled[..., border].swapaxes(-1, -2) @ ry)
     )
-    # proj[:, 0, K+1, 1] is v^H X v; the CUT's amplitude score is zero, so Y
-    # is B^T Q^{-1} G_theta. The 2 log det M of C and of A cancel.
-    schur = 2.0 * proj[:, 0, k + 1, 1, None, None].real * np.eye(2) - cross[..., border]
+    # The CUT's amplitude score is zero, so Y is B^T Q^{-1} G_theta. The
+    # 2 log det M of C and of A cancel.
+    schur = v_x_v * np.eye(2) - cross[..., border]
     logs = np.log(np.abs(np.concatenate([margin, eig], axis=1)))
     logs[:, :4] *= ((n + 1) // 2, n // 2) * 2
     theta_logdet = (m * math.log(km1) + 2 * n * math.log(2.0) + logdet_f) + logs.sum(-1)

@@ -7,14 +7,16 @@ RNG streams are keyed by (master seed, truth, K, trial index), which makes
 the tallies independent of scheduling and worker count: any partition of the
 trials sums to the same counts.
 
-A campaign's unit of work is a chunk: one engine block of one cell, at
-most ``_BLOCK_ENTRIES`` (2^15) snapshot entries (N x K per trial), or one
-trial when N K is larger, so memory stays flat whatever N or K. The serial
-loop and the pool run the same chunks, and each process keeps the heap that
-a chunk frees for the next (:func:`_retain_heap`). Each trial draws from
-its own stream, in a fixed order (channel errors, CUT phase, CUT noise,
-secondary noise); only those draws run trial by trial, and the chunk's
-truths, factors and datasets are formed as arrays
+A campaign's unit of work is a chunk: one engine block of one K's trials
+across every truth. Each K's trials, in (truth, trial) order, are split
+evenly into as few chunks of at most ``_BLOCK_ENTRIES`` (2^15) snapshot
+entries (N x K per trial) as hold them, or one trial per chunk when N K is
+larger, so memory stays flat whatever N or K; a chunk may end mid-cell. The
+serial loop and the pool run the same chunks, and each process keeps the
+heap that a chunk frees for the next (:func:`_retain_heap`). Each trial
+draws from its own stream, in a fixed order (channel errors, CUT phase, CUT
+noise, secondary noise); only those draws run trial by trial, and each
+cell's truths, factors and datasets are formed as arrays
 (:func:`covstruct.scenario.draw_stack`) and go to the classification
 engine (:func:`covstruct.criteria.classify_stack`) as one validated stack.
 Truths that draw nothing (H3, H4, or any truth with frozen channel errors)
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import DEFAULT_CRITERIA, Criterion, classify_stack
-from .estimators import Approach
+from .estimators import Approach, DatasetStack
 from .scenario import ScenarioConfig, draw_stack, truth_instance
 from .structures import Hypothesis
 
@@ -69,11 +71,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG64_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
 
-# Snapshot entries (N x K per trial) drawn and classified per chunk, so
-# memory stays flat however large N K or the trial count is: 126 trials at
-# N 13, K 20. Against 2^14 (1000-trial cells at K 20 and 45, 1 BLAS thread)
-# 2^15 ran closed-form rules 21% faster and all 7 rules 12%, at +2 and +5 MB
-# per process; 2^16 added 12% and 5% at +3 and +11 MB.
+# Snapshot entries (N x K per trial) per chunk, from every truth of its K,
+# so memory stays flat however large N K or the trial count is: 126 trials
+# at N 13, K 20. Against 2^14 (1000-trial cells at K 20 and 45, 1 BLAS
+# thread) 2^15 ran closed-form rules 21% faster and all 7 rules 12%, at +2
+# and +5 MB per process; 2^16 added 12% and 5% at +3 and +11 MB.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -149,7 +151,8 @@ class CellStats:
 
     ``counts`` holds chosen-H1..H4 plus the all-failed bucket; the five
     entries sum to the trial count. ``p_cc`` divides correct choices by the
-    non-failed trials.
+    non-failed trials. ``seconds`` is the cell's trial share of the worker
+    seconds of each chunk that holds its trials.
     """
 
     counts: tuple[int, int, int, int, int]
@@ -303,16 +306,22 @@ def _frozen_truth_rng(master_seed: int, truth: Hypothesis):
 
 
 def _chunks(config: CampaignConfig) -> list[tuple]:
-    """Every chunk of the campaign as ``(config, truth, K, lo, hi)``: trials
-    [lo, hi) of one cell, one engine block each."""
-    tasks = []
-    for truth in config.truths:
-        for k in config.k_grid:
-            block = max(1, _BLOCK_ENTRIES // (config.scenario.n * k))
-            tasks += [
-                (config, int(truth), k, lo, min(lo + block, config.trials))
-                for lo in range(0, config.trials, block)
-            ]
+    """Every chunk of the campaign as ``(config, K, segments)``, one engine
+    block each: each K's trials over every truth, in (truth, trial) order,
+    split evenly into as few chunks as the block allows. A segment
+    ``(truth, lo, hi)`` holds trials [lo, hi) of one cell."""
+    tasks, trials = [], config.trials
+    for k in config.k_grid:
+        total = len(config.truths) * trials
+        count = -(-total // max(1, _BLOCK_ENTRIES // (config.scenario.n * k)))
+        for c in range(count):
+            start, stop = c * total // count, (c + 1) * total // count
+            segments = tuple(
+                (int(truth), max(start - i * trials, 0), min(stop - i * trials, trials))
+                for i, truth in enumerate(config.truths)
+                if start < (i + 1) * trials and i * trials < stop
+            )
+            tasks.append((config, k, segments))
     return tasks
 
 
@@ -329,55 +338,60 @@ def _draw_chunk(config: CampaignConfig, truth: Hypothesis, k: int, lo: int, hi: 
     return draw_stack(truth, scenario, k, streams, shared)
 
 
-def _run_chunk(args) -> tuple[dict, list, float, tuple[int, int], dict]:
-    """Worker body: classify trials [lo, hi) of one cell, return raw tallies.
-
-    The trials are drawn as one stack (:func:`_draw_chunk`) and go through
-    the classification engine as that stack.
-    """
-    config, truth_value, k, lo, hi = args
-    truth = Hypothesis(truth_value)
+def _run_chunk(args) -> tuple:
+    """Worker body: classify one chunk's segments, each drawn from its own
+    trials' streams (:func:`_draw_chunk`), as one stack. Returns K, the
+    segments, each (criterion, approach)'s (segments, 5) tallies, the
+    seconds per trial, the failure records and the fallback counts."""
+    config, k, segments = args
     started = time.perf_counter()
-
-    stack = _draw_chunk(config, truth, k, lo, hi)
+    parts = [_draw_chunk(config, Hypothesis(truth), k, lo, hi) for truth, lo, hi in segments]
+    stack = DatasetStack(*(np.concatenate([getattr(p, name) for p in parts])
+                           for name in ("secondary", "cut", "steering")))
+    del parts  # only the one stack goes on
     scores = classify_stack(stack, config.approaches, config.criteria)
 
-    counts: dict[tuple[str, str], np.ndarray] = {}
+    owners = [(truth, trial) for truth, lo, hi in segments for trial in range(lo, hi)]
+    # Trial t counts at 5 s + its choice, s its segment: one bincount per rule.
+    rows = 5 * np.repeat(np.arange(len(segments)), [hi - lo for _, lo, hi in segments])
+    tallies: dict[tuple[str, str], np.ndarray] = {}
     fallbacks: dict[tuple[str, str], np.ndarray] = {}
     failures: list[FailureRecord] = []
     for approach, by_rule in scores.items():
         seen: set[tuple[tuple[int, int], str]] = set()
         for criterion, outcome in by_rule.items():
             key = (criterion.key, approach.value)
-            counts[key] = np.bincount(outcome.chosen, minlength=5)
+            tally = np.bincount(rows + outcome.chosen, minlength=rows[-1] + 5)
+            tallies[key] = tally.reshape(-1, 5)
             fallbacks[key] = np.array([outcome.ridge_retries, outcome.stack_fallbacks])
             seen.update(outcome.failures.items())
         failures.extend(
             FailureRecord(
-                truth=int(truth),
+                truth=owners[t][0],
                 k=k,
-                trial=lo + t,
+                trial=owners[t][1],
                 approach=approach.value,
                 hypothesis=h,
                 message=message,
             )
             for (h, t), message in seen
         )
-    return counts, failures, time.perf_counter() - started, (truth_value, k), fallbacks
+    per_trial = (time.perf_counter() - started) / len(owners)
+    return k, segments, tallies, per_trial, failures, fallbacks
 
 
 def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
     """Run every cell of the campaign and tally the outcome.
 
-    ``progress`` (optional) receives a line of text once all chunks of a
-    cell are in, naming the cell's chunk count and the summed worker
-    seconds. Deterministic for a fixed master seed: results do not depend
-    on the worker count or on execution order.
+    ``progress`` (optional) receives a line of text once all chunks that
+    hold a cell's trials are in, naming their count and the cell's worker
+    seconds (:attr:`CellStats.seconds`). Deterministic for a fixed master
+    seed: results do not depend on the worker count or on execution order.
     """
     started, heap_retained = time.perf_counter(), _retain_heap()
     tasks = _chunks(config)
     workers = min(_resolve_workers(config), len(tasks))
-    per_cell = Counter((truth, k) for _, truth, k, _, _ in tasks)
+    per_cell = Counter((truth, k) for _, k, segments in tasks for truth, _, _ in segments)
 
     sums: dict[tuple[str, str, int, int], np.ndarray] = {}
     seconds: dict[tuple[int, int], float] = {}
@@ -386,21 +400,21 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
     fallbacks: dict[tuple[str, str], np.ndarray] = {}
 
     def _absorb(result):
-        counts, fails, elapsed, cell, chunk_fallbacks = result
+        k, segments, tallies, per_trial, fails, chunk_fallbacks = result
         for key, tally in chunk_fallbacks.items():
             fallbacks[key] = fallbacks.get(key, 0) + tally
-        for (ckey, akey), tally in counts.items():
-            key = (ckey, akey, cell[0], cell[1])
-            sums[key] = sums.get(key, 0) + tally
         failures.extend(fails)
-        seconds[cell] = seconds.get(cell, 0.0) + elapsed
-        absorbed[cell] += 1
-        if progress is not None and absorbed[cell] == per_cell[cell]:
-            truth, k = cell
-            progress(
-                f"cell H{truth} K={k} done: {per_cell[cell]} chunk(s), "
-                f"{seconds[cell]:.3g}s worker time"
-            )
+        for row, (truth, lo, hi) in enumerate(segments):
+            for (ckey, akey), tally in tallies.items():
+                sums[ckey, akey, truth, k] = sums.get((ckey, akey, truth, k), 0) + tally[row]
+            cell = (truth, k)
+            seconds[cell] = seconds.get(cell, 0.0) + per_trial * (hi - lo)
+            absorbed[cell] += 1
+            if progress is not None and absorbed[cell] == per_cell[cell]:
+                progress(
+                    f"cell H{truth} K={k} done: {per_cell[cell]} chunk(s), "
+                    f"{seconds[cell]:.3g}s worker time"
+                )
 
     if workers == 1:
         for task in tasks:

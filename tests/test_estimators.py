@@ -267,7 +267,8 @@ def test_x_hat_from_the_solve_is_the_inverse_to_the_bit(rng):
 
 def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
     # Only the TIC and BIC information terms read X: a campaign of the
-    # closed-form rules inverts nothing, and a FIM rule forms X.
+    # closed-form rules inverts nothing, and a FIM rule forms X. The engine
+    # prepares the classes one at a time, each once.
     stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
     seen, real_prepare = [], criteria.prepare_estimates
 
@@ -279,8 +280,11 @@ def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
     closed = [Criterion(kind) for kind in (CriterionKind.AIC, CriterionKind.ASYMPTOTIC_BIC)]
     for rules, formed in ((closed, False), ([Criterion(CriterionKind.TIC)], True)):
         classify_stack(stack, (Approach.A, Approach.B), rules)
-        for est in seen.pop().values():
-            assert (est.x_hat is not None) is formed
+        assert [list(prepared) for prepared in seen] == [[h] for h in Hypothesis]
+        for prepared in seen:
+            for est in prepared.values():
+                assert (est.x_hat is not None) is formed
+        seen.clear()
 
 
 def test_a_failed_solve_is_its_trials_failure_and_a_fallback(rng, monkeypatch):

@@ -91,6 +91,33 @@ def test_pinned_campaign_reproduces_its_recorded_csv(name):
     assert records == (failures.read_text(encoding="utf-8") if failures.exists() else "")
 
 
+def test_chunks_that_straddle_truths_reproduce_the_noisy_campaign(monkeypatch):
+    # 275 entries hold 9 trials of 5 x 6 and 5 of 5 x 11: K = 6 runs its 24
+    # trials in chunks of 8 (H1 0-5 + H2 0-1, H2 2-5 + H3 0-3, H3 4-5 + H4)
+    # and K = 11 in chunks of 4, 5, 5, 5, 5, each after the first straddling
+    # two truths. The steering failures keep their truth and trial index.
+    monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 275)
+    config = CampaignConfig(
+        scenario=PINNED["case1_noisy"], k_grid=(6, 11), trials=6, master_seed=5, workers=1
+    )
+    chunks = {(1, 6): 1, (2, 6): 2, (3, 6): 2, (4, 6): 1, (1, 11): 2, (2, 11): 2, (3, 11): 2,
+              (4, 11): 2}
+    for workers in (1, 2, 3):
+        lines = []
+        report = run_campaign(replace(config, workers=workers), progress=lines.append)
+        golden = (GOLDEN / "case1_noisy.csv").read_text(encoding="utf-8")
+        assert render_results_csv(report) == golden
+        records = "".join(
+            f"{r.truth},{r.k},{r.trial},{r.approach},{r.hypothesis},{r.message}\n"
+            for r in report.failures
+        )
+        assert records == (GOLDEN / "case1_noisy_failures.txt").read_text(encoding="utf-8")
+        assert (report.chunks, report.workers) == (8, min(workers, 8))
+        assert sorted(line.split(" chunk(s)")[0] for line in lines) == sorted(
+            f"cell H{truth} K={k} done: {count}" for (truth, k), count in chunks.items()
+        )
+
+
 # ---------------------------------------------------------------------------
 # Configuration validation
 
@@ -174,9 +201,11 @@ def test_worker_count_does_not_change_tallies():
 
 
 def test_chunks_are_engine_blocks_at_any_worker_count(monkeypatch):
-    # A budget of 120 entries holds two trials of 5 x 11 (K = 11: chunks of
-    # 2, 2 and 1 trials) and less than one of 5 x 25 (K = 25: one trial per
-    # chunk). Forked workers inherit the patched budget and the checked engine.
+    # A budget of 120 entries holds two trials of 5 x 11 (K = 11: the 10
+    # trials of both truths in five chunks of 2, the third holding H1's last
+    # trial and H4's first) and less than one of 5 x 25 (K = 25: one trial
+    # per chunk). Forked workers inherit the patched budget and the checked
+    # engine.
     config = small_config(
         trials=5,
         k_grid=(11, 25),
@@ -197,7 +226,7 @@ def test_chunks_are_engine_blocks_at_any_worker_count(monkeypatch):
         report = run_campaign(replace(config, workers=workers), progress=lines.append)
         assert statistical_content(report) == statistical_content(whole)
         assert render_results_csv(report) == render_results_csv(whole)
-        assert (report.chunks, report.workers) == (16, workers)
+        assert (report.chunks, report.workers) == (15, workers)
         assert sorted(line.split(" chunk(s)")[0] for line in lines) == [
             f"cell H{truth} K={k} done: {chunks}"
             for truth in (1, 4)
@@ -224,9 +253,11 @@ def test_pool_is_sized_to_the_chunks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-    pooled = run_campaign(small_config(trials=1, truths=(Hypothesis.H1, Hypothesis.H3), workers=8))
+    # A chunk holds every truth of its K: two K values make two chunks.
+    two_truths = dict(trials=1, truths=(Hypothesis.H1, Hypothesis.H3), workers=8)
+    pooled = run_campaign(small_config(k_grid=(11, 12), **two_truths))
     assert sizes == [2] and (pooled.chunks, pooled.workers) == (2, 2)
-    serial = run_campaign(small_config(trials=1, truths=(Hypothesis.H3,), workers=8))
+    serial = run_campaign(small_config(**two_truths))
     assert sizes == [2] and (serial.chunks, serial.workers) == (1, 1)  # one chunk runs in process
 
 
@@ -286,8 +317,8 @@ run_chunk, montecarlo._run_chunk = montecarlo._run_chunk, chunk
 fork = multiprocessing.get_context("fork")
 montecarlo.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=fork)
 montecarlo.run_campaign(montecarlo.CampaignConfig(
-    scenario=ScenarioConfig(n=5), k_grid=(11,), trials=2, criteria=(Criterion(CriterionKind.AIC),),
-    truths=(Hypothesis.H1, Hypothesis.H3), workers=2))
+    scenario=ScenarioConfig(n=5), k_grid=(11, 12), trials=2,
+    criteria=(Criterion(CriterionKind.AIC),), truths=(Hypothesis.H1, Hypothesis.H3), workers=2))
 """
 
 
@@ -339,17 +370,30 @@ def test_retention_sets_both_thresholds(monkeypatch):
 
 
 def test_production_block_plan():
-    # 2^15 entries: 126 trials of 13 x 20 and 56 of 13 x 45 per chunk; at
+    # 2^15 entries: at most 126 trials of 13 x 20 and 56 of 13 x 45 per
+    # chunk, a K's trials split evenly over as few chunks as that allows; at
     # 101 x 400 one trial exceeds the block and each chunk is one trial.
-    def sizes(n, k, trials):
+    def plan(n, k, trials, truths=(Hypothesis.H1,)):
         config = CampaignConfig(scenario=ScenarioConfig(n=n), k_grid=(k,), trials=trials,
-                                truths=(Hypothesis.H1,))
-        return [hi - lo for _, _, _, lo, hi in montecarlo._chunks(config)]
+                                truths=truths)
+        return [segments for _, _, segments in montecarlo._chunks(config)]
+
+    def sizes(*args):
+        return [sum(hi - lo for _, lo, hi in segments) for segments in plan(*args)]
 
     assert montecarlo._BLOCK_ENTRIES == 1 << 15
-    assert sizes(13, 20, 300) == [126, 126, 48]
-    assert sizes(13, 45, 120) == [56, 56, 8]
+    assert sizes(13, 20, 300) == [100, 100, 100]
+    assert sizes(13, 45, 120) == [40, 40, 40]
     assert sizes(101, 400, 3) == [1, 1, 1]
+    # Every truth of a K shares its chunks, in (truth, trial) order: 4 x 25
+    # trials of 13 x 26 (96 per block) and 4 x 24 of 13 x 30 (84 per block).
+    every = tuple(Hypothesis)
+    assert plan(13, 26, 25, every) == [((1, 0, 25), (2, 0, 25)), ((3, 0, 25), (4, 0, 25))]
+    assert plan(13, 30, 24, every) == [((1, 0, 24), (2, 0, 24)), ((3, 0, 24), (4, 0, 24))]
+    assert sizes(13, 20, 24, every) == [96]
+    assert plan(13, 45, 30, every) == [
+        ((1, 0, 30), (2, 0, 10)), ((2, 10, 30), (3, 0, 20)), ((3, 20, 30), (4, 0, 30))
+    ]
 
 
 def test_csv_is_the_same_at_the_previous_block_size(monkeypatch):
