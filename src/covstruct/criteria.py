@@ -25,10 +25,10 @@ which gives one class's terms for a whole stack of trials from group means
 of vector inner products and never forms either matrix. Under approach B
 both penalties are closed forms. Under approach A the theta part is exact
 too, and the amplitude block enters through (T, 2, 2) stacks of Schur
-complements S: ``Tr(J I^-1)`` adds ``Tr(S^-1 Y Y^T)`` (one stacked solve)
-and ``log det I`` adds ``log det S`` (one stacked Cholesky, the BIC
-positive-definiteness check). A trial whose S is singular to the solve is
-retried alone with a ridge, and the retries are counted.
+complements S, completed in closed form from S's two Cholesky pivots:
+``Tr(J I^-1)`` adds ``Tr(S^-1 Y Y^T)`` and ``log det I`` adds ``log det S``,
+whose pivots are the BIC positive-definiteness check. A trial whose trace
+is not finite is retried alone with a ridge, and the retries are counted.
 The classifier picks the smallest total, ties going to the smaller
 parameter count and then the lower index; a hypothesis whose numerics break
 (singular information matrix, degenerate AICc denominator, failed
@@ -65,7 +65,7 @@ from .estimators import (
     estimate_covariance,
 )
 from .likelihood import InfoTerms, information_terms
-from .linalg import cholesky_stack, hermitian_part, logdet_from_cholesky
+from .linalg import _PIVOT_RTOL, _pivot_error, cholesky_stack, hermitian_part, logdet_from_cholesky
 from .structures import Hypothesis, param_count
 
 __all__ = [
@@ -217,56 +217,49 @@ def penalty(
 
 def _information_penalty(
     criterion: Criterion, info: InfoTerms
-) -> tuple[np.ndarray, dict[int, FimSingularError], tuple[int, int]]:
+) -> tuple[np.ndarray, dict[int, FimSingularError], int]:
     """TIC or BIC penalties of a stack of information terms (see
-    :func:`covstruct.likelihood.information_terms`). The 2 x 2 Schur pair,
-    present under approach A, adds its trace and log-determinant to the theta
-    terms.
+    :func:`covstruct.likelihood.information_terms`), the failure of each
+    trial whose Schur block is unusable, and the number of TIC ridge retries.
 
-    Returns the (T,) penalties, the failure of each trial whose Schur block
-    is unusable (its penalty is a placeholder), and the counts of TIC ridge
-    retries and of matrix-by-matrix fallbacks of the stacked Cholesky.
+    Under approach A the symmetric 2 x 2 Schur pair ``(S, Y Y^T)`` adds its
+    trace and log-determinant in closed form, from S's Cholesky pivots
+    ``a = S00`` and ``c - b^2/a``. BIC refuses a trial whose smaller pivot is
+    not above ``_PIVOT_RTOL`` times S's larger diagonal entry, NaN included:
+    the rule of :func:`covstruct.linalg.cholesky_stack`. A TIC trace that is
+    not finite is retried once with a ridge on S's diagonal.
     """
-    if criterion.kind is CriterionKind.TIC:
-        if info.schur is None:
-            return 2.0 * info.theta_trace, {}, (0, 0)
-        extra, errors, counts = _tic_trace(*info.schur)
-        return 2.0 * (info.theta_trace + extra), errors, counts
-    if criterion.kind is not CriterionKind.BIC:
+    tic = criterion.kind is CriterionKind.TIC
+    if not tic and criterion.kind is not CriterionKind.BIC:
         raise ValueError(f"{criterion.key} takes no information-matrix terms")
     if info.schur is None:
-        return info.theta_logdet, {}, (0, 0)
-    extra, errors, fell_back = _bic_logdet(info.schur[0])
-    return info.theta_logdet + extra, errors, (0, int(fell_back))
+        return (2.0 * info.theta_trace if tic else info.theta_logdet), {}, 0
+    s, yy = info.schur
+    with np.errstate(all="ignore"):  # a non-finite value fails its own trial
+        if tic:
+            extra = _schur_trace(s, yy)
+            retry = np.flatnonzero(~np.isfinite(extra))
+            if retry.size:
+                ridge = _TIC_RIDGE * (s[retry, 0, 0] + s[retry, 1, 1]) / 2
+                extra[retry] = _schur_trace(s[retry], yy[retry], ridge)
+            errors = {int(t): FimSingularError(
+                f"observed FIM singular even after ridge: trace {float(extra[t])!r}"
+            ) for t in retry if not np.isfinite(extra[t])}
+            return 2.0 * (info.theta_trace + extra), errors, len(retry)
+        a, b, c = s[:, 0, 0], s[:, 0, 1], s[:, 1, 1]
+        pivot = c - b * b / a
+        smaller, diag_max = np.minimum(a, pivot), np.maximum(a, c)
+        logdet = info.theta_logdet + (np.log(a) + np.log(pivot))
+    errors = {int(t): FimSingularError(
+        f"observed FIM not positive definite: {_pivot_error(smaller[t], diag_max[t])}"
+    ) for t in np.flatnonzero(~(smaller > _PIVOT_RTOL * diag_max))}
+    return logdet, errors, 0
 
 
-def _tic_trace(
-    observed: np.ndarray, sample: np.ndarray
-) -> tuple[np.ndarray, dict[int, FimSingularError], tuple[int, int]]:
-    """Tr[sample inv(observed)] over (T, d, d) stacks, with one ridge retry
-    for each trial whose solve fails or is not finite.
-
-    On the production path these are the amplitude Schur pairs ``(S, Y Y^T)``.
-    Returns the traces, the failure of each trial the ridge did not rescue,
-    and the numbers of ridge retries and of stacked solves (the first and
-    the retry) that fell back to matrix by matrix.
-    """
-    d = observed.shape[-1]
-    solved, bad, fell_back = _solve_each(observed, sample)
-    fallbacks = int(fell_back)
-    errors: dict[int, FimSingularError] = {}
-    if bad:
-        retry = list(bad)
-        ridge = _TIC_RIDGE * np.trace(observed[retry], axis1=-2, axis2=-1) / d
-        shifted = observed[retry] + ridge[:, None, None] * np.eye(d)
-        retried, still, fell_back = _solve_each(shifted, sample[retry])
-        fallbacks += fell_back
-        solved[retry] = retried
-        for j, reason in still.items():
-            errors[retry[j]] = FimSingularError(
-                f"observed FIM singular even after ridge: {reason}"
-            )
-    return np.trace(solved, axis1=-2, axis2=-1), errors, (len(bad), fallbacks)
+def _schur_trace(s: np.ndarray, yy: np.ndarray, ridge=0.0) -> np.ndarray:
+    """Tr[(S + ridge I)^-1 Y Y^T] over (T, 2, 2) symmetric stacks."""
+    a, b, c = s[:, 0, 0] + ridge, s[:, 0, 1], s[:, 1, 1] + ridge
+    return (c * yy[:, 0, 0] - 2.0 * b * yy[:, 0, 1] + a * yy[:, 1, 1]) / (a * (c - b * b / a))
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str], bool]:
@@ -290,26 +283,6 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str
         for t in np.flatnonzero(~np.isfinite(solved).all(axis=(-2, -1))):
             bad.setdefault(int(t), "non-finite solve result")
     return solved, dict(sorted(bad.items())), fell_back
-
-
-def _bic_logdet(
-    observed: np.ndarray,
-) -> tuple[np.ndarray, dict[int, FimSingularError], bool]:
-    """log det of a (T, d, d) stack of observed information blocks, one
-    stacked Cholesky; a non-PD block marks its trial's hypothesis unusable.
-    On the production path these are the amplitude Schur complements S.
-
-    Theta holds the entries of M and alpha scales as the data amplitude, so
-    scaling the data power by p adds -(2 m + 2) log p (approach A) or
-    -2 m log p (approach B) to the whole BIC penalty. Use ``asymptotic-bic``
-    for a penalty that does not depend on the unit of the data.
-    """
-    low, errors, fell_back = cholesky_stack(hermitian_part(observed))
-    failures = {
-        t: FimSingularError(f"observed FIM not positive definite: {exc}")
-        for t, exc in errors.items()
-    }
-    return logdet_from_cholesky(low), failures, fell_back
 
 
 @dataclass(frozen=True)
@@ -358,11 +331,10 @@ class TrialScores:
     (hypothesis number, trial) to the failure text that excluded that
     hypothesis. ``chosen`` holds, per trial, the row of the
     chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
-    ``ridge_retries`` counts the trials and hypotheses whose TIC solve was
-    retried with a ridge; ``stack_fallbacks`` counts the stacked
+    ``ridge_retries`` counts the trials and hypotheses whose TIC Schur
+    trace was retried with a ridge; ``stack_fallbacks`` counts the stacked
     factorizations and solves behind this outcome (estimates, and for TIC
-    and BIC the information terms and their Schur blocks) that fell back to
-    matrix by matrix.
+    and BIC the information terms) that fell back to matrix by matrix.
     """
 
     criterion: Criterion
@@ -424,11 +396,11 @@ def _argmin_batch(
 
 
 def prepare_estimates(
-    stack: DatasetStack, approach: Approach, criteria=(), hypotheses=tuple(Hypothesis)
-) -> dict:
-    """Per-hypothesis :class:`EstimateStack` of a stack for the rules
-    ``criteria``, for each class in ``hypotheses``; one stacked Cholesky per
-    class gives log det M and is the one positive-definiteness check.
+    stack: DatasetStack, approach: Approach, criteria, hypothesis: Hypothesis
+) -> EstimateStack:
+    """The :class:`EstimateStack` of class ``hypothesis`` over a stack, for
+    the rules ``criteria``; one stacked Cholesky gives log det M and is the
+    one positive-definiteness check.
 
     A trial whose estimate is not positive definite keeps its error, and
     its rows of M are the identity. Under approach A one stacked solve of M
@@ -446,35 +418,32 @@ def prepare_estimates(
     vz = stack.secondary[..., :0]  # no columns under approach B
     if approach is Approach.A:
         (cut, steering), vz = stack.require_cut(), stack.steering_cut
-    out: dict[Hypothesis, EstimateStack] = {}
-    for h in hypotheses:
-        m_hat = estimate_covariance(h, stack)
-        low, errors, fell_back = cholesky_stack(m_hat)
-        if errors:
-            m_hat[list(errors)] = np.eye(stack.n)
-        alpha, quad, alpha_errors, x_hat = None, None, {}, None
-        if approach is Approach.A or eye:
-            rhs = vz.view(float) if h.is_real else vz
-            if eye:  # [I v z], or [I] under approach B
-                full = np.zeros((*m_hat.shape[:-1], eye + rhs.shape[-1]), rhs.dtype)
-                full[..., :eye], full[..., eye:] = np.eye(eye), rhs
-                rhs = full
-            solved, bad, solve_fell_back = _solve_each(m_hat, rhs)
-            fell_back += solve_fell_back
-            x_hat = hermitian_part(solved[..., :eye]) if eye else None
-        if approach is Approach.A:
-            solved_vz = np.ascontiguousarray(solved[..., eye:]).view(complex)
-            alpha, quad, alpha_errors = estimate_alpha_stack(solved_vz, cut, steering)
-            for t, reason in bad.items():  # X's columns alone may be the bad ones
-                if not np.isfinite(solved_vz[t]).all():
-                    reason = f"solve with the ICM estimate: {reason}"
-                    alpha_errors[t] = np.linalg.LinAlgError(reason)
-        out[h] = EstimateStack(
-            hypothesis=h, m_hat=m_hat, logdet=logdet_from_cholesky(low), alpha_hat=alpha,
-            quad=quad, failures=errors, fallbacks=int(fell_back), x_hat=x_hat,
-            alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
-        )
-    return out
+    m_hat = estimate_covariance(hypothesis, stack)
+    low, errors, fell_back = cholesky_stack(m_hat)
+    if errors:
+        m_hat[list(errors)] = np.eye(stack.n)
+    alpha, quad, alpha_errors, x_hat = None, None, {}, None
+    if approach is Approach.A or eye:
+        rhs = vz.view(float) if hypothesis.is_real else vz
+        if eye:  # [I v z], or [I] under approach B
+            full = np.zeros((*m_hat.shape[:-1], eye + rhs.shape[-1]), rhs.dtype)
+            full[..., :eye], full[..., eye:] = np.eye(eye), rhs
+            rhs = full
+        solved, bad, solve_fell_back = _solve_each(m_hat, rhs)
+        fell_back += solve_fell_back
+        x_hat = hermitian_part(solved[..., :eye]) if eye else None
+    if approach is Approach.A:
+        solved_vz = np.ascontiguousarray(solved[..., eye:]).view(complex)
+        alpha, quad, alpha_errors = estimate_alpha_stack(solved_vz, cut, steering)
+        for t, reason in bad.items():  # X's columns alone may be the bad ones
+            if not np.isfinite(solved_vz[t]).all():
+                reason = f"solve with the ICM estimate: {reason}"
+                alpha_errors[t] = np.linalg.LinAlgError(reason)
+    return EstimateStack(
+        hypothesis=hypothesis, m_hat=m_hat, logdet=logdet_from_cholesky(low), alpha_hat=alpha,
+        quad=quad, failures=errors, fallbacks=int(fell_back), x_hat=x_hat,
+        alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
+    )
 
 
 def classify(
@@ -512,7 +481,7 @@ def classify_stack(
     infos, fallbacks = {}, 0
     with np.errstate(all="ignore"):
         for i, h in enumerate(Hypothesis):
-            est = prepare_estimates(stack, prep, criteria, (h,))[h]
+            est = prepare_estimates(stack, prep, criteria, h)
             fallbacks += est.fallbacks
             if fim:
                 infos[h] = information_terms(est, stack, approaches)
@@ -546,9 +515,9 @@ def _evaluate(
         for i, h in enumerate(Hypothesis):
             if criterion.needs_fim:
                 info = infos[h][approach]
-                pen[c, i], errors, (retried, fell_back) = _information_penalty(criterion, info)
+                pen[c, i], errors, retried = _information_penalty(criterion, info)
                 retries += retried
-                fallbacks += info.fallbacks + fell_back
+                fallbacks += info.fallbacks
                 for t, exc in {**errors, **info.failures}.items():
                     failures.setdefault((int(h), t), exc)
                 continue

@@ -184,10 +184,11 @@ class PccReport:
 
     ``fallbacks`` maps (criterion key, approach) to the summed
     ``(ridge_retries, stack_fallbacks)`` of every block's
-    :class:`~covstruct.criteria.TrialScores`. A stack fallback is counted
-    once per stacked call, so that count depends on how the trials were
-    blocked; the retries do not. ``chunks`` and ``workers``: the chunk count and
-    the processes that ran them (1 serially). ``heap_retained``: see :func:`_retain_heap`.
+    :class:`~covstruct.criteria.TrialScores`. A stack fallback (of the
+    estimates or information terms) is counted once per stacked call, so
+    that count depends on how the trials were blocked; the retries do not.
+    ``chunks`` and ``workers``: the chunk count and the processes that ran
+    them (1 serially). ``heap_retained``: see :func:`_retain_heap`.
     """
 
     config: CampaignConfig

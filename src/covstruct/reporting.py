@@ -259,6 +259,7 @@ def read_results_csv(path) -> list[dict]:
                 "p_cc": float(parts[11]),
                 "std_err": float(parts[12]),
             }
+            parse_criterion(row["criterion"])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if row["schema"] != CSV_SCHEMA_VERSION:
@@ -267,6 +268,8 @@ def read_results_csv(path) -> list[dict]:
             )
         if row["truth"] not in ("H1", "H2", "H3", "H4"):
             raise ValueError(f"{path}:{lineno}: bad truth {row['truth']!r}")
+        if row["approach"] not in ("A", "B"):  # it lands in plot file names
+            raise ValueError(f"{path}:{lineno}: bad approach {row['approach']!r}")
         rows.append(row)
     return rows
 

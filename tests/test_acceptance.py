@@ -234,7 +234,7 @@ def test_acceptance_4_sample_and_observed_information_agree_at_truth():
             truth = truth_instance(h, config, rng)
             ds = Dataset(secondary=gaussian_snapshots(rng, truth.m_true, k))
             stack = DatasetStack.of([ds])
-            est = prepare_estimates(stack, Approach.B, (tic,))[h]
+            est = prepare_estimates(stack, Approach.B, (tic,), h)
             pair = fim_pair(model, est, 0, ds, Approach.B)
             rels.append(
                 np.linalg.norm(pair.sample - pair.observed)

@@ -464,6 +464,16 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys):
     results.write_text("not,a,results,file\n", encoding="utf-8")
     assert run_cli(["plot", "--results", results, "--out-dir", tmp_path / "p"]) == 1
     assert "unexpected CSV header" in capsys.readouterr().err
+    # An approach that is not A or B would land in a plot file name.
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        ",".join(CSV_COLUMNS) + "\n1,aic,A/x,H1,6,6,0,3,0,3,0,0.5,0.2\n", encoding="utf-8"
+    )
+    assert run_cli(["plot", "--results", bad, "--out-dir", tmp_path / "d"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {bad}:2: bad approach 'A/x'"]
+    assert captured.out == ""
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------- entry point

@@ -32,7 +32,7 @@ from covstruct.criteria import (
 )
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
 from covstruct.likelihood import InfoTerms
-from covstruct.linalg import NotPositiveDefiniteError, cholesky_pd
+from covstruct.linalg import NotPositiveDefiniteError, cholesky_pd, cholesky_stack
 from covstruct.scenario import ScenarioConfig, SourceParams, draw_stack, table_case, truth_instance
 from covstruct.structures import Hypothesis, param_count, project
 
@@ -166,29 +166,95 @@ def _schur_only(observed, sample):
 
 
 def test_tic_ridge_recovers_singular_observed():
-    observed = np.diag([1.0, 1.0, 0.0])
-    got, errors, (retries, _) = _information_penalty(TIC, _schur_only(observed, np.eye(3)))
+    observed = np.diag([1.0, 0.0])
+    got, errors, retries = _information_penalty(TIC, _schur_only(observed, np.eye(2)))
     assert not errors and retries == 1
     assert np.isfinite(got[0]) and got[0] > 0.0
-    # The ridge scales with trace(I)/n, so an all-zero FIM stays singular.
-    dead = _schur_only(np.zeros((3, 3)), np.eye(3))
+    # The ridge scales with trace(S)/2, so an all-zero block stays singular.
+    dead = _schur_only(np.zeros((2, 2)), np.eye(2))
     _, errors, _ = _information_penalty(TIC, dead)
     assert list(errors) == [0]
     assert isinstance(errors[0], FimSingularError)
     assert "ridge" in str(errors[0])
 
 
-def test_tic_and_bic_count_the_fallbacks_of_their_schur_blocks():
-    # One zero Schur block in a stack of three: TIC's stacked solve and its
-    # ridge retry (a zero ridge on a zero block) both fall back to matrix by
-    # matrix, and BIC's stacked Cholesky does once.
+def test_a_zero_schur_block_fails_tic_and_bic_for_its_trial_alone():
+    # One zero Schur block in a stack of three: TIC retries that trial once
+    # with a ridge (zero on a zero block) and fails it, BIC refuses it, and
+    # the other trials keep their closed-form values. The 2 x 2 completion
+    # has no stacked call, so nothing falls back.
     observed = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
     info = InfoTerms(np.zeros(3), np.zeros(3), schur=(observed, np.stack([np.eye(2)] * 3)))
-    _, tic_errors, tic_counts = _information_penalty(TIC, info)
-    _, bic_errors, bic_counts = _information_penalty(BIC, info)
+    tic, tic_errors, tic_retries = _information_penalty(TIC, info)
+    bic, bic_errors, bic_retries = _information_penalty(BIC, info)
     assert list(tic_errors) == list(bic_errors) == [1]
-    assert tic_counts == (1, 2)
-    assert bic_counts == (0, 1)
+    assert (tic_retries, bic_retries) == (1, 0)
+    assert str(tic_errors[1]).startswith("observed FIM singular even after ridge")
+    assert str(bic_errors[1]).startswith("observed FIM not positive definite")
+    np.testing.assert_array_equal(tic[[0, 2]], [4.0, 2.0])
+    np.testing.assert_array_equal(bic[[0, 2]], [0.0, 2.0 * math.log(2.0)])
+
+
+# Second Cholesky pivot of a drawn S as a multiple of the refusal threshold
+# 1e-12 max(a, c): negative, zero, and a factor of two or more on either side
+# of it. That margin is far above the rounding of either form, so the two
+# verdicts must agree.
+_PIVOT_MARGINS = (-1e3, -1.0, 0.0, 0.5, 2.0, 1e6, 1e12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schur_closed_form_matches_lapack(data):
+    # Over stacks of random symmetric 2 x 2 pairs (S, Y Y^T): on positive
+    # definite, well-conditioned S the closed form agrees with solve and
+    # slogdet; on every S, near-singular and indefinite included, BIC's
+    # verdict is cholesky_stack's; a NaN or inf entry fails its own trial
+    # and no other. Called outside np.errstate: it must not warn.
+    trials = data.draw(st.integers(2, 6), label="T")
+    size = st.floats(1e-3, 1e3)
+    blocks, conditioned = [], []
+    for _ in range(trials):
+        a, c = data.draw(size), data.draw(size)
+        if data.draw(st.booleans()):  # well conditioned: |b| <= sqrt(ac)/2
+            b = data.draw(st.floats(-0.5, 0.5)) * math.sqrt(a * c)
+        else:
+            margin = data.draw(st.sampled_from(_PIVOT_MARGINS))
+            second = margin * 1e-12 * max(a, c)
+            a *= data.draw(st.sampled_from((1.0, -1.0)))  # a <= 0: indefinite
+            b = math.sqrt(abs(a * (c - second)))
+        conditioned.append(abs(b) <= 0.5 * math.sqrt(abs(a * c)) and a > 0)
+        y = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=6, max_size=6)))
+        y = y.reshape(2, 3)
+        blocks.append((np.array([[a, b], [b, c]]), y @ y.T))
+    s = np.stack([block[0] for block in blocks])
+    yy = np.stack([block[1] for block in blocks])
+    info = InfoTerms(np.zeros(trials), np.zeros(trials), schur=(s, yy))
+    tic, tic_errors, _ = _information_penalty(TIC, info)
+    bic, bic_errors, _ = _information_penalty(BIC, info)
+    _, refused, _ = cholesky_stack(s)
+    assert sorted(bic_errors) == sorted(refused)
+    for t in np.flatnonzero(conditioned):
+        want_tic = 2.0 * np.trace(np.linalg.solve(s[t], yy[t]))
+        sign, want_bic = np.linalg.slogdet(s[t])
+        assert sign == 1.0 and t not in tic_errors
+        assert abs(tic[t] - want_tic) <= 1e-12 * max(1.0, abs(want_tic))
+        assert abs(bic[t] - want_bic) <= 1e-12 * max(1.0, abs(want_bic))
+
+    bad = data.draw(st.integers(0, trials - 1), label="bad trial")
+    value = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    i, j = data.draw(st.sampled_from(((0, 0), (0, 1), (1, 1))), label="entry")
+    in_s = data.draw(st.booleans(), label="entry of S")
+    target = (s if in_s else yy).copy()
+    target[bad, i, j] = target[bad, j, i] = value
+    poisoned = InfoTerms(info.theta_trace, info.theta_logdet,
+                         schur=(target, yy) if in_s else (s, target))
+    rest = np.arange(trials) != bad
+    rules = ((TIC, tic, tic_errors), (BIC, bic, bic_errors)) if in_s else ((TIC, tic, tic_errors),)
+    for rule, clean, clean_errors in rules:
+        got, errors, _ = _information_penalty(rule, poisoned)
+        assert bad in errors
+        assert sorted(errors) == sorted({*clean_errors, bad})
+        np.testing.assert_array_equal(got[rest], clean[rest])
 
 
 def test_bic_rejects_non_pd_observed():
@@ -201,10 +267,9 @@ def test_bic_rejects_non_pd_observed():
 
 def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     # One singular Schur block in a stack of four: TIC retries exactly that
-    # trial with a ridge and counts it once, after its stacked solve fell
-    # back to matrix by matrix; every other penalty keeps its bits. BIC
-    # refuses the block for that trial alone, after its stacked Cholesky
-    # fell back to matrix by matrix.
+    # trial with a ridge and counts it once; every other penalty keeps its
+    # bits. BIC refuses the block for that trial alone. The closed-form
+    # completion has no stacked call, so nothing falls back.
     stack = DatasetStack.of([random_dataset(rng, 4, 9) for _ in range(4)])
     clean = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
     assert clean[TIC].ridge_retries == clean[TIC].stack_fallbacks == 0
@@ -215,13 +280,13 @@ def test_singular_schur_block_is_retried_once(rng, monkeypatch):
     )
     patched = classify_stack(stack, (Approach.A,), (TIC, BIC))[Approach.A]
     tic, bic = patched[TIC], patched[BIC]
-    assert (tic.ridge_retries, tic.stack_fallbacks) == (1, 1)
+    assert (tic.ridge_retries, tic.stack_fallbacks) == (1, 0)
     assert tic.failures == {}
     assert np.isfinite(tic.penalty[1, 2])
     others = np.ones(tic.penalty.shape, dtype=bool)
     others[1, 2] = False
     np.testing.assert_array_equal(tic.penalty[others], clean[TIC].penalty[others])
-    assert (bic.ridge_retries, bic.stack_fallbacks) == (0, 1)
+    assert (bic.ridge_retries, bic.stack_fallbacks) == (0, 0)
     assert list(bic.failures) == [(2, 2)]
     assert bic.failures[(2, 2)].startswith("FimSingularError: observed FIM not positive")
     np.testing.assert_array_equal(bic.penalty[others], clean[BIC].penalty[others])
@@ -250,21 +315,21 @@ def test_scorecard_totals_and_fit_cross_check(data):
         assert isinstance(card, Scorecard)
         assert card.approach is approach
         assert not card.all_failed
-        prepared = criteria_module.prepare_estimates(stack, approach, (TIC,))
         for h in Hypothesis:
+            estimate = criteria_module.prepare_estimates(stack, approach, (TIC,), h)
             score = card.scores[h]
             assert not score.failed
             assert score.total == score.fit + score.penalty
             model = structure_model(h, ds.n)
-            theta = model.encode(prepared[h].m_hat[0])
+            theta = model.encode(estimate.m_hat[0])
             if approach is Approach.A:
                 want = loglik_full(
-                    model, theta, prepared[h].alpha_hat[0], ds.cut, ds.secondary, ds.steering
+                    model, theta, estimate.alpha_hat[0], ds.cut, ds.secondary, ds.steering
                 )
             else:
                 want = loglik_secondary(model, theta, ds.secondary)
             assert score.fit == pytest.approx(-2.0 * want, rel=1e-9)
-            ref = fim_pair(model, prepared[h], 0, ds, approach)
+            ref = fim_pair(model, estimate, 0, ds, approach)
             ref_tic = 2.0 * np.trace(np.linalg.solve(ref.observed, ref.sample))
             sign, ref_bic = np.linalg.slogdet(ref.observed)
             assert sign == 1.0

@@ -176,7 +176,7 @@ def test_alpha_minimises_the_cut_fit_under_every_class(rng):
             for _ in range(5):
                 ds = random_dataset(rng, n, k)
                 ds = Dataset(secondary=ds.secondary, cut=ds.cut, steering=v)
-                est = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)[h]
+                est = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM, h)
                 low_h = np.linalg.cholesky(est.x_hat[0]).conj().T
                 a_orc = alpha_ls_oracle(low_h @ ds.cut, low_h @ v)
                 a_hat = est.alpha_hat[0]
@@ -227,7 +227,8 @@ def test_alpha_and_cut_fit_match_the_inverse_forms(rng):
     for v in _steerings(rng, n):
         sets = [random_dataset(rng, n, k) for _ in range(trials)]
         stack = DatasetStack.of(Dataset(d.secondary, d.cut, v) for d in sets)
-        for h, est in prepare_estimates(stack, Approach.A, FIM).items():
+        for h in Hypothesis:
+            est = prepare_estimates(stack, Approach.A, FIM, h)
             x = est.x_hat
             vx = np.einsum("i,tij->tj", v.conj(), x)
             alpha = np.einsum("tj,tj->t", vx, stack.cut) / (vx @ v).real
@@ -239,7 +240,8 @@ def test_alpha_and_cut_fit_match_the_inverse_forms(rng):
 
 def test_x_hat_is_the_hermitian_inverse_of_m_hat(rng):
     ds = random_dataset(rng, 7, 20)
-    for h, est in prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM).items():
+    for h in Hypothesis:
+        est = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM, h)
         m, x = est.m_hat[0], est.x_hat[0]
         residual = np.abs(m @ x - np.eye(7)).max()
         assert residual <= 1e-10 * max(1.0, float(np.abs(m).max())), h
@@ -255,8 +257,8 @@ def test_x_hat_from_the_solve_is_the_inverse_to_the_bit(rng):
     for n, k, trials in ((5, 6, 1), (7, 20, 4), (13, 26, 24)):
         stack = DatasetStack.of([random_dataset(rng, n, k) for _ in range(trials)])
         for approach in Approach:
-            alone = prepare_estimates(stack, approach)
-            formed = prepare_estimates(stack, approach, FIM)
+            alone = {h: prepare_estimates(stack, approach, (), h) for h in Hypothesis}
+            formed = {h: prepare_estimates(stack, approach, FIM, h) for h in Hypothesis}
             for h, est in formed.items():
                 want = hermitian_part(np.linalg.inv(est.m_hat))
                 assert alone[h].x_hat is None
@@ -280,10 +282,9 @@ def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
     closed = [Criterion(kind) for kind in (CriterionKind.AIC, CriterionKind.ASYMPTOTIC_BIC)]
     for rules, formed in ((closed, False), ([Criterion(CriterionKind.TIC)], True)):
         classify_stack(stack, (Approach.A, Approach.B), rules)
-        assert [list(prepared) for prepared in seen] == [[h] for h in Hypothesis]
-        for prepared in seen:
-            for est in prepared.values():
-                assert (est.x_hat is not None) is formed
+        assert [est.hypothesis for est in seen] == list(Hypothesis)
+        for est in seen:
+            assert (est.x_hat is not None) is formed
         seen.clear()
 
 
@@ -301,7 +302,7 @@ def test_a_failed_solve_is_its_trials_failure_and_a_fallback(rng, monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    est = prepare_estimates(stack, Approach.A)[Hypothesis.H1]
+    est = prepare_estimates(stack, Approach.A, (), Hypothesis.H1)
     assert list(est.alpha_failures) == [1] and est.fallbacks == 1
     assert isinstance(est.alpha_failures[1], np.linalg.LinAlgError)
     assert str(est.alpha_failures[1]) == "solve with the ICM estimate: Singular matrix"
@@ -327,7 +328,7 @@ def test_a_singular_m_in_the_one_lu_solve_counts_once(rng, monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    est = prepare_estimates(stack, Approach.A, FIM)[Hypothesis.H1]
+    est = prepare_estimates(stack, Approach.A, FIM, Hypothesis.H1)
     assert list(est.alpha_failures) == [1] and est.fallbacks == 1
     assert np.isnan(est.x_hat[1]).all() and np.isfinite(est.x_hat[[0, 2]]).all()
     tic = Criterion(CriterionKind.TIC)
@@ -349,7 +350,8 @@ def test_an_overflowing_cut_fails_approach_a_and_leaves_x_hat(rng):
     stack.cut[1] = np.finfo(float).max
     rules = (Criterion(CriterionKind.TIC), Criterion(CriterionKind.BIC))
     with np.errstate(all="ignore"):
-        for h, est in prepare_estimates(stack, Approach.A, rules).items():
+        for h in Hypothesis:
+            est = prepare_estimates(stack, Approach.A, rules, h)
             assert list(est.alpha_failures) == [1], h
             assert isinstance(est.alpha_failures[1], np.linalg.LinAlgError), h
             assert np.isfinite(est.x_hat).all(), h
@@ -391,7 +393,7 @@ def test_degenerate_steering_message_ignores_the_last_bits():
 
 def test_estimate_all_shapes(rng):
     ds = random_dataset(rng, 5, 14)
-    full = prepare_estimates(DatasetStack.of([ds]), Approach.A)
+    full = {h: prepare_estimates(DatasetStack.of([ds]), Approach.A, (), h) for h in Hypothesis}
     assert set(full) == set(Hypothesis)
     for h, est in full.items():
         assert est.hypothesis is h
@@ -399,8 +401,9 @@ def test_estimate_all_shapes(rng):
         assert est.alpha_hat.shape == (1,)
         assert np.isfinite(est.logdet[0])
         assert not est.failures and not est.alpha_failures
-    b_only = prepare_estimates(DatasetStack.of([Dataset(secondary=ds.secondary)]), Approach.B)
-    for h, est in b_only.items():
+    b_only = DatasetStack.of([Dataset(secondary=ds.secondary)])
+    for h in Hypothesis:
+        est = prepare_estimates(b_only, Approach.B, (), h)
         assert est.alpha_hat is None
 
 

@@ -139,8 +139,8 @@ def test_grad_alpha_zero_at_alpha_hat(rng):
     ds = random_dataset(rng, 5, 17)
     for steering in (steering_vector(5, 0.01), ds.steering):
         one = Dataset(secondary=ds.secondary, cut=ds.cut, steering=steering)
-        estimates = prepare_estimates(DatasetStack.of([one]), Approach.A, FIM)
-        for h, est in estimates.items():
+        for h in Hypothesis:
+            est = prepare_estimates(DatasetStack.of([one]), Approach.A, FIM, h)
             g = grad_alpha(est.x_hat[0], est.alpha_hat[0], one.cut, steering)
             assert np.abs(g).max() <= 1e-8, h
 
@@ -181,17 +181,16 @@ def test_hessian_blocks_match_fd(rng, hypothesis):
 
 def test_observed_fim_symmetry_and_size(rng):
     ds = random_dataset(rng, 5, 14)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        fim = observed_fim(model, estimates[h], 0, ds, Approach.A)
+        est = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM, h)
+        fim = observed_fim(model, est, 0, ds, Approach.A)
         assert fim.shape == (model.m + 2, model.m + 2)
         assert np.abs(fim - fim.T).max() <= 1e-8 * max(1.0, np.abs(fim).max())
     b_only = DatasetStack.of([Dataset(secondary=ds.secondary)])
-    b_estimates = prepare_estimates(b_only, Approach.B, FIM)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        fim = observed_fim(model, b_estimates[h], 0, ds, Approach.B)
+        fim = observed_fim(model, prepare_estimates(b_only, Approach.B, FIM, h), 0, ds, Approach.B)
         assert fim.shape == (model.m, model.m)
 
 
@@ -200,12 +199,11 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
     # the two-branch formula; at the secondary-only MLE the result also
     # reduces to K C'(X* (x) X)C because X S X = K X there.
     ds = random_dataset(rng, 4, 12, with_cut=False)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM)
     s = ds.secondary @ ds.secondary.conj().T
     s = 0.5 * (s + s.conj().T)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        est = estimates[h]
+        est = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM, h)
         fim = observed_fim(model, est, 0, ds, Approach.B)
         x = est.x_hat[0].astype(complex)
         c = model.constraint
@@ -226,10 +224,10 @@ def test_observed_fim_at_b_mle_matches_independent_assembly(rng):
 
 def test_sample_fim_psd_and_rank(rng):
     ds = random_dataset(rng, 4, 11)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)
     for h in Hypothesis:
         model = structure_model(h, ds.n)
-        fim = sample_fim(model, estimates[h], 0, ds, Approach.A)
+        est = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM, h)
+        fim = sample_fim(model, est, 0, ds, Approach.A)
         eigs = np.linalg.eigvalsh(0.5 * (fim + fim.T))
         assert eigs.min() >= -1e-9 * max(1.0, eigs.max())
 
@@ -240,8 +238,7 @@ def test_sample_fim_single_snapshot_rank_one(rng):
     secondary = complex_normal(rng, (3, 7))
     ds = Dataset(secondary=secondary)
     model = structure_model(Hypothesis.H1, 3)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM)
-    est = estimates[Hypothesis.H1]
+    est = prepare_estimates(DatasetStack.of([ds]), Approach.B, FIM, Hypothesis.H1)
     one_col = SimpleNamespace(secondary=secondary[:, :1], cut=None, steering=None)
     fim = sample_fim(model, est, 0, one_col, Approach.B)
     assert np.linalg.matrix_rank(fim, tol=1e-8 * float(np.abs(fim).max())) <= 1
@@ -249,9 +246,8 @@ def test_sample_fim_single_snapshot_rank_one(rng):
 
 def test_fim_pair_consistency(rng):
     ds = random_dataset(rng, 4, 13)
-    estimates = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM)
     model = structure_model(Hypothesis.H2, 4)
-    est = estimates[Hypothesis.H2]
+    est = prepare_estimates(DatasetStack.of([ds]), Approach.A, FIM, Hypothesis.H2)
     pair = fim_pair(model, est, 0, ds, Approach.A)
     np.testing.assert_array_equal(pair.observed, observed_fim(model, est, 0, ds, Approach.A))
     np.testing.assert_array_equal(pair.sample, sample_fim(model, est, 0, ds, Approach.A))
@@ -298,7 +294,7 @@ def _assert_terms_match_oracle(datasets, tolerance):
     relative."""
     stack = DatasetStack.of(datasets)
     for approach in Approach:
-        prepared = prepare_estimates(stack, approach, FIM)
+        prepared = {h: prepare_estimates(stack, approach, FIM, h) for h in Hypothesis}
         for h in Hypothesis:
             info = _terms(prepared[h], stack, approach)
             assert not info.failures
@@ -392,7 +388,7 @@ def test_information_terms_match_40_digit_definitions_at_k_n_plus_one():
         rng = np.random.default_rng((41, t))
         datasets.append(sample_dataset(truth_instance(truth, config, rng), config, 6, rng))
     stack = DatasetStack.of(datasets)
-    prepared = prepare_estimates(stack, Approach.A, FIM)
+    prepared = {h: prepare_estimates(stack, Approach.A, FIM, h) for h in Hypothesis}
     for h in Hypothesis:
         info = _terms(prepared[h], stack, Approach.A)
         for t, ds in enumerate(datasets):
@@ -423,9 +419,9 @@ def test_uncertified_capacitance_fails_its_trial_alone(scale, message):
     stack = DatasetStack.of([datasets[0], huge, datasets[2]])
     rest = DatasetStack.of([datasets[0], datasets[2]])
     with np.errstate(all="ignore"):  # the overflow itself
-        prepared = prepare_estimates(stack, Approach.A, FIM)
+        prepared = {h: prepare_estimates(stack, Approach.A, FIM, h) for h in Hypothesis}
         infos = {h: _terms(prepared[h], stack, Approach.A) for h in Hypothesis}
-    prepared_rest = prepare_estimates(rest, Approach.A, FIM)
+    prepared_rest = {h: prepare_estimates(rest, Approach.A, FIM, h) for h in Hypothesis}
     for h, info in infos.items():
         assert not prepared[h].failures and not prepared[h].alpha_failures
         assert list(info.failures) == [1], h
@@ -470,13 +466,13 @@ def test_information_terms_of_a_stack_equal_its_one_trial_slices(data):
     datasets = _stack_with_bad_trial(data)
     stack = DatasetStack.of(datasets)
     for approach in Approach:
-        prepared = prepare_estimates(stack, approach, FIM)
+        prepared = {h: prepare_estimates(stack, approach, FIM, h) for h in Hypothesis}
         for h in Hypothesis:
             info = _terms(prepared[h], stack, approach)
             live_failed = False
             for t, ds in enumerate(datasets):
                 one = DatasetStack.of([ds])
-                alone = _terms(prepare_estimates(one, approach, FIM)[h], one, approach)
+                alone = _terms(prepare_estimates(one, approach, FIM, h), one, approach)
                 live_failed = live_failed or bool(alone.failures)
                 assert info.theta_trace[t] == alone.theta_trace[0]
                 assert info.theta_logdet[t] == alone.theta_logdet[0]

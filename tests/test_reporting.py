@@ -1,5 +1,6 @@
 """Result serialization: deterministic CSV, JSON mirror, config round trip."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -119,6 +120,20 @@ def test_csv_reader_rejects_malformed_input(tmp_path, golden_report):
     with pytest.raises(ValueError, match="bad truth"):
         read_results_csv(truth)
 
+    # The approach lands in plot file names, so only A and B pass; the
+    # criterion must parse.
+    for name, column, value, match in (
+        ("approach", 2, "A/x", "approach.csv:2: bad approach 'A/x'"),
+        ("dots", 2, "..", r"dots.csv:2: bad approach '\.\.'"),
+        ("criterion", 1, "nope", "criterion.csv:2: unknown criterion 'nope'"),
+    ):
+        parts = lines[1].split(",")
+        parts[column] = value
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join([lines[0], ",".join(parts)]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            read_results_csv(path)
+
     schema = tmp_path / "schema.csv"
     schema.write_text(
         "\n".join([lines[0], "9" + lines[1][1:]]) + "\n", encoding="utf-8"
@@ -191,14 +206,19 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
 
 
 def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
-    # One singular Schur block per (truth, K) block under H2: each of the two
-    # cells adds one TIC ridge retry, one fallback of TIC's stacked solve and
-    # one fallback of BIC's stacked Cholesky.
-    monkeypatch.setattr(
-        criteria_module,
-        "information_terms",
-        with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 0),
-    )
+    # One singular Schur block per (truth, K) block under H2, whose
+    # information terms also report one fallback under both approaches: each
+    # of the two cells adds one TIC ridge retry under approach A and one
+    # stack fallback to every (rule, approach).
+    singular = with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 0)
+
+    def patched(estimate, stack, approaches):
+        infos = singular(estimate, stack, approaches)
+        if estimate.hypothesis is not Hypothesis.H2:
+            return infos
+        return {a: dataclasses.replace(info, fallbacks=1) for a, info in infos.items()}
+
+    monkeypatch.setattr(criteria_module, "information_terms", patched)
     config = CampaignConfig(
         scenario=ScenarioConfig(n=5),
         k_grid=(11, 12),
@@ -214,9 +234,9 @@ def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["fallbacks"] == [
         {"criterion": "tic", "approach": "A", "ridge_retries": 2, "stack_fallbacks": 2},
-        {"criterion": "tic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 0},
+        {"criterion": "tic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 2},
         {"criterion": "bic", "approach": "A", "ridge_retries": 0, "stack_fallbacks": 2},
-        {"criterion": "bic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 0},
+        {"criterion": "bic", "approach": "B", "ridge_retries": 0, "stack_fallbacks": 2},
     ]
 
 
