@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .criteria import classify, parse_criterion
-from .datafmt import DataFormatError, read_dataset
+from .datafmt import read_dataset
 from .estimators import Approach
 from .montecarlo import CampaignConfig, PccReport, run_campaign
 from .reporting import (
@@ -248,27 +248,13 @@ def _add_classify_parser(sub) -> None:
 def cmd_classify(args) -> int:
     if args.json is not None and (args.json.is_dir() or not args.json.parent.is_dir()):
         raise ConfigError(f"--json: {str(args.json)!r} is not a file in an existing directory")
-    try:
-        criterion = parse_criterion(args.criterion)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    criterion = parse_criterion(args.criterion)
     try:
         dataset = read_dataset(args.data)
     except OSError as exc:
-        print(f"error: cannot read data file: {exc}", file=sys.stderr)
-        return 1
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        raise ConfigError(f"cannot read data file: {exc}") from None
     approach = Approach.parse(args.approach)
-    try:
-        card = classify(dataset, approach, criterion)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    card = classify(dataset, approach, criterion)
     print(f"criterion {criterion.key}, approach {approach.value}, N={dataset.n}, K={dataset.k}")
     payload = {
         "criterion": criterion.key,
@@ -317,12 +303,7 @@ def cmd_plot(args) -> int:
     try:
         rows = read_results_csv(args.results)
     except OSError as exc:
-        print(f"error: cannot read results: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+        raise ConfigError(f"cannot read results: {exc}") from None
     written = _write_plots(rows, args.out_dir)
     print("wrote " + " ".join(written))
     return 0
@@ -355,7 +336,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, DataFormatError and every other usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,6 +51,7 @@ the engine on a stack of one.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +66,7 @@ from .estimators import (
     estimate_covariance,
 )
 from .likelihood import InfoTerms, information_terms
-from .linalg import _PIVOT_RTOL, _pivot_error, cholesky_stack, hermitian_part, logdet_from_cholesky
+from .linalg import _PIVOT_RTOL, _pivot_error, cholesky_stack, hermitian_part
 from .structures import Hypothesis, param_count
 
 __all__ = [
@@ -333,8 +334,8 @@ class TrialScores:
     chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
     ``ridge_retries`` counts the trials and hypotheses whose TIC Schur
     trace was retried with a ridge; ``stack_fallbacks`` counts the stacked
-    factorizations and solves behind this outcome (estimates, and for TIC
-    and BIC the information terms) that fell back to matrix by matrix.
+    Cholesky factorizations and solves of the estimates behind this outcome
+    (the information terms factor nothing) that fell back matrix by matrix.
     """
 
     criterion: Criterion
@@ -399,8 +400,11 @@ def prepare_estimates(
     stack: DatasetStack, approach: Approach, criteria, hypothesis: Hypothesis
 ) -> EstimateStack:
     """The :class:`EstimateStack` of class ``hypothesis`` over a stack, for
-    the rules ``criteria``; one stacked Cholesky gives log det M and is the
-    one positive-definiteness check.
+    the rules ``criteria``. One stacked Cholesky, whatever the rules, is the
+    one positive-definiteness check and gives log det M. Under H4 it factors
+    ``P^T M P``, ``P = [E O]`` the J-even and J-odd basis, in which M is block
+    diagonal (Cantoni and Butler 1976, Linear Algebra Appl. 13), so the
+    log-pivots' J-even and J-odd partial sums are the blocks' log-dets.
 
     A trial whose estimate is not positive definite keeps its error, and
     its rows of M are the identity. Under approach A one stacked solve of M
@@ -418,8 +422,15 @@ def prepare_estimates(
     vz = stack.secondary[..., :0]  # no columns under approach B
     if approach is Approach.A:
         (cut, steering), vz = stack.require_cut(), stack.steering_cut
-    m_hat = estimate_covariance(hypothesis, stack)
-    low, errors, fell_back = cholesky_stack(m_hat)
+    m_hat, blocks = estimate_covariance(hypothesis, stack), (slice(None),)
+    if hypothesis is Hypothesis.H4:  # block diagonal in its J-parity basis
+        basis, split = _parity_basis(stack.n), (stack.n + 1) // 2
+        low, errors, fell_back = cholesky_stack(basis.T @ m_hat @ basis)
+        blocks = slice(split), slice(split, None)
+    else:
+        low, errors, fell_back = cholesky_stack(m_hat)
+    logs = np.log(low.diagonal(0, -2, -1).real)  # as logdet_from_cholesky, by block
+    block_logdets = tuple(2.0 * logs[..., b].sum(-1) for b in blocks)
     if errors:
         m_hat[list(errors)] = np.eye(stack.n)
     alpha, quad, alpha_errors, x_hat = None, None, {}, None
@@ -440,10 +451,23 @@ def prepare_estimates(
                 reason = f"solve with the ICM estimate: {reason}"
                 alpha_errors[t] = np.linalg.LinAlgError(reason)
     return EstimateStack(
-        hypothesis=hypothesis, m_hat=m_hat, logdet=logdet_from_cholesky(low), alpha_hat=alpha,
-        quad=quad, failures=errors, fallbacks=int(fell_back), x_hat=x_hat,
+        hypothesis=hypothesis, m_hat=m_hat, logdet=sum(block_logdets),
+        block_logdets=block_logdets, alpha_hat=alpha, quad=quad, failures=errors,
         alpha_failures={t: exc for t, exc in alpha_errors.items() if t not in errors},
+        fallbacks=int(fell_back), x_hat=x_hat,
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _parity_basis(n: int) -> np.ndarray:
+    """The orthonormal real basis ``[E O]`` of the J-even, then the J-odd
+    N-vectors, formed once per N and read-only."""
+    half, eye = n // 2, np.eye(n)
+    low, high = eye[:, :half], eye[:, ::-1][:, :half]
+    centre = eye[:, half : n - half]  # J-even; a column only when N is odd
+    basis = np.hstack([math.sqrt(0.5) * (low + high), centre, math.sqrt(0.5) * (low - high)])
+    basis.flags.writeable = False
+    return basis
 
 
 def classify(
@@ -499,7 +523,7 @@ def _evaluate(
     criteria: tuple[Criterion, ...],
     fit: np.ndarray,
     lost: dict[tuple[int, int], Exception],
-    estimate_fallbacks: int,
+    fallbacks: int,
     infos: dict[Hypothesis, dict[Approach, InfoTerms]],
 ) -> dict[Criterion, TrialScores]:
     n, k, trials = stack.n, stack.k, len(stack)
@@ -510,14 +534,12 @@ def _evaluate(
     pen, rules = np.empty((len(criteria), *fit.shape)), []
     failed = np.zeros(pen.shape, dtype=bool)
     for c, criterion in enumerate(criteria):
-        failures = dict(lost)
-        retries, fallbacks = 0, estimate_fallbacks
+        failures, retries = dict(lost), 0
         for i, h in enumerate(Hypothesis):
             if criterion.needs_fim:
                 info = infos[h][approach]
                 pen[c, i], errors, retried = _information_penalty(criterion, info)
                 retries += retried
-                fallbacks += info.fallbacks
                 for t, exc in {**errors, **info.failures}.items():
                     failures.setdefault((int(h), t), exc)
                 continue
@@ -527,7 +549,7 @@ def _evaluate(
             except AiccDegenerateError as exc:
                 for t in range(trials):
                     failures.setdefault((int(h), t), exc)
-        rules.append((failures, retries, fallbacks))
+        rules.append((failures, retries))
         for h, t in failures:
             failed[c, h - 1, t] = True
     pen[failed] = np.nan
@@ -540,7 +562,7 @@ def _evaluate(
         failed[c, i, t], pen[c, i, t], total[c, i, t] = True, np.nan, np.nan
     chosen = _argmin_batch(total, failed, counts)
     out: dict[Criterion, TrialScores] = {}
-    for c, (criterion, (failures, retries, fallbacks)) in enumerate(zip(criteria, rules)):
+    for c, (criterion, (failures, retries)) in enumerate(zip(criteria, rules)):
         out[criterion] = TrialScores(
             criterion=criterion,
             approach=approach,

@@ -193,9 +193,12 @@ class DatasetStack:
 class EstimateStack:
     """Plug-in estimates for one hypothesis over a :class:`DatasetStack`.
 
-    The arrays carry the trial axis first. ``failures`` maps each trial whose
-    estimate failed its Cholesky check to its error; that trial's rows are
-    placeholders, with the identity in ``m_hat``. Under approach A,
+    The arrays carry the trial axis first. ``block_logdets`` holds log det of
+    the blocks of ``m_hat`` on the J-even and J-odd vectors, of sizes
+    ``(N+1)//2`` and ``N//2``, under H4 and ``(logdet,)`` otherwise; they sum
+    to ``logdet``. ``failures`` maps each trial whose estimate failed its
+    Cholesky check to its error; that trial's rows are placeholders, with
+    the identity in ``m_hat`` and zero log-dets. Under approach A,
     ``alpha_hat`` and ``quad`` hold the amplitudes and CUT fits of
     :func:`estimate_alpha_stack`, and ``alpha_failures`` maps each trial
     whose steering energy is degenerate, or whose solve failed, to its
@@ -209,6 +212,7 @@ class EstimateStack:
     hypothesis: Hypothesis
     m_hat: np.ndarray
     logdet: np.ndarray
+    block_logdets: tuple[np.ndarray, ...]
     alpha_hat: np.ndarray | None
     quad: np.ndarray | None
     failures: dict[int, Exception]

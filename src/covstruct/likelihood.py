@@ -19,8 +19,9 @@ Every class is a quadratic subspace whose plug-in estimate is the projection
 Statist. 16(1)). So at the plug-in the theta-theta observed information is
 ``K F`` under approach B and ``(K-1) F`` plus a rank-2N term under A, where
 ``F_pq = Re Tr(X C_p X C_q)`` and ``F^{-1}`` acts on the class as
-``U -> M U M``. The score of snapshot k is the class component of
-``D_k = X z_k z_k^H X - X``. Under A the rank-2N term is handled by
+``U -> M U M``, whose log det comes from the block log-dets of the
+estimate's one Cholesky; no Cholesky runs here. The score of snapshot k is
+the class component of ``D_k = X z_k z_k^H X - X``. Under A the rank-2N term is handled by
 Woodbury, with its capacitance in closed form, and the amplitude block by a
 2 x 2 Schur complement, so no information matrix is formed. The amplitude is
 the ML estimate, so the CUT's amplitude score is zero and drops out of every
@@ -33,14 +34,13 @@ and information matrices, and the approach-A terms at 40 digits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimators import Approach, DatasetStack, EstimateStack
-from .linalg import _PIVOT_RTOL, NotPositiveDefiniteError, cholesky_stack, logdet_from_cholesky
+from .linalg import _PIVOT_RTOL, NotPositiveDefiniteError
 from .structures import Hypothesis, basis_log_norm, param_count
 
 __all__ = ["InfoTerms", "information_terms"]
@@ -63,18 +63,17 @@ class InfoTerms:
     ``log det I = theta_logdet + log det S``. Under approach B, I = Q and
     ``schur`` is None.
 
-    ``failures`` maps each trial whose terms could not be formed to its
-    error. Those trials, and the trials whose estimate (or, under A,
-    amplitude) had already failed, hold placeholder rows: zero terms and
-    the pair ``(I_2, 0)``. ``fallbacks`` counts the stacked factorizations
-    (of the H4 blocks of M) that fell back to matrix by matrix.
+    ``failures`` maps each trial whose approach-A terms could not be formed
+    (the capacitance is not certified) to its error. Those trials, and the
+    trials whose estimate (or, under A, amplitude) had already failed, hold
+    placeholder rows: zero terms and the pair ``(I_2, 0)``. ``log det F``
+    comes from the estimate's ``block_logdets``, so no Cholesky runs here.
     """
 
     theta_trace: np.ndarray
     theta_logdet: np.ndarray
     schur: tuple[np.ndarray, np.ndarray] | None = None
     failures: dict[int, Exception] = field(default_factory=dict)
-    fallbacks: int = 0
 
 
 # The group of each class's projection; an element (flip, conjugate) maps a
@@ -164,7 +163,11 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     if x is None:
         raise ValueError("the information terms need x_hat: prepare the estimates for TIC or BIC")
     m, group = param_count(h, n), _VECTOR_GROUPS[h]
-    sandwich, failures, fallbacks = _sandwich_logdet(h, estimate.m_hat, estimate.logdet)
+    # log det F = sum_q log ||C_q||^2 - log det (U -> M U M) on the class: 2N log
+    # det M on the Hermitian matrices, else the sum of (n_b + 1) log det M_b over
+    # the blocks in EstimateStack.block_logdets (centrohermitian is unitarily real).
+    weights = {Hypothesis.H1: (2 * n,), Hypothesis.H4: ((n + 1) // 2 + 1, n // 2 + 1)}
+    sandwich = sum(w * ld for w, ld in zip(weights.get(h, (n + 1,)), estimate.block_logdets))
     logdet_f = basis_log_norm(h, n) - sandwich
     z = stack.secondary.swapaxes(-1, -2)  # the snapshot rows
     x_z, z_conj, size = z @ x.swapaxes(-1, -2), z.conj(), len(group)
@@ -176,7 +179,7 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     out, dead = {}, set(estimate.failures)
     if Approach.B in approaches:
         trace, logdet = quad.sum(-1) / k, m * math.log(k) + logdet_f
-        out[Approach.B] = _with_placeholders(trace, logdet, None, failures, fallbacks, dead)
+        out[Approach.B] = _with_placeholders(trace, logdet, None, {}, dead)
     if Approach.A not in approaches:
         return out
 
@@ -283,14 +286,12 @@ def information_terms(estimate: EstimateStack, stack: DatasetStack, approaches) 
     theta_logdet = (m * math.log(km1) + 2 * n * math.log(2.0) + logdet_f) + logs.sum(-1)
     y_theta = cross[..., scores]
     schur = (0.5 * (schur + schur.swapaxes(-1, -2)), y_theta @ y_theta.swapaxes(-1, -2))
-    failures, dead = {**errors, **failures}, dead | set(estimate.alpha_failures)
-    out[Approach.A] = _with_placeholders(
-        theta_trace, theta_logdet, schur, failures, fallbacks, dead
-    )
+    dead |= set(estimate.alpha_failures)
+    out[Approach.A] = _with_placeholders(theta_trace, theta_logdet, schur, errors, dead)
     return out
 
 
-def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoTerms:
+def _with_placeholders(trace, logdet, schur, failures, dead) -> InfoTerms:
     """InfoTerms whose rows of the ``dead`` trials (estimate or amplitude
     failed) and of the trials in ``failures`` hold placeholders; failures of
     dead trials are dropped."""
@@ -300,45 +301,4 @@ def _with_placeholders(trace, logdet, schur, failures, fallbacks, dead) -> InfoT
         trace[placeholders] = logdet[placeholders] = 0.0
         if schur is not None:
             schur[0][placeholders], schur[1][placeholders] = np.eye(2), 0.0
-    return InfoTerms(trace, logdet, schur, failures, int(fallbacks))
-
-
-def _sandwich_logdet(
-    hypothesis: Hypothesis, m_hat: np.ndarray, logdet: np.ndarray
-) -> tuple[np.ndarray, dict[int, Exception], bool]:
-    """log det of ``U -> M U M`` on the class, in an orthonormal basis, over a
-    (T, N, N) stack.
-
-    ``logdet`` is ``log det M``. The result is ``2N log det M`` on the
-    Hermitian matrices, ``(N+1) log det M`` on the real symmetric ones and on
-    the centrohermitian ones (unitarily equivalent to real symmetric), and
-    for H4 the sum over the blocks of M on the J-even and J-odd vectors,
-    ``(n_e + 1) log det M_e + (n_o + 1) log det M_o``. So ``log det F`` is
-    ``sum_q log ||C_q||^2`` minus this. Also returns the per-trial errors and
-    the fallback flag of the blocks' stacked Cholesky (:func:`cholesky_stack`).
-    """
-    n = m_hat.shape[-1]
-    if hypothesis is Hypothesis.H1:
-        return 2 * n * logdet, {}, False
-    if hypothesis is not Hypothesis.H4:
-        return (n + 1) * logdet, {}, False
-    total, errors, fell_back = 0.0, {}, False
-    for basis in _parity_bases(n):
-        low, block_errors, block_fell_back = cholesky_stack(basis.T @ m_hat @ basis)
-        total = total + (basis.shape[1] + 1) * logdet_from_cholesky(low)
-        errors = {**block_errors, **errors}
-        fell_back = fell_back or block_fell_back
-    return total, errors, fell_back
-
-
-@functools.lru_cache(maxsize=32)
-def _parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal real bases of the J-even and J-odd N-vectors, formed once
-    per N and read-only."""
-    half, eye = n // 2, np.eye(n)
-    pairs = eye[:, :half], eye[:, ::-1][:, :half]
-    even, odd = math.sqrt(0.5) * (pairs[0] + pairs[1]), math.sqrt(0.5) * (pairs[0] - pairs[1])
-    if n % 2:
-        even = np.column_stack([even, eye[:, half]])
-    even.flags.writeable = odd.flags.writeable = False
-    return even, odd
+    return InfoTerms(trace, logdet, schur, failures)

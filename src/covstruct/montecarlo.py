@@ -184,8 +184,8 @@ class PccReport:
 
     ``fallbacks`` maps (criterion key, approach) to the summed
     ``(ridge_retries, stack_fallbacks)`` of every block's
-    :class:`~covstruct.criteria.TrialScores`. A stack fallback (of the
-    estimates or information terms) is counted once per stacked call, so
+    :class:`~covstruct.criteria.TrialScores`. A stack fallback (of an
+    estimate's Cholesky or solve) is counted once per stacked call, so
     that count depends on how the trials were blocked; the retries do not.
     ``chunks`` and ``workers``: the chunk count and the processes that ran
     them (1 serially). ``heap_retained``: see :func:`_retain_heap`.

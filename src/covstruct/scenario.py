@@ -86,10 +86,16 @@ class SourceParams:
 
 
 def _require_finite(params, *names: str) -> None:
+    """Each field is finite, and a dB field (``*_db``) a finite linear power."""
     for name in names:
         value = getattr(params, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+        try:
+            if name.endswith("_db"):
+                db_to_linear(value)
+        except OverflowError:
+            raise ValueError(f"{name} {value!r} dB overflows as a linear power") from None
 
 
 def case1_sources() -> tuple[SourceParams, ...]:
@@ -129,6 +135,10 @@ class ScenarioConfig:
         if self.sigma_n2 <= 0:
             raise ValueError(f"thermal noise power must be > 0, got {self.sigma_n2}")
         object.__setattr__(self, "sources", tuple(self.sources))
+        with np.errstate(all="ignore"):  # an overflow is the error raised here
+            truths = [_truth_covariance(h, self, np.eye(self.n)) for h in Hypothesis]
+        if not all(np.isfinite(m).all() for m in truths):
+            raise ValueError("clutter covariance plus noise is not finite; lower cnr_db")
 
 
 def table_case(case_id: int, **overrides) -> ScenarioConfig:

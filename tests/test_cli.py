@@ -1,6 +1,7 @@
 """Command-line interface: run, classify, and plot subcommands."""
 
 import json
+import math
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -136,6 +137,7 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         (["--trials", "x"], "argument --trials: invalid int value"),
         (["--snr-db", "nan"], "snr_db must be finite, got nan"),
         (["--snr-db", "inf"], "snr_db must be finite, got inf"),
+        (["--snr-db", "4000"], "snr_db 4000.0 dB overflows as a linear power"),
         (["--f-v", "nan"], "f_v must be finite, got nan"),
         (["--sigma-d", "nan"], "sigma_d must be finite, got nan"),
     ):
@@ -165,6 +167,10 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
         ({"scenario": {"sigma_n2": float("inf")}}, "sigma_n2 must be finite, got inf"),
         ({"scenario": {"sources": [{"cnr_db": float("nan"), "rho": 0.9, "doppler": 0.1}]}},
          "source #0: cnr_db must be finite, got nan"),
+        ({"scenario": {"sources": [{"cnr_db": 4000, "rho": 0.9, "doppler": 0.1}]}},
+         "source #0: cnr_db 4000 dB overflows as a linear power"),
+        ({"scenario": {"sources": [{"cnr_db": 3080, "rho": 0.9, "doppler": 0.1}] * 2}},
+         "clutter covariance plus noise is not finite"),
     ):
         config.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli(["run", "--config", config, "--out-dir", out]) == 1, tree
@@ -308,6 +314,22 @@ def test_classify_recovers_h4_fixture(tmp_path, capsys, h4_dataset):
     assert payload["chosen"] == "H4"
     for name, score in payload["scores"].items():
         assert score["total"] == score["fit"] + score["penalty"], name
+
+
+def test_classify_scores_a_single_channel(tmp_path, capsys, rng):
+    # At N = 1 H4's J-odd block is empty; every rule under both approaches
+    # still scores every hypothesis.
+    secondary = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
+    data, card = tmp_path / "n1.txt", tmp_path / "card.json"
+    write_dataset(Dataset(secondary, np.array([0.3 + 0.1j]), np.array([1.0 + 0j])), data)
+    for approach in ("A", "B"):
+        for rule in ("aic", "gic:2", "gic:4", "tic", "aicc", "bic", "asymptotic-bic"):
+            code = run_cli(["classify", "--data", data, "--approach", approach,
+                            "--criterion", rule, "--json", card])
+            assert code == 0, (approach, rule, capsys.readouterr().err)
+            scores = json.loads(card.read_text(encoding="utf-8"))["scores"]
+            assert all(math.isfinite(s["total"]) for s in scores.values()), (approach, rule)
+    capsys.readouterr()
 
 
 def test_classify_approach_a_needs_steering(tmp_path, capsys, h4_dataset):

@@ -632,6 +632,7 @@ def reference_classify(ds, approach, criteria):
             hypothesis=h,
             m_hat=m_hat[None],
             logdet=np.array([logdet]),
+            block_logdets=(np.array([logdet]),),  # the oracle's terms do not read it
             alpha_hat=None if alpha is None else np.array([alpha]),
             quad=None if quad is None else np.array([quad]),
             failures={},

@@ -267,6 +267,32 @@ def test_x_hat_from_the_solve_is_the_inverse_to_the_bit(rng):
                     np.testing.assert_array_equal(getattr(est, name), getattr(alone[h], name))
 
 
+def test_h4_is_factored_once_in_its_j_parity_basis(rng):
+    # M under H4 is block diagonal on the J-even and J-odd vectors, so the
+    # Cholesky of P^T M P gives each block's log det as a partial sum of its
+    # log-pivots, and the two sum to log det M. The other classes have one
+    # block, log det M itself. N = 1 has an empty J-odd block.
+    for n, k in ((1, 3), (2, 5), (5, 11), (6, 13), (13, 26)):
+        colour = complex_normal(rng, (n, n)) + 2.0 * np.eye(n)
+        stack = DatasetStack(colour @ complex_normal(rng, (4, n, k)))
+        eye, flip = np.eye(n), np.eye(n)[::-1]
+        even, odd = (eye + flip)[:, : (n + 1) // 2], (eye - flip)[:, : n // 2]
+        even, odd = even / np.linalg.norm(even, axis=0), odd / np.linalg.norm(odd, axis=0)
+        for h in Hypothesis:
+            est = prepare_estimates(stack, Approach.B, (), h)
+            np.testing.assert_array_equal(sum(est.block_logdets), est.logdet)
+            if h is not Hypothesis.H4:
+                (block,) = est.block_logdets
+                np.testing.assert_array_equal(block, est.logdet)
+                continue
+            assert len(est.block_logdets) == 2
+            for basis, got in zip((even, odd), est.block_logdets):
+                want = np.linalg.slogdet(basis.T @ est.m_hat @ basis)[1]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=str(n))
+            want = np.linalg.slogdet(est.m_hat)[1]
+            np.testing.assert_allclose(est.logdet, want, rtol=1e-12, err_msg=str(n))
+
+
 def test_closed_form_rules_never_form_x_hat(rng, monkeypatch):
     # Only the TIC and BIC information terms read X: a campaign of the
     # closed-form rules inverts nothing, and a FIM rule forms X. The engine

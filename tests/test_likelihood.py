@@ -494,6 +494,6 @@ def test_information_terms_of_a_stack_equal_its_one_trial_slices(data):
                     np.testing.assert_array_equal(prepared[h].m_hat[t], np.eye(ds.n))
                     np.testing.assert_array_equal(prepared[h].x_hat[t], np.eye(ds.n))
             # Computing through the placeholder rows of dead trials adds no
-            # fallback and no failure record.
+            # failure record.
             if not live_failed:
-                assert info.fallbacks == 0 and info.failures == {}
+                assert info.failures == {}

@@ -207,18 +207,20 @@ def test_json_mirror_carries_provenance(tmp_path, golden_report):
 
 def test_json_mirror_sums_ridge_retries_and_fallbacks(tmp_path, monkeypatch):
     # One singular Schur block per (truth, K) block under H2, whose
-    # information terms also report one fallback under both approaches: each
-    # of the two cells adds one TIC ridge retry under approach A and one
-    # stack fallback to every (rule, approach).
+    # estimates also report one fallback: each of the two cells adds one TIC
+    # ridge retry under approach A and one stack fallback to every (rule,
+    # approach).
     singular = with_singular_schur(criteria_module.information_terms, Hypothesis.H2, 0)
+    prepare = criteria_module.prepare_estimates
 
-    def patched(estimate, stack, approaches):
-        infos = singular(estimate, stack, approaches)
-        if estimate.hypothesis is not Hypothesis.H2:
-            return infos
-        return {a: dataclasses.replace(info, fallbacks=1) for a, info in infos.items()}
+    def patched(stack, approach, criteria, hypothesis):
+        estimate = prepare(stack, approach, criteria, hypothesis)
+        if hypothesis is not Hypothesis.H2:
+            return estimate
+        return dataclasses.replace(estimate, fallbacks=1)
 
-    monkeypatch.setattr(criteria_module, "information_terms", patched)
+    monkeypatch.setattr(criteria_module, "information_terms", singular)
+    monkeypatch.setattr(criteria_module, "prepare_estimates", patched)
     config = CampaignConfig(
         scenario=ScenarioConfig(n=5),
         k_grid=(11, 12),
