@@ -32,6 +32,7 @@ from .reporting import (
     config_sha256,
     parse_experiment,
     read_results_csv,
+    results_rows,
     write_results_csv,
     write_results_json,
 )
@@ -52,20 +53,15 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--K", dest="k_grid", help="comma-separated K grid, e.g. 26,39")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
     p.add_argument("--criteria", help="comma-separated rules, e.g. aic,gic:2,tic")
-    p.add_argument(
-        "--approach", choices=("A", "B", "AB"), help="approach(es) to evaluate"
-    )
+    p.add_argument("--approach", choices=("A", "B", "AB"), help="approach(es) to evaluate")
     p.add_argument("--truths", help="comma-separated truths, e.g. H1,H3")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--snr-db", type=float, help="CUT signal-to-noise ratio in dB")
     p.add_argument("--f-v", type=float, help="steering Doppler")
     p.add_argument("--sigma-d", type=float, help="channel-error std")
     p.add_argument("--workers", type=int, help="worker process count")
-    p.add_argument(
-        "--freeze-channel-errors",
-        action="store_true",
-        help="draw the channel-error matrix once per truth instead of per trial",
-    )
+    p.add_argument("--freeze-channel-errors", action="store_true",
+                   help="draw the channel-error matrix once per truth instead of per trial")
     p.add_argument("--out-dir", help="output directory (default results)")
     p.add_argument("--no-plots", action="store_true", help="skip SVG output")
     p.set_defaults(func=cmd_run)
@@ -167,7 +163,7 @@ def cmd_run(args) -> int:
     write_results_json(report, json_path, __version__)
     written = [str(csv_path), str(json_path)]
     if plot_dir is not None:
-        written += _write_plots(read_results_csv(csv_path), plot_dir)
+        written += _write_plots(results_rows(report), plot_dir)
 
     print(f"config sha256 {config_sha256(config)} seed {config.master_seed}")
     _print_summary(report)
@@ -196,7 +192,8 @@ def _print_summary(report: PccReport) -> None:
 
 
 def _write_plots(rows: list[dict], out_dir: Path) -> list[str]:
-    """One SVG per (truth, approach) from results-CSV rows; returns the paths.
+    """One SVG per (truth, approach) from results rows (:func:`results_rows`
+    of a report, or :func:`read_results_csv` of its CSV); returns the paths.
 
     Criteria, truths and approaches keep their order of first appearance in
     the rows, so colors follow the campaign's criterion order; each polyline

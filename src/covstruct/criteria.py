@@ -36,9 +36,10 @@ factorization, a total that is not finite) is excluded and the failure
 recorded, and the argmin runs over the survivors.
 
 One engine, :func:`classify_stack`, classifies a :class:`DatasetStack` of T
-datasets at once: the estimates come from stacked projections, one stacked
-Cholesky per class and one stacked solve, for the amplitudes under approach
-A and, for TIC and BIC only, the inverse estimates, the fits are
+datasets at once: the estimates come from stacked projections and one
+stacked Cholesky per class, bordered under approach A by ``[v z]`` so that
+it also gives the amplitudes and CUT fits, and for TIC and BIC only one
+stacked LU gives the inverse estimates; the fits are
 (4, T) arrays, the closed-form penalties are one value per hypothesis, and
 one argmin runs over every rule's (4, T) totals at once. TIC and BIC take
 one pass of the information terms per class, for every approach. A trial
@@ -263,27 +264,20 @@ def _schur_trace(s: np.ndarray, yy: np.ndarray, ridge=0.0) -> np.ndarray:
     return (c * yy[:, 0, 0] - 2.0 * b * yy[:, 0, 1] + a * yy[:, 1, 1]) / (a * (c - b * b / a))
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, str], bool]:
-    """Stacked ``solve(a, b)``, per trial whose solve raises or is not
-    finite the reason, and whether the stack fell back. numpy refuses the
-    whole stack when one matrix is singular; the trials are then solved one
-    by one, and a trial whose solve raises is left NaN."""
-    bad: dict[int, str] = {}
-    fell_back = False
+def _inverse_each(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Stacked ``inv(m)``, and whether the stack fell back. numpy refuses the
+    whole stack when one matrix is singular; the matrices are then inverted
+    one by one, and one whose LU breaks down is left NaN."""
     try:
-        solved = np.linalg.solve(a, b)
+        return np.linalg.inv(m), False
     except np.linalg.LinAlgError:
-        fell_back = True
-        solved = np.full(b.shape, np.nan, np.result_type(a, b))
-        for t in range(len(a)):
+        inverse = np.full_like(m, np.nan)
+        for t, matrix in enumerate(m):
             try:
-                solved[t] = np.linalg.solve(a[t], b[t])
-            except np.linalg.LinAlgError as exc:
-                bad[t] = str(exc)
-    if not np.isfinite(solved).all():
-        for t in np.flatnonzero(~np.isfinite(solved).all(axis=(-2, -1))):
-            bad.setdefault(int(t), "non-finite solve result")
-    return solved, dict(sorted(bad.items())), fell_back
+                inverse[t] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
+        return inverse, True
 
 
 @dataclass(frozen=True)
@@ -334,7 +328,7 @@ class TrialScores:
     chosen hypothesis, or ``NONE_CHOSEN`` when every hypothesis failed.
     ``ridge_retries`` counts the trials and hypotheses whose TIC Schur
     trace was retried with a ridge; ``stack_fallbacks`` counts the stacked
-    Cholesky factorizations and solves of the estimates behind this outcome
+    Cholesky factorizations and LUs of the estimates behind this outcome
     (the information terms factor nothing) that fell back matrix by matrix.
     """
 
@@ -406,50 +400,50 @@ def prepare_estimates(
     diagonal (Cantoni and Butler 1976, Linear Algebra Appl. 13), so the
     log-pivots' J-even and J-odd partial sums are the blocks' log-dets.
 
+    Under approach A it is bordered by ``[v z]`` (real classes by its (Re,
+    Im) columns, H4 by ``P^T [v z]``; :func:`covstruct.linalg.cholesky_stack`),
+    and the factor's border rows ``a = L^-1 v``, ``b = L^-1 z`` give the
+    amplitudes and CUT fits (:func:`estimate_alpha_stack`). L never reads
+    the border, but its rounding may follow the matrix size, so under B a
+    stack with a CUT is bordered by as many zero rows: the log-dets do not
+    depend on the approaches scored.
+
     A trial whose estimate is not positive definite keeps its error, and
-    its rows of M are the identity. Under approach A one stacked solve of M
-    with ``[v z]`` gives the amplitudes and CUT fits. A degenerate steering
-    energy, or a failed solve, is kept as the alpha failure: the covariance
-    estimates stay valid for the secondary-only likelihood, and only the
-    joint-likelihood rules lose that hypothesis. Real classes solve their
-    (Re, Im) column pairs. Where a TIC or BIC rule needs X, that one solve
-    takes ``[I v z]`` (``[I]`` under approach B): the ``I`` columns give X,
-    ``inv(M)`` to the bit, and the ``v z`` columns keep their bits; each is
-    judged on its own columns, so X is NaN only where its own solve failed.
+    its rows of M are the identity. A degenerate steering energy, or a
+    border row that is not finite, is kept as the alpha failure: the
+    covariance estimates stay valid for the secondary-only likelihood, and
+    only the joint-likelihood rules lose that hypothesis. Where a TIC or BIC
+    rule needs X, one stacked LU inverts M; X is NaN where it breaks down.
     """
-    approach = Approach.parse(approach)
-    eye = stack.n if any(c.needs_fim for c in criteria) else 0
-    vz = stack.secondary[..., :0]  # no columns under approach B
+    approach, n, real, border = Approach.parse(approach), stack.n, hypothesis.is_real, None
     if approach is Approach.A:
-        (cut, steering), vz = stack.require_cut(), stack.steering_cut
-    m_hat, blocks = estimate_covariance(hypothesis, stack), (slice(None),)
+        border = stack.real_border if real else stack.border
+    elif stack.cut is not None and stack.steering is not None:
+        border = np.zeros((1, 4, n)) if real else np.zeros((1, 2, n), complex)
+    m_hat = factored = estimate_covariance(hypothesis, stack)
+    blocks = (slice(None),)
     if hypothesis is Hypothesis.H4:  # block diagonal in its J-parity basis
-        basis, split = _parity_basis(stack.n), (stack.n + 1) // 2
-        low, errors, fell_back = cholesky_stack(basis.T @ m_hat @ basis)
+        basis, split = _parity_basis(n), (n + 1) // 2
+        factored = basis.T @ m_hat @ basis
+        border = None if border is None else border @ basis
         blocks = slice(split), slice(split, None)
-    else:
-        low, errors, fell_back = cholesky_stack(m_hat)
-    logs = np.log(low.diagonal(0, -2, -1).real)  # as logdet_from_cholesky, by block
-    block_logdets = tuple(2.0 * logs[..., b].sum(-1) for b in blocks)
+    low, errors, fell_back = cholesky_stack(factored, border)
+    logs = np.log(low.diagonal(0, -2, -1)[:, :n].real)  # 2 sum(logs) is log det, by block
+    block_logdets = tuple(2.0 * logs[:, block].sum(-1) for block in blocks)
     if errors:
-        m_hat[list(errors)] = np.eye(stack.n)
+        m_hat[list(errors)] = np.eye(n)
     alpha, quad, alpha_errors, x_hat = None, None, {}, None
-    if approach is Approach.A or eye:
-        rhs = vz.view(float) if hypothesis.is_real else vz
-        if eye:  # [I v z], or [I] under approach B
-            full = np.zeros((*m_hat.shape[:-1], eye + rhs.shape[-1]), rhs.dtype)
-            full[..., :eye], full[..., eye:] = np.eye(eye), rhs
-            rhs = full
-        solved, bad, solve_fell_back = _solve_each(m_hat, rhs)
-        fell_back += solve_fell_back
-        x_hat = hermitian_part(solved[..., :eye]) if eye else None
     if approach is Approach.A:
-        solved_vz = np.ascontiguousarray(solved[..., eye:]).view(complex)
-        alpha, quad, alpha_errors = estimate_alpha_stack(solved_vz, cut, steering)
-        for t, reason in bad.items():  # X's columns alone may be the bad ones
-            if not np.isfinite(solved_vz[t]).all():
-                reason = f"solve with the ICM estimate: {reason}"
-                alpha_errors[t] = np.linalg.LinAlgError(reason)
+        rows = low[:, n:, :n]  # (L^-1 [v z])^H, or its (Re, Im) rows
+        ab = rows[:, 0::2] + 1j * rows[:, 1::2] if real else rows.conj()
+        alpha, quad, alpha_errors = estimate_alpha_stack(ab[:, 0], ab[:, 1])
+        for t in np.flatnonzero(~np.isfinite(rows).all(axis=(-2, -1))):
+            alpha_errors[int(t)] = np.linalg.LinAlgError(
+                "steering or CUT through the ICM estimate's Cholesky factor is not finite"
+            )
+    if any(c.needs_fim for c in criteria):
+        inverse, inverse_fell_back = _inverse_each(m_hat)
+        x_hat, fell_back = hermitian_part(inverse), fell_back + inverse_fell_back
     return EstimateStack(
         hypothesis=hypothesis, m_hat=m_hat, logdet=sum(block_logdets),
         block_logdets=block_logdets, alpha_hat=alpha, quad=quad, failures=errors,
@@ -488,7 +482,7 @@ def classify_stack(
     """Classify a stack of T datasets under every approach and rule at once.
 
     The classes run one at a time, so one class's M and X are held at once:
-    its estimates and one LU, prepared under approach A when A is asked for
+    its estimates, prepared under approach A when A is asked for
     (estimates that carry alpha also serve approach B, not the reverse), and
     if any rule needs them its information terms, one pass for every
     approach, leave only its fit rows, failures and terms. Per approach the

@@ -14,9 +14,10 @@ estimates are bit-identical whatever stack it sits in.
 The signal amplitude ``alpha`` is estimated from the cell under test with the
 ICM estimate X = M^-1 plugged in: the ML amplitude ``v^H X z / v^H X v``
 minimises ``(z - alpha v)^H X (z - alpha v)`` over complex alpha for every
-class and every steering vector. It and that fit take one solve of M with
-``[v z]``; where the information terms need X, the same LU gives it from
-``[I v z]`` (``[I]`` under approach B).
+class and every steering vector. With ``M = L L^H`` it is ``a^H b / |a|^2``
+for the whitened ``a = L^-1 v`` and ``b = L^-1 z``, the border rows of the
+class's one Cholesky of M bordered by ``[v z]``. Only where the information
+terms need X does one LU per class invert M.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ class DatasetStack:
             parts = [getattr(d, name) for d in datasets]
             return None if any(p is None for p in parts) else np.stack(parts)
 
-        return cls(stacked("secondary"), stacked("cut"), stacked("steering"))
+        stack = cls.__new__(cls)  # each dataset has passed the validation rule
+        stack.secondary, stack.cut, stack.steering = map(stacked, ("secondary", "cut", "steering"))
+        return stack
 
     def __len__(self) -> int:
         return len(self.secondary)
@@ -174,10 +177,16 @@ class DatasetStack:
         return hermitian_part(self.secondary @ self.secondary.conj().swapaxes(-1, -2))
 
     @functools.cached_property
-    def steering_cut(self) -> np.ndarray:
-        """The (T, N, 2) columns ``[v z]`` that approach A solves M with."""
+    def border(self) -> np.ndarray:
+        """The (T, 2, N) rows ``[v z]^H`` that border a complex class's estimate."""
         cut, steering = self.require_cut()
-        return np.stack([steering, cut], -1)
+        return np.stack([steering, cut], 1).conj()
+
+    @functools.cached_property
+    def real_border(self) -> np.ndarray:
+        """The (T, 4, N) rows ``Re v, Im v, Re z, Im z`` that border a real one's."""
+        cut, steering = self.require_cut()
+        return np.stack([steering.real, steering.imag, cut.real, cut.imag], 1)
 
     def require_cut(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, N) stacks of the CUTs and steering vectors, or a clear error
@@ -201,12 +210,12 @@ class EstimateStack:
     the identity in ``m_hat`` and zero log-dets. Under approach A,
     ``alpha_hat`` and ``quad`` hold the amplitudes and CUT fits of
     :func:`estimate_alpha_stack`, and ``alpha_failures`` maps each trial
-    whose steering energy is degenerate, or whose solve failed, to its
-    error; under approach B both are None. ``fallbacks`` counts the stacked
-    factorizations and solves that fell back to matrix by matrix. ``x_hat``
-    holds the Hermitian parts of the inverses of ``m_hat``, from the class's
-    one LU (the amplitudes' solve under approach A), where a TIC or BIC rule
-    needs it, and is None otherwise; it is NaN where that solve failed.
+    whose steering energy is degenerate, or whose border rows are not
+    finite, to its error; under approach B both are None. ``fallbacks``
+    counts the stacked factorizations and LUs that fell back to matrix by
+    matrix. ``x_hat`` holds the Hermitian parts of the inverses of
+    ``m_hat``, from one stacked LU, where a TIC or BIC rule needs it, and is
+    None otherwise; it is NaN where that LU broke down.
     """
 
     hypothesis: Hypothesis
@@ -233,30 +242,28 @@ def estimate_covariance(hypothesis: Hypothesis, stack: DatasetStack) -> np.ndarr
 
 
 def estimate_alpha_stack(
-    solved: np.ndarray, cut: np.ndarray, steering: np.ndarray
+    a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[int, DegenerateSteeringError]]:
     """ML amplitude estimates of the CUT signal with the ICM estimate plugged
     in, and the CUT fits ``(z - alpha v)^H X (z - alpha v)`` at them.
 
-    Takes the (T, N, 2) solves ``X [v z]``, ``X = M^-1`` for one class's ICM
-    estimates M, and (T, N) CUTs and steering vectors. ``v^H X z / v^H X v``
-    minimises the fit for any Hermitian positive definite X, so it is the
-    estimate under every class and steering vector. The fit is kept in
-    residual form, ``Re r^H (X z - alpha X v)`` with ``r = z - alpha v``, as
-    ``z^H X z - |v^H X z|^2 / v^H X v`` cancels at high SNR. Returns the
-    (T,) estimates and fits and, per trial whose steering energy is at or
-    below 1e-14, a DegenerateSteeringError; those rows are placeholders.
+    Takes the (T, N) whitened steering vectors ``a = L^-1 v`` and CUTs
+    ``b = L^-1 z``, ``M = L L^H`` one class's ICM estimates and ``X = M^-1``.
+    ``v^H X z / v^H X v = a^H b / |a|^2`` minimises the fit for any Hermitian
+    positive definite X, so it is the estimate under every class and
+    steering vector. The fit is kept in residual form, ``|b - alpha a|^2``,
+    as ``|b|^2 - |a^H b|^2 / |a|^2`` cancels at high SNR. Returns the (T,)
+    estimates and fits and, per trial whose steering energy ``|a|^2`` is at
+    or below 1e-14, a DegenerateSteeringError; those rows are placeholders.
     """
-    vx = np.einsum("ti,tij->tj", steering.conj(), solved)  # v^H X v, v^H X z
-    denom = vx[:, 0].real
+    denom = np.einsum("ti,ti->t", a.conj(), a).real
     errors = {
         int(t): _steering_error(float(denom[t]))
         for t in np.flatnonzero(~(denom > _STEERING_FLOOR))
     }
-    alpha = vx[:, 1] / np.where(denom > _STEERING_FLOOR, denom, 1.0)
-    x_resid = solved[..., 1] - alpha[:, None] * solved[..., 0]
-    resid = cut - alpha[:, None] * steering
-    return alpha, np.einsum("ti,ti->t", resid.conj(), x_resid).real, errors
+    alpha = np.einsum("ti,ti->t", a.conj(), b) / np.where(denom > _STEERING_FLOOR, denom, 1.0)
+    resid = b - alpha[:, None] * a
+    return alpha, np.einsum("ti,ti->t", resid.conj(), resid).real, errors
 
 
 def _steering_error(denom: float) -> DegenerateSteeringError:

@@ -8,6 +8,8 @@ never formed: ``J A J`` is ``A[..., ::-1, ::-1]``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -15,7 +17,6 @@ __all__ = [
     "hermitian_part",
     "cholesky_pd",
     "cholesky_stack",
-    "logdet_from_cholesky",
 ]
 
 # Relative pivot floor: a Cholesky pivot not above this fraction of the
@@ -45,7 +46,7 @@ def cholesky_pd(m: np.ndarray) -> np.ndarray:
 
 
 def cholesky_stack(
-    m: np.ndarray,
+    m: np.ndarray, border: np.ndarray | None = None
 ) -> tuple[np.ndarray, dict[int, NotPositiveDefiniteError], bool]:
     """Lower Cholesky factors of a (T, N, N) stack of Hermitian matrices.
 
@@ -58,8 +59,23 @@ def cholesky_stack(
     the stack is factored matrix by matrix; ``fell_back`` says so. Either way each matrix
     is factored on its own, so every factor and error is bit-identical to a
     stack of one.
+
+    ``border``, rows ``B^H`` broadcasting to (T, w, N), factors ``[[M, B],
+    [B^H, diag(+inf)]]`` instead (Golub and Van Loan, Matrix Computations,
+    4.2); its last w rows hold ``(L^-1 B)^H``, below M's factor L. The border
+    cannot stop the factorization (``inf - x = inf``, ``x / inf = 0``) and
+    only M's pivots are checked; where it alone breaks down, as a non-finite
+    border may, M is factored on its own and the border rows are NaN.
     """
     m = np.asarray(m)
+    n = m.shape[-1]
+    diag_max = m.diagonal(0, -2, -1).real.max(-1)
+    if border is not None:
+        width = border.shape[-2]
+        full = np.empty((len(m), n + width, n + width), m.dtype)
+        full[..., n:] = _border_columns(n, width, m.dtype)
+        full[..., :n, :n], full[..., n:, :n] = m, border
+        m = full
     errors: dict[int, NotPositiveDefiniteError] = {}
     fell_back = False
     try:
@@ -70,12 +86,16 @@ def cholesky_stack(
         for t, matrix in enumerate(m):
             try:
                 low[t] = np.linalg.cholesky(matrix)
+                continue
+            except np.linalg.LinAlgError:
+                low[t, n:] = np.nan  # the border may be what broke down
+            try:
+                low[t, :n, :n] = np.linalg.cholesky(matrix[:n, :n])
             except np.linalg.LinAlgError as exc:
                 errors[t] = NotPositiveDefiniteError(
-                    f"Cholesky breakdown on {m.shape[-2]}x{m.shape[-1]} matrix: {exc}"
+                    f"Cholesky breakdown on {n}x{n} matrix: {exc}"
                 )
-    diag_max = m.diagonal(0, -2, -1).real.max(-1)
-    pivot = (low.diagonal(0, -2, -1).real ** 2).min(-1)
+    pivot = (low.diagonal(0, -2, -1)[..., :n].real ** 2).min(-1)
     passed = pivot > _PIVOT_RTOL * diag_max  # NaN fails too
     if passed.all():  # a breakdown's zero factor never passes
         return low, errors, fell_back
@@ -83,6 +103,14 @@ def cholesky_stack(
         errors.setdefault(int(t), _pivot_error(pivot[t], diag_max[t]))
     low[list(errors)] = np.eye(m.shape[-1], dtype=m.dtype)
     return low, dict(sorted(errors.items())), fell_back
+
+
+@functools.lru_cache(maxsize=32)
+def _border_columns(n: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """A bordered matrix's last columns, zeros over ``diag(+inf)``; read-only."""
+    columns = np.vstack([np.zeros((n, width), dtype), np.diag(np.full(width, np.inf))])
+    columns.flags.writeable = False
+    return columns
 
 
 def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
@@ -94,8 +122,3 @@ def _pivot_error(pivot: float, diag_max: float) -> NotPositiveDefiniteError:
         f"Cholesky pivot {pivot:.3e} at or below "
         f"{_PIVOT_RTOL:.0e} * max diagonal ({diag_max:.3e})"
     )
-
-
-def logdet_from_cholesky(low: np.ndarray) -> np.ndarray:
-    """log det of each matrix of a stack from its lower Cholesky factor."""
-    return 2.0 * np.sum(np.log(low.diagonal(axis1=-2, axis2=-1).real), axis=-1)

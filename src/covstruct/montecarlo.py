@@ -185,7 +185,7 @@ class PccReport:
     ``fallbacks`` maps (criterion key, approach) to the summed
     ``(ridge_retries, stack_fallbacks)`` of every block's
     :class:`~covstruct.criteria.TrialScores`. A stack fallback (of an
-    estimate's Cholesky or solve) is counted once per stacked call, so
+    estimate's Cholesky or of X's LU) is counted once per stacked call, so
     that count depends on how the trials were blocked; the retries do not.
     ``chunks`` and ``workers``: the chunk count and the processes that ran
     them (1 serially). ``heap_retained``: see :func:`_retain_heap`.
@@ -366,17 +366,8 @@ def _run_chunk(args) -> tuple:
             tallies[key] = tally.reshape(-1, 5)
             fallbacks[key] = np.array([outcome.ridge_retries, outcome.stack_fallbacks])
             seen.update(outcome.failures.items())
-        failures.extend(
-            FailureRecord(
-                truth=owners[t][0],
-                k=k,
-                trial=owners[t][1],
-                approach=approach.value,
-                hypothesis=h,
-                message=message,
-            )
-            for (h, t), message in seen
-        )
+        failures.extend(FailureRecord(owners[t][0], k, owners[t][1], approach.value, h, message)
+                        for (h, t), message in seen)
     per_trial = (time.perf_counter() - started) / len(owners)
     return k, segments, tallies, per_trial, failures, fallbacks
 
@@ -433,22 +424,11 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
                 for approach in config.approaches:
                     key = (criterion.key, approach.value, int(truth), k)
                     tally = sums[key]
-                    failed = int(tally[4])
-                    effective = config.trials - failed
-                    correct = int(tally[int(truth) - 1])
-                    p_cc = correct / effective if effective else 0.0
-                    std_err = (
-                        float(np.sqrt(p_cc * (1.0 - p_cc) / effective))
-                        if effective
-                        else 0.0
-                    )
-                    cells[key] = CellStats(
-                        counts=tuple(int(x) for x in tally),
-                        trials=config.trials,
-                        p_cc=p_cc,
-                        std_err=std_err,
-                        seconds=seconds[(int(truth), k)],
-                    )
+                    effective = config.trials - int(tally[4])  # less the failed
+                    p_cc = int(tally[int(truth) - 1]) / effective if effective else 0.0
+                    std_err = float(np.sqrt(p_cc * (1.0 - p_cc) / effective)) if effective else 0.0
+                    cells[key] = CellStats(counts=tuple(int(x) for x in tally), trials=config.trials,
+                                           p_cc=p_cc, std_err=std_err, seconds=seconds[int(truth), k])
 
     return PccReport(
         config=config,
@@ -462,9 +442,7 @@ def run_campaign(config: CampaignConfig, progress=None) -> PccReport:
     )
 
 
-def confusion_histogram(
-    report: PccReport, criterion, approach, k: int
-) -> np.ndarray:
+def confusion_histogram(report: PccReport, criterion, approach, k: int) -> np.ndarray:
     """4x4 row-normalized confusion matrix at one K.
 
     Rows follow the truth (H1..H4), columns the chosen hypothesis; each row

@@ -31,6 +31,7 @@ __all__ = [
     "dump_experiment",
     "write_results_csv",
     "render_results_csv",
+    "results_rows",
     "read_results_csv",
     "write_results_json",
     "config_sha256",
@@ -194,28 +195,24 @@ def _parse_truth(text) -> Hypothesis:
 
 # ---------------------------------------------------------------- results
 
+def results_rows(report: PccReport) -> list[dict]:
+    """The campaign CSV's rows, in deterministic cell order, as the typed
+    dicts :func:`read_results_csv` reads back from it."""
+    cells = ((key, report.cells[key]) for key in report.iter_keys())
+    return [{
+        "schema": CSV_SCHEMA_VERSION, "criterion": ckey, "approach": akey, "truth": f"H{truth}",
+        "K": k, "trials": cell.trials, "failed": cell.failed, "chosen": tuple(cell.counts[:4]),
+        "p_cc": cell.p_cc, "std_err": cell.std_err,
+    } for (ckey, akey, truth, k), cell in cells]
+
+
 def render_results_csv(report: PccReport) -> str:
     """The campaign CSV as a string, rows in deterministic cell order."""
     lines = [",".join(CSV_COLUMNS)]
-    for key in report.iter_keys():
-        ckey, akey, truth, k = key
-        stats = report.cells[key]
-        row = (
-            str(CSV_SCHEMA_VERSION),
-            ckey,
-            akey,
-            f"H{truth}",
-            str(k),
-            str(stats.trials),
-            str(stats.failed),
-            str(stats.counts[0]),
-            str(stats.counts[1]),
-            str(stats.counts[2]),
-            str(stats.counts[3]),
-            repr(stats.p_cc),
-            repr(stats.std_err),
-        )
-        lines.append(",".join(row))
+    for row in results_rows(report):  # the columns to "failed", then chosen_h1..4
+        fields = [*(row[name] for name in CSV_COLUMNS[:7]), *row["chosen"], row["p_cc"],
+                  row["std_err"]]
+        lines.append(",".join(map(str, fields)))  # str of a float is its repr
     return "\n".join(lines) + "\n"
 
 

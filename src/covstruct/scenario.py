@@ -135,10 +135,14 @@ class ScenarioConfig:
         if self.sigma_n2 <= 0:
             raise ValueError(f"thermal noise power must be > 0, got {self.sigma_n2}")
         object.__setattr__(self, "sources", tuple(self.sources))
-        with np.errstate(all="ignore"):  # an overflow is the error raised here
-            truths = [_truth_covariance(h, self, np.eye(self.n)) for h in Hypothesis]
-        if not all(np.isfinite(m).all() for m in truths):
-            raise ValueError("clutter covariance plus noise is not finite; lower cnr_db")
+        # Each partial sum of A R A^H is at most (max row sum of |A|)^2 times the
+        # summed clutter power, and hermitian_part adds two; no standard normal
+        # draw in W exceeds 40 (its chance, about 1e-349, is below any double).
+        row = 1.0 + self.n * self.sigma_d * 40.0
+        power = sum(db_to_linear(src.cnr_db) for src in self.sources)
+        if not 2.0 * (row * row * power + self.sigma_n2) <= np.finfo(float).max:
+            raise ValueError("clutter covariance plus noise is not finite, or too close to the "
+                             "float maximum for the channel errors of a drawn truth; lower cnr_db")
 
 
 def table_case(case_id: int, **overrides) -> ScenarioConfig:

@@ -52,11 +52,16 @@ import scipy.linalg
 
 from covstruct import montecarlo, structures
 from covstruct.estimators import Approach, Dataset, DatasetStack, EstimateStack
-from covstruct.linalg import cholesky_pd, logdet_from_cholesky
+from covstruct.linalg import cholesky_pd
 from covstruct.scenario import clutter_covariance, steering_vector
 from covstruct.structures import Hypothesis, basis_log_norm, param_count, project
 
 _LOG_PI = float(np.log(np.pi))
+
+
+def logdet_from_cholesky(low: np.ndarray) -> np.ndarray:
+    """log det of each matrix of a stack from its lower Cholesky factor."""
+    return 2.0 * np.sum(np.log(low.diagonal(axis1=-2, axis2=-1).real), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from covstruct import cli
 from covstruct.cli import build_parser, main
 from covstruct.datafmt import write_dataset
 from covstruct.estimators import Dataset
@@ -27,8 +28,10 @@ def read_lines(path):
 # ---------------------------------------------------------------- run
 
 
-def test_run_writes_expected_csv_shape(tmp_path, capsys):
+def test_run_writes_expected_csv_shape(tmp_path, capsys, monkeypatch):
     out = tmp_path / "results"
+    # `run` plots from its report; only `plot` reads a results CSV.
+    monkeypatch.setattr(cli, "read_results_csv", None)
     code = run_cli(
         [
             "run",
@@ -52,6 +55,7 @@ def test_run_writes_expected_csv_shape(tmp_path, capsys):
     assert "P_cc at K=39" in captured.out
     assert (out / "results.json").exists()
     # `plot` on run's CSV renders the same figures, colors in criterion order.
+    monkeypatch.undo()
     replot = tmp_path / "replot"
     assert run_cli(["plot", "--results", out / "results.csv", "--out-dir", replot]) == 0
     for truth in (1, 2, 3, 4):
@@ -171,6 +175,10 @@ def test_run_rejects_bad_flag_values(tmp_path, capsys):
          "source #0: cnr_db 4000 dB overflows as a linear power"),
         ({"scenario": {"sources": [{"cnr_db": 3080, "rho": 0.9, "doppler": 0.1}] * 2}},
          "clutter covariance plus noise is not finite"),
+        # R + I is finite, but a drawn H1 or H2 truth A R A^H would overflow.
+        ({"scenario": {"sources": [{"cnr_db": 3079, "rho": 0.85, "doppler": 0.285}]},
+          "k_grid": [20], "trials": 5, "workers": 1},
+         "too close to the float maximum for the channel errors of a drawn truth"),
     ):
         config.write_text(json.dumps(tree), encoding="utf-8")
         assert run_cli(["run", "--config", config, "--out-dir", out]) == 1, tree

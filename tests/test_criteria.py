@@ -549,21 +549,30 @@ def test_each_approach_scores_alike_alone_and_beside_the_other(n, k):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
-def test_fim_rules_invert_nothing(rng, monkeypatch):
-    # Every class takes X from its one solve: under approach A the solve
-    # that gives its amplitudes (in real arithmetic for H2 and H4), under B
-    # alone a solve of [I]. inv is never called.
-    inverted, real_inv = [], np.linalg.inv
+def test_fim_rules_invert_each_class_once(rng, monkeypatch):
+    # The amplitudes come from each class's bordered Cholesky, so the engine
+    # solves nothing; a TIC or BIC rule inverts each class's estimate once,
+    # in one stacked LU, whatever the approaches, and the closed-form rules
+    # invert nothing.
+    calls, real_inv, real_solve = [], np.linalg.inv, np.linalg.solve
 
     def inv(a):
-        inverted.append(a.dtype)
+        calls.append(("inv", a.shape))
         return real_inv(a)
 
+    def solve(a, b):
+        calls.append(("solve", a.shape))
+        return real_solve(a, b)
+
     monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(np.linalg, "solve", solve)
     stack = DatasetStack.of([random_dataset(rng, 5, 9) for _ in range(3)])
     for approaches in ((Approach.A,), (Approach.A, Approach.B), (Approach.B,)):
         classify_stack(stack, approaches, (TIC, BIC))
-        assert not inverted, approaches
+        assert calls == [("inv", (3, 5, 5))] * len(Hypothesis), approaches
+        calls.clear()
+        classify_stack(stack, approaches, DEFAULT_CRITERIA[:3])
+        assert not calls, approaches
 
 
 def test_prepared_estimates_feed_batch(rng):

@@ -9,11 +9,10 @@ from covstruct.linalg import (
     cholesky_pd,
     cholesky_stack,
     hermitian_part,
-    logdet_from_cholesky,
 )
 
 from conftest import random_pd_matrix
-from oracle import complex_normal, exchange, unvec, vec
+from oracle import complex_normal, exchange, logdet_from_cholesky, unvec, vec
 
 
 def test_vec_is_column_stacking():

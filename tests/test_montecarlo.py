@@ -91,6 +91,27 @@ def test_pinned_campaign_reproduces_its_recorded_csv(name):
     assert records == (failures.read_text(encoding="utf-8") if failures.exists() else "")
 
 
+# Case-1 campaigns at the package's default rules and approaches whose CSVs
+# were checked by hand: (scenario, K grid, trials per cell, seed). They cover
+# N = 5, 13 and 21, and K from N + 1 to above 3N.
+HAND_CHECKED = {
+    "case1_k14-45_seed11": (table_case(1), (14, 20, 26, 33, 45), 40, 11),
+    "case1_n21_seed7": (table_case(1, n=21), (22, 30), 30, 7),
+    "case1_n5_seed3": (table_case(1, n=5), (6, 11), 40, 3),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(HAND_CHECKED))
+def test_hand_checked_campaign_reproduces_its_recorded_csv(name, workers):
+    scenario, k_grid, trials, seed = HAND_CHECKED[name]
+    config = CampaignConfig(
+        scenario=scenario, k_grid=k_grid, trials=trials, master_seed=seed, workers=workers
+    )
+    report = run_campaign(config)
+    assert render_results_csv(report) == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
 def test_chunks_that_straddle_truths_reproduce_the_noisy_campaign(monkeypatch):
     # 275 entries hold 9 trials of 5 x 6 and 5 of 5 x 11: K = 6 runs its 24
     # trials in chunks of 8 (H1 0-5 + H2 0-1, H2 2-5 + H3 0-3, H3 4-5 + H4)

@@ -26,6 +26,7 @@ from covstruct.reporting import (
     parse_experiment,
     read_results_csv,
     render_results_csv,
+    results_rows,
     write_results_csv,
     write_results_json,
 )
@@ -90,6 +91,8 @@ def test_csv_round_trip_recovers_cells(tmp_path, golden_report):
         assert row["failed"] == cell.failed
         assert row["p_cc"] == cell.p_cc
         assert row["std_err"] == cell.std_err
+    # The report's own rows are what the CSV reads back as: `run` plots them.
+    assert results_rows(golden_report) == rows
 
 
 def test_csv_reader_rejects_malformed_input(tmp_path, golden_report):

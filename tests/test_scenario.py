@@ -132,6 +132,12 @@ def test_scenario_config_validation():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite, got {bad!r}"):
                 ScenarioConfig(**{name: bad})
+    # A 3079 dB source leaves R + I finite, and room for hermitian_part's sum
+    # only without channel errors.
+    loud = (SourceParams(cnr_db=3079.0, rho=0.85, doppler=0.285),)
+    assert ScenarioConfig(sources=loud, sigma_d=0.0).sources == loud
+    with pytest.raises(ValueError, match="for the channel errors of a drawn truth"):
+        ScenarioConfig(sources=loud)
 
 
 # ---------------------------------------------------------------------------
